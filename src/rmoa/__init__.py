@@ -46,9 +46,7 @@ from .pipeline import (
     RunConfig,
     Transcript,
     build_reference_context,
-    run_moa,
     run_pipeline,
-    run_rmoa,
 )
 from .prompts import PromptSet, PromptTemplate, load_prompt_set
 from .selection import (
@@ -115,9 +113,7 @@ __all__ = [
     "parse_residual_flag",
     "propose",
     "run_benchmark",
-    "run_moa",
     "run_pipeline",
-    "run_rmoa",
     "similarity_threshold_stop",
     "tflops_estimate",
     "variance_stop",

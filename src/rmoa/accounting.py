@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import ConfigError, UndefinedRateError
 
@@ -197,16 +197,3 @@ def hallucination_rate(prev: GradedRound, curr: GradedRound) -> float:
     flipped = sum(1 for i in previously_correct if not curr.correctness[i])
     return flipped / len(previously_correct)
 
-
-def graded_rounds(per_round: Sequence[Sequence[bool]]) -> list[GradedRound]:
-    """Wrap raw per-round boolean matrices, validating aligned item counts."""
-    rounds = [
-        GradedRound(i + 1, tuple(bool(x) for x in row))
-        for i, row in enumerate(per_round)
-    ]
-    if rounds:
-        width = len(rounds[0].correctness)
-        for r in rounds:
-            if len(r.correctness) != width:
-                raise ValueError("all rounds must grade the same item count")
-    return rounds

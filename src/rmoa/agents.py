@@ -125,7 +125,6 @@ def propose(
     layer: int = 1,
     agent_index: int = 0,
     refinement_template: PromptTemplate | None = None,
-    ledger: UsageLedger | None = None,
 ) -> Response:
     """Generate one candidate response.
 
@@ -152,8 +151,6 @@ def propose(
     )
     if not result.text.strip():
         raise EmptyResponseError(f"proposer {agent_index} returned an empty completion")
-    if ledger is not None:
-        ledger.append("proposer", result.model, result.usage)
     return Response(
         text=result.text,
         layer=layer,

@@ -140,7 +140,6 @@ def build_chat_backend(spec: dict):
     kind = str(spec.get("kind", "mock"))
     if kind == "mock":
         rule = MockRule(
-            seed=int(spec.get("seed", 0)),
             behavior=str(spec.get("behavior", "echo")),
             answers={str(k): str(v) for k, v in _expect_mapping(
                 spec.get("answers"), "backends.chat.answers").items()},

@@ -42,7 +42,6 @@ class MockRule:
     residual_script extractor calls walk the yes/no script; other calls echo
     """
 
-    seed: int = 0
     behavior: str = "echo"
     answers: Mapping[str, str] = field(default_factory=dict)
     script: tuple[bool, ...] = ()

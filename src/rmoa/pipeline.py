@@ -1,11 +1,13 @@
-"""The layered refinement engine and its plain multi-proposer baseline.
+"""The layer engine: one loop for the refinement mode and its baseline.
 
-Refinement mode runs, per layer: parallel proposals, embedding-based
-diversity selection, residual extraction against the previous layer's
-selection, then builds the forward reference from the previous selection
-plus the fresh residual. The baseline mode forwards every proposal with no
-selection, residuals, or early stopping. Both end with one aggregation
-call that produces the final response.
+Every layer fans out to the proposers, then turns their replies into the
+next layer's reference; ``RunConfig.mode`` decides that one step. In
+``rmoa`` mode a layer embeds the replies, keeps a diverse top-k, extracts a
+residual against the previous layer's selection, builds the reference from
+the previous selection plus that residual, and checks the early-stop
+window. In ``moa`` mode every reply is forwarded with no residual and no
+early stop. Aborts, per-layer snapshots, persistence and the final
+aggregation are shared; the aggregation template follows the mode.
 """
 
 from __future__ import annotations
@@ -271,207 +273,6 @@ def _propose_layer(
     return responses
 
 
-def run_rmoa(
-    query: str,
-    config: RunConfig,
-    backends: Backends,
-    *,
-    prompts: PromptSet | None = None,
-    ledger: UsageLedger | None = None,
-    parallelism: int | None = None,
-    persist_dir: Path | None = None,
-) -> Transcript:
-    """Run the residual refinement pipeline for one query."""
-    if config.mode != "rmoa":
-        raise ConfigError(f"run_rmoa requires mode 'rmoa', got {config.mode!r}")
-    if backends.embedding is None:
-        raise ConfigError("rmoa mode needs an embedding backend")
-    if not query:
-        raise ValueError("query must be nonempty")
-    prompts = prompts or load_prompt_set(config.benchmark)
-    ledger = ledger if ledger is not None else UsageLedger()
-    transcript = Transcript(config, query, [], None, ledger, None)
-    task = prompts.render_task(query)
-
-    window = ResidualWindow((), config.termination.m)
-    previous_selected: list[Response] = []
-    previous_vectors: list[EmbeddingVector] = []
-    reference: str | None = None
-    aggregation_base: list[Response] = []
-    final_residual: Residual = NO_RESIDUAL
-    last_snapshot: Response | None = None
-
-    for layer in range(1, config.layers + 1):
-        responses = _propose_layer(
-            task, reference, layer, config, backends, prompts,
-            ledger, transcript.events, parallelism,
-        )
-        if not responses:
-            return _abort(transcript, persist_dir, f"layer {layer}: every proposer failed")
-        try:
-            vectors = embed_batch(
-                [r.text for r in responses],
-                backends.embedding,
-                ledger=ledger,
-                on_event=transcript.events.append,
-            )
-            matrix = build_similarity_matrix(vectors)
-            selection = greedy_diverse_select(matrix, config.select_k)
-            selected = [responses[i] for i in selection.selected_indices]
-            selected_vectors = [vectors[i] for i in selection.selected_indices]
-            residual = extract_residual(
-                selected,
-                previous_selected,
-                backends.chat,
-                template=prompts.extraction,
-                params=config.sampling,
-                ledger=ledger,
-            )
-        except (_CALL_FAILURES + (DegenerateEmbeddingError, DimensionMismatchError)) as exc:
-            return _abort(transcript, persist_dir, f"layer {layer}: {exc}")
-
-        aggregation_base = previous_selected if previous_selected else selected
-        final_residual = residual
-        reference = build_reference_context(aggregation_base, residual)
-
-        terminated_here = False
-        if layer >= 2:
-            converged = layer_converged(
-                config.termination, residual.detected, previous_vectors, selected_vectors
-            )
-            window = window.extended(not converged)
-            if (
-                layer < config.layers
-                and config.termination.policy != "none"
-                and adaptive_should_stop(window)
-            ):
-                terminated_here = True
-
-        state = LayerState(layer, responses, selection, residual, reference, terminated_here)
-        if config.capture_layer_answers:
-            try:
-                last_snapshot = aggregate(
-                    aggregation_base,
-                    residual,
-                    backends.chat,
-                    query=query,
-                    template=prompts.aggregation,
-                    params=config.sampling,
-                    layer=layer,
-                    ledger=ledger,
-                )
-            except _CALL_FAILURES as exc:
-                transcript.layer_states.append(state)
-                return _abort(transcript, persist_dir, f"layer {layer} snapshot: {exc}")
-            state.snapshot_answer = last_snapshot.text
-        transcript.layer_states.append(state)
-        _flush(persist_dir, transcript)
-        if terminated_here:
-            transcript.stop_reason = STOP_ADAPTIVE
-            break
-        previous_selected = selected
-        previous_vectors = selected_vectors
-
-    if transcript.stop_reason is None:
-        transcript.stop_reason = STOP_MAX_LAYERS
-
-    if config.capture_layer_answers and last_snapshot is not None:
-        transcript.final_response = last_snapshot
-    else:
-        try:
-            transcript.final_response = aggregate(
-                aggregation_base,
-                final_residual,
-                backends.chat,
-                query=query,
-                template=prompts.aggregation,
-                params=config.sampling,
-                layer=transcript.layer_states[-1].layer,
-                ledger=ledger,
-            )
-        except _CALL_FAILURES as exc:
-            transcript.stop_reason = None
-            return _abort(transcript, persist_dir, f"final aggregation: {exc}")
-    _flush(persist_dir, transcript)
-    return transcript
-
-
-def run_moa(
-    query: str,
-    config: RunConfig,
-    backends: Backends,
-    *,
-    prompts: PromptSet | None = None,
-    ledger: UsageLedger | None = None,
-    parallelism: int | None = None,
-    persist_dir: Path | None = None,
-) -> Transcript:
-    """Run the plain baseline: every response forwarded, no early stop."""
-    if config.mode != "moa":
-        raise ConfigError(f"run_moa requires mode 'moa', got {config.mode!r}")
-    if not query:
-        raise ValueError("query must be nonempty")
-    prompts = prompts or load_prompt_set(config.benchmark)
-    ledger = ledger if ledger is not None else UsageLedger()
-    transcript = Transcript(config, query, [], None, ledger, None)
-    task = prompts.render_task(query)
-
-    reference: str | None = None
-    last_responses: list[Response] = []
-    last_snapshot: Response | None = None
-
-    for layer in range(1, config.layers + 1):
-        responses = _propose_layer(
-            task, reference, layer, config, backends, prompts,
-            ledger, transcript.events, parallelism,
-        )
-        if not responses:
-            return _abort(transcript, persist_dir, f"layer {layer}: every proposer failed")
-        last_responses = responses
-        reference = render_numbered_responses(responses)
-        selection = SelectionResult(tuple(range(len(responses))), len(responses))
-        state = LayerState(layer, responses, selection, NO_RESIDUAL, reference, False)
-        if config.capture_layer_answers:
-            try:
-                last_snapshot = aggregate(
-                    responses,
-                    NO_RESIDUAL,
-                    backends.chat,
-                    query=query,
-                    template=prompts.baseline_aggregation,
-                    params=config.sampling,
-                    layer=layer,
-                    ledger=ledger,
-                )
-            except _CALL_FAILURES as exc:
-                transcript.layer_states.append(state)
-                return _abort(transcript, persist_dir, f"layer {layer} snapshot: {exc}")
-            state.snapshot_answer = last_snapshot.text
-        transcript.layer_states.append(state)
-        _flush(persist_dir, transcript)
-
-    transcript.stop_reason = STOP_MAX_LAYERS
-    if config.capture_layer_answers and last_snapshot is not None:
-        transcript.final_response = last_snapshot
-    else:
-        try:
-            transcript.final_response = aggregate(
-                last_responses,
-                NO_RESIDUAL,
-                backends.chat,
-                query=query,
-                template=prompts.baseline_aggregation,
-                params=config.sampling,
-                layer=config.layers,
-                ledger=ledger,
-            )
-        except _CALL_FAILURES as exc:
-            transcript.stop_reason = None
-            return _abort(transcript, persist_dir, f"final aggregation: {exc}")
-    _flush(persist_dir, transcript)
-    return transcript
-
-
 def run_pipeline(
     query: str,
     config: RunConfig,
@@ -482,17 +283,118 @@ def run_pipeline(
     parallelism: int | None = None,
     persist_dir: Path | None = None,
 ) -> Transcript:
-    """Dispatch to the mode named in the config."""
-    runner = run_rmoa if config.mode == "rmoa" else run_moa
-    return runner(
-        query,
-        config,
-        backends,
-        prompts=prompts,
-        ledger=ledger,
-        parallelism=parallelism,
-        persist_dir=persist_dir,
-    )
+    """Run the layered pipeline for one query in the mode named in the config."""
+    refine = config.mode == "rmoa"
+    if refine and backends.embedding is None:
+        raise ConfigError("rmoa mode needs an embedding backend")
+    if not query:
+        raise ValueError("query must be nonempty")
+    prompts = prompts or load_prompt_set(config.benchmark)
+    ledger = ledger if ledger is not None else UsageLedger()
+    transcript = Transcript(config, query, [], None, ledger, None)
+    task = prompts.render_task(query)
+    template = prompts.aggregation if refine else prompts.baseline_aggregation
+
+    window = ResidualWindow((), config.termination.m)
+    previous_selected: list[Response] = []
+    previous_vectors: list[EmbeddingVector] = []
+    reference: str | None = None
+    aggregation_base: list[Response] = []
+    residual: Residual = NO_RESIDUAL
+    last_snapshot: Response | None = None
+
+    for layer in range(1, config.layers + 1):
+        responses = _propose_layer(
+            task, reference, layer, config, backends, prompts,
+            ledger, transcript.events, parallelism,
+        )
+        if not responses:
+            return _abort(transcript, persist_dir, f"layer {layer}: every proposer failed")
+
+        terminated_here = False
+        if refine:
+            try:
+                vectors = embed_batch(
+                    [r.text for r in responses],
+                    backends.embedding,
+                    ledger=ledger,
+                    on_event=transcript.events.append,
+                )
+                matrix = build_similarity_matrix(vectors)
+                selection = greedy_diverse_select(matrix, config.select_k)
+                selected = [responses[i] for i in selection.selected_indices]
+                selected_vectors = [vectors[i] for i in selection.selected_indices]
+                residual = extract_residual(
+                    selected,
+                    previous_selected,
+                    backends.chat,
+                    template=prompts.extraction,
+                    params=config.sampling,
+                    ledger=ledger,
+                )
+            except (_CALL_FAILURES + (DegenerateEmbeddingError, DimensionMismatchError)) as exc:
+                return _abort(transcript, persist_dir, f"layer {layer}: {exc}")
+            aggregation_base = previous_selected or selected
+            reference = build_reference_context(aggregation_base, residual)
+            if layer >= 2:
+                converged = layer_converged(
+                    config.termination, residual.detected, previous_vectors, selected_vectors
+                )
+                window = window.extended(not converged)
+                terminated_here = (
+                    layer < config.layers
+                    and config.termination.policy != "none"
+                    and adaptive_should_stop(window)
+                )
+            previous_selected = selected
+            previous_vectors = selected_vectors
+        else:
+            selection = SelectionResult(tuple(range(len(responses))), len(responses))
+            aggregation_base = responses
+            reference = render_numbered_responses(responses)
+
+        state = LayerState(layer, responses, selection, residual, reference, terminated_here)
+        transcript.layer_states.append(state)
+        if config.capture_layer_answers:
+            try:
+                last_snapshot = aggregate(
+                    aggregation_base,
+                    residual,
+                    backends.chat,
+                    query=query,
+                    template=template,
+                    params=config.sampling,
+                    layer=layer,
+                    ledger=ledger,
+                )
+            except _CALL_FAILURES as exc:
+                return _abort(transcript, persist_dir, f"layer {layer} snapshot: {exc}")
+            state.snapshot_answer = last_snapshot.text
+        _flush(persist_dir, transcript)
+        if terminated_here:
+            transcript.stop_reason = STOP_ADAPTIVE
+            break
+    if transcript.stop_reason is None:
+        transcript.stop_reason = STOP_MAX_LAYERS
+
+    if last_snapshot is not None:
+        transcript.final_response = last_snapshot
+    else:
+        try:
+            transcript.final_response = aggregate(
+                aggregation_base,
+                residual,
+                backends.chat,
+                query=query,
+                template=template,
+                params=config.sampling,
+                layer=transcript.layer_states[-1].layer,
+                ledger=ledger,
+            )
+        except _CALL_FAILURES as exc:
+            return _abort(transcript, persist_dir, f"final aggregation: {exc}")
+    _flush(persist_dir, transcript)
+    return transcript
 
 
 def _abort(transcript: Transcript, persist_dir: Path | None, reason: str) -> Transcript:

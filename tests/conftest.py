@@ -39,13 +39,10 @@ def make_mock_bundle(
     behavior: str = "echo",
     script: tuple[bool, ...] = (),
     answers: dict[str, str] | None = None,
-    seed: int = 0,
     embed_seed: int = 7,
     embed_dim: int = 64,
 ) -> Backends:
-    rule = MockRule(
-        seed=seed, behavior=behavior, answers=answers or {}, script=script
-    )
+    rule = MockRule(behavior=behavior, answers=answers or {}, script=script)
     return Backends(
         chat=MockChatBackend(rule),
         embedding=MockEmbeddingBackend(seed=embed_seed, dim=embed_dim),

@@ -135,13 +135,6 @@ class TestPropose:
         with pytest.raises(EmptyResponseError):
             propose("Q", None, self.prompts.roles[0], BlankBackend(), self.params)
 
-    def test_ledger_gets_exactly_one_entry(self):
-        ledger = UsageLedger()
-        propose(
-            "Q", None, self.prompts.roles[0], self.backend, self.params, ledger=ledger
-        )
-        assert [e.kind for e in ledger.entries] == ["proposer"]
-
 
 class TestExtractResidual:
     def setup_method(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -14,9 +15,7 @@ from rmoa.mockbackend import MockChatBackend, MockRule
 from rmoa.pipeline import (
     RunConfig,
     build_reference_context,
-    run_moa,
     run_pipeline,
-    run_rmoa,
 )
 from rmoa.termination import TerminationConfig
 
@@ -70,7 +69,7 @@ class TestBuildReferenceContext:
 class TestRunRmoa:
     def test_single_layer_run(self):
         config = make_config(layers=1, proposers=3, k=2)
-        transcript = run_rmoa("What is up?", config, make_mock_bundle())
+        transcript = run_pipeline("What is up?", config, make_mock_bundle())
         assert transcript.stop_reason == "max_layers"
         assert len(transcript.layer_states) == 1
         assert transcript.ledger.count("extractor") == 0
@@ -82,7 +81,7 @@ class TestRunRmoa:
 
     def test_call_count_law(self):
         config = make_config(layers=4, proposers=6, k=3, policy="none")
-        ledger = run_rmoa("Count calls.", config, make_mock_bundle()).ledger
+        ledger = run_pipeline("Count calls.", config, make_mock_bundle()).ledger
         assert ledger.count("proposer") == 24
         assert ledger.count("extractor") == 3
         assert ledger.count("aggregator") == 1
@@ -91,20 +90,20 @@ class TestRunRmoa:
     def test_transcripts_bit_reproducible(self):
         config = make_config(layers=4, proposers=6, k=3, policy="none")
         payloads = [
-            run_rmoa("Same every time?", config, make_mock_bundle()).to_json_bytes()
+            run_pipeline("Same every time?", config, make_mock_bundle()).to_json_bytes()
             for _ in range(2)
         ]
         assert payloads[0] == payloads[1]
 
     def test_parallelism_does_not_change_transcripts(self):
         config = make_config(layers=3, proposers=5, k=2, policy="none")
-        serial = run_rmoa("Parallel?", config, make_mock_bundle(), parallelism=1)
-        threaded = run_rmoa("Parallel?", config, make_mock_bundle(), parallelism=5)
+        serial = run_pipeline("Parallel?", config, make_mock_bundle(), parallelism=1)
+        threaded = run_pipeline("Parallel?", config, make_mock_bundle(), parallelism=5)
         assert serial.to_json_bytes() == threaded.to_json_bytes()
 
     def test_layers_are_monotone_and_selections_valid(self):
         config = make_config(layers=4, proposers=6, k=3, policy="none")
-        transcript = run_rmoa("Validate shape.", config, make_mock_bundle())
+        transcript = run_pipeline("Validate shape.", config, make_mock_bundle())
         for position, state in enumerate(transcript.layer_states, start=1):
             assert state.layer == position
             assert len(state.selected.selected_indices) == 3
@@ -116,7 +115,7 @@ class TestRunRmoa:
     def test_layer_one_proposers_get_no_references(self):
         config = make_config(layers=2, proposers=3, k=2, policy="none")
         bundle = make_mock_bundle()
-        run_rmoa("Check reference flow.", config, bundle, parallelism=1)
+        run_pipeline("Check reference flow.", config, bundle, parallelism=1)
         log = bundle.chat.call_log
         layer_one_prompts = [entry["prompt"] for entry in log[:3]]
         layer_two_prompts = [entry["prompt"] for entry in log[3:6]]
@@ -127,7 +126,7 @@ class TestRunRmoa:
     def test_early_stop_skips_later_layers(self):
         config = make_config(layers=4, proposers=6, k=3, policy="llm", m=1)
         bundle = make_mock_bundle(behavior="residual_script", script=(False, False, False))
-        transcript = run_rmoa("Stop early.", config, bundle)
+        transcript = run_pipeline("Stop early.", config, bundle)
         assert transcript.stop_reason == "adaptive_stop"
         assert [s.layer for s in transcript.layer_states] == [1, 2]
         assert transcript.layer_states[-1].terminated_here
@@ -140,7 +139,7 @@ class TestRunRmoa:
         bundle = make_mock_bundle(
             behavior="residual_script", script=(True, False, False)
         )
-        transcript = run_rmoa("Stop later.", config, bundle)
+        transcript = run_pipeline("Stop later.", config, bundle)
         # verdicts per layer: 2 -> residual, 3 -> quiet, 4 -> quiet: the
         # m=2 window fires after layer 4
         assert [s.layer for s in transcript.layer_states] == [1, 2, 3, 4]
@@ -150,7 +149,7 @@ class TestRunRmoa:
     def test_window_firing_at_depth_limit_reads_as_max_layers(self):
         config = make_config(layers=2, proposers=4, k=2, policy="llm", m=1)
         bundle = make_mock_bundle(behavior="residual_script", script=(False,))
-        transcript = run_rmoa("Quiet at the end.", config, bundle)
+        transcript = run_pipeline("Quiet at the end.", config, bundle)
         # nothing was skipped, so the run records the depth limit
         assert transcript.stop_reason == "max_layers"
         assert len(transcript.layer_states) == 2
@@ -163,24 +162,25 @@ class TestRunRmoa:
             select_k=2,
             termination=TerminationConfig(policy="sim_threshold", theta=-0.9, m=1),
         )
-        transcript = run_rmoa("Converge fast.", config, make_mock_bundle())
+        transcript = run_pipeline("Converge fast.", config, make_mock_bundle())
         assert transcript.stop_reason == "adaptive_stop"
         assert len(transcript.layer_states) == 2
 
     def test_failed_proposer_is_dropped(self):
         config = make_config(layers=1, proposers=3, k=2)
         bundle = Backends(chat=FlakyChat(fail_calls={2}), embedding=make_mock_bundle().embedding)
-        transcript = run_rmoa("Lose one proposer.", config, bundle, parallelism=1)
+        transcript = run_pipeline("Lose one proposer.", config, bundle, parallelism=1)
         state = transcript.layer_states[0]
         assert len(state.responses) == 2
         assert [r.agent_index for r in state.responses] == [0, 2]
         assert any("proposer 1 failed" in event for event in transcript.events)
         assert transcript.stop_reason == "max_layers"
 
-    def test_all_proposers_failing_aborts_with_partial_transcript(self, tmp_path):
-        config = make_config(layers=3, proposers=2, k=1)
+    @pytest.mark.parametrize("mode", ["rmoa", "moa"])
+    def test_all_proposers_failing_aborts_with_partial_transcript(self, tmp_path, mode):
+        config = make_config(layers=3, proposers=2, k=1, mode=mode)
         bundle = Backends(chat=FlakyChat(fail_all=True), embedding=make_mock_bundle().embedding)
-        transcript = run_rmoa("Nothing works.", config, bundle, persist_dir=tmp_path)
+        transcript = run_pipeline("Nothing works.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
         assert transcript.layer_states == []
@@ -193,21 +193,35 @@ class TestRunRmoa:
         # extractor is call 5 and fails
         config = make_config(layers=3, proposers=2, k=1)
         bundle = Backends(chat=FlakyChat(fail_calls={5}), embedding=make_mock_bundle().embedding)
-        transcript = run_rmoa("Extractor dies.", config, bundle, parallelism=1)
+        transcript = run_pipeline("Extractor dies.", config, bundle, parallelism=1)
         assert transcript.stop_reason == "backend_abort"
         assert len(transcript.layer_states) == 1
 
-    def test_aggregator_failure_aborts(self):
-        config = make_config(layers=1, proposers=1, k=1)
+    @pytest.mark.parametrize("mode", ["rmoa", "moa"])
+    def test_aggregator_failure_aborts(self, mode):
+        config = make_config(layers=1, proposers=1, k=1, mode=mode)
         bundle = Backends(chat=FlakyChat(fail_calls={2}), embedding=make_mock_bundle().embedding)
-        transcript = run_rmoa("Aggregator dies.", config, bundle, parallelism=1)
+        transcript = run_pipeline("Aggregator dies.", config, bundle, parallelism=1)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
         assert len(transcript.layer_states) == 1
 
+    @pytest.mark.parametrize("mode", ["rmoa", "moa"])
+    def test_snapshot_failure_aborts(self, mode):
+        # layer 1: proposals are calls 1-2, the snapshot is call 3 and fails
+        config = make_config(
+            layers=2, proposers=2, k=1, mode=mode, capture_layer_answers=True
+        )
+        bundle = Backends(chat=FlakyChat(fail_calls={3}), embedding=make_mock_bundle().embedding)
+        transcript = run_pipeline("Snapshot dies.", config, bundle, parallelism=1)
+        assert transcript.stop_reason == "backend_abort"
+        assert len(transcript.layer_states) == 1
+        assert transcript.layer_states[0].snapshot_answer is None
+        assert transcript.final_response is None
+
     def test_persisted_transcript_updates_per_layer(self, tmp_path):
         config = make_config(layers=2, proposers=2, k=1, policy="none")
-        run_rmoa("Flush often.", config, make_mock_bundle(), persist_dir=tmp_path)
+        run_pipeline("Flush often.", config, make_mock_bundle(), persist_dir=tmp_path)
         payload = json.loads((tmp_path / "transcript.json").read_text())
         assert len(payload["layer_states"]) == 2
         assert payload["stop_reason"] == "max_layers"
@@ -217,13 +231,13 @@ class TestRunRmoa:
         config = make_config(
             layers=3, proposers=3, k=2, policy="none", capture_layer_answers=True
         )
-        transcript = run_rmoa("Snapshot layers.", config, make_mock_bundle())
+        transcript = run_pipeline("Snapshot layers.", config, make_mock_bundle())
         assert transcript.ledger.count("aggregator") == 3
         assert all(s.snapshot_answer for s in transcript.layer_states)
         assert transcript.final_response.text == transcript.layer_states[-1].snapshot_answer
 
     def test_default_operating_point_runs_to_depth(self):
-        transcript = run_rmoa("Full depth run.", RunConfig(), make_mock_bundle())
+        transcript = run_pipeline("Full depth run.", RunConfig(), make_mock_bundle())
         # echo extractions always read as residuals, so no early stop
         assert len(transcript.layer_states) <= 6
         assert transcript.stop_reason == "max_layers"
@@ -237,27 +251,25 @@ class TestRunRmoa:
             chat=MockChatBackend(MockRule()),
             embedding=MockEmbeddingBackend(max_input_chars=16),
         )
-        transcript = run_rmoa("A query long enough to overflow.", config, bundle)
+        transcript = run_pipeline("A query long enough to overflow.", config, bundle)
         assert any("truncated" in event for event in transcript.events)
 
     def test_requires_rmoa_mode_and_embedding_backend(self):
-        with pytest.raises(ConfigError):
-            run_rmoa("Q", make_config(mode="moa"), make_mock_bundle())
         bundle = Backends(chat=MockChatBackend(MockRule()), embedding=None)
         with pytest.raises(ConfigError):
-            run_rmoa("Q", make_config(), bundle)
+            run_pipeline("Q", make_config(), bundle)
 
     def test_empty_query_rejected_before_any_call(self):
         bundle = make_mock_bundle()
         with pytest.raises(ValueError):
-            run_rmoa("", make_config(), bundle)
+            run_pipeline("", make_config(), bundle)
         assert bundle.chat.call_log == []
 
 
 class TestRunMoa:
     def test_minimal_pipeline(self):
         config = make_config(layers=1, proposers=1, k=1, mode="moa")
-        transcript = run_moa("Tiny.", config, make_mock_bundle())
+        transcript = run_pipeline("Tiny.", config, make_mock_bundle())
         assert transcript.ledger.count("proposer") == 1
         assert transcript.ledger.count("aggregator") == 1
         assert transcript.ledger.count("embedding") == 0
@@ -265,7 +277,7 @@ class TestRunMoa:
 
     def test_reference_contains_all_numbered_responses(self):
         config = make_config(layers=2, proposers=4, k=2, mode="moa")
-        transcript = run_moa("All blocks.", config, make_mock_bundle())
+        transcript = run_pipeline("All blocks.", config, make_mock_bundle())
         for state in transcript.layer_states:
             for index in range(1, 5):
                 assert f"Response {index}:" in state.reference_context
@@ -275,14 +287,14 @@ class TestRunMoa:
 
     def test_chat_call_total(self):
         config = make_config(layers=4, proposers=6, k=3, mode="moa")
-        ledger = run_moa("Count.", config, make_mock_bundle()).ledger
+        ledger = run_pipeline("Count.", config, make_mock_bundle()).ledger
         assert ledger.count("proposer") + ledger.count("aggregator") == 25
         assert ledger.count("extractor") == 0
 
     def test_deterministic(self):
         config = make_config(layers=3, proposers=4, k=2, mode="moa")
         payloads = [
-            run_moa("Repeat.", config, make_mock_bundle()).to_json_bytes()
+            run_pipeline("Repeat.", config, make_mock_bundle()).to_json_bytes()
             for _ in range(2)
         ]
         assert payloads[0] == payloads[1]
@@ -290,7 +302,7 @@ class TestRunMoa:
     def test_moa_works_without_embedding_backend(self):
         config = make_config(layers=2, proposers=2, k=1, mode="moa")
         bundle = Backends(chat=MockChatBackend(MockRule()), embedding=None)
-        transcript = run_moa("No embeddings needed.", config, bundle)
+        transcript = run_pipeline("No embeddings needed.", config, bundle)
         assert transcript.stop_reason == "max_layers"
 
     def test_run_pipeline_dispatches_on_mode(self):
@@ -298,6 +310,41 @@ class TestRunMoa:
         moa_cfg = make_config(layers=1, proposers=2, k=1, mode="moa")
         assert run_pipeline("Q", rmoa_cfg, make_mock_bundle()).config.mode == "rmoa"
         assert run_pipeline("Q", moa_cfg, make_mock_bundle()).config.mode == "moa"
+
+
+# sha256 of the transcript bytes, measured before the two mode loops were merged
+@pytest.mark.parametrize(
+    ("config", "bundle_args", "digest"),
+    [
+        (
+            make_config(layers=4, proposers=6, k=3),
+            {},
+            "989d38f22480a6180e9d5f69e5255a562ff5b5b768748ef8d074d3723f8c0c1d",
+        ),
+        (
+            make_config(
+                layers=4, proposers=6, k=3, policy="llm", m=1, capture_layer_answers=True
+            ),
+            {"behavior": "residual_script", "script": (False, False, False)},
+            "6911dab2ef12611d7ab9a8e33e1556ef2985643415446756bab01d033c2f8246",
+        ),
+        (
+            make_config(layers=3, proposers=4, k=2, mode="moa"),
+            {},
+            "760439299761f640db78209d872cc3b84c4be313064718baed0b23968eca7557",
+        ),
+        (
+            make_config(layers=3, proposers=4, k=2, mode="moa", capture_layer_answers=True),
+            {},
+            "ba6755eae8d43c4b0ed47d17074d6f29e17b6ffea6642387b547faf62f9a4509",
+        ),
+    ],
+    ids=["rmoa", "rmoa-adaptive-stop-snapshots", "moa", "moa-snapshots"],
+)
+def test_transcript_bytes_pinned(config, bundle_args, digest):
+    bundle = make_mock_bundle(**bundle_args)
+    payload = run_pipeline("Pin the transcript.", config, bundle).to_json_bytes()
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 class TestRunConfigValidation:
