@@ -4,14 +4,17 @@ All arithmetic runs through ``math.fsum``, which returns the correctly
 rounded sum regardless of operand order. That makes cosine exactly
 symmetric in its arguments and makes similarity matrices reproducible
 across platforms, which the selection stage relies on for deterministic
-tie-breaking.
+tie-breaking. Each vector's norm is computed once, when the vector is
+built, so repeated cosines against the same vector pay only for the dot
+product.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Sequence
 
 from .backends import EmbeddingBackend
@@ -29,21 +32,24 @@ class EmbeddingVector:
     """An immutable real vector with finite components."""
 
     components: tuple[float, ...]
+    _norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        components = tuple(float(c) for c in self.components)
+        components = tuple(map(float, self.components))
         object.__setattr__(self, "components", components)
         if not components:
             raise ValueError("an embedding vector needs at least one component")
-        if not all(math.isfinite(c) for c in components):
+        if not all(map(math.isfinite, components)):
             raise ValueError("embedding components must be finite")
+        norm = math.sqrt(math.fsum(map(mul, components, components)))
+        object.__setattr__(self, "_norm", norm)
 
     @property
     def dimension(self) -> int:
         return len(self.components)
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum(c * c for c in self.components))
+        return self._norm
 
     def scaled(self, factor: float) -> "EmbeddingVector":
         return EmbeddingVector(tuple(c * factor for c in self.components))
@@ -59,7 +65,7 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     norm_b = b.norm()
     if norm_a == 0.0 or norm_b == 0.0:
         raise DegenerateEmbeddingError("cosine is undefined for zero-norm vectors")
-    dot = math.fsum(x * y for x, y in zip(a.components, b.components))
+    dot = math.fsum(map(mul, a.components, b.components))
     return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
 
 
@@ -135,9 +141,7 @@ def build_similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMat
     for i in range(n):
         rows[i][i] = 1.0
         for j in range(i + 1, n):
-            dot = math.fsum(
-                x * y for x, y in zip(vectors[i].components, vectors[j].components)
-            )
+            dot = math.fsum(map(mul, vectors[i].components, vectors[j].components))
             value = max(-1.0, min(1.0, dot / (norms[i] * norms[j])))
             rows[i][j] = value
             rows[j][i] = value

@@ -13,6 +13,7 @@ aggregation are shared; the aggregation template follows the mode.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,7 +145,12 @@ class LayerState:
 
 @dataclass
 class Transcript:
-    """Full record of one run; flushed to disk after every layer."""
+    """Full record of one run.
+
+    With a persist directory, each finished layer is appended to
+    ``layers.jsonl``; ``transcript.json`` and ``ledger.json`` are written
+    once, atomically, when the run completes or aborts.
+    """
 
     config: RunConfig
     query: str
@@ -202,16 +208,49 @@ def build_reference_context(
     )
 
 
+def _append_layer(persist_dir: Path | None, state: LayerState) -> None:
+    """Append one compact line for ``state`` to the item's layer log.
+
+    Layer 1 starts a fresh log and removes the final files of an earlier
+    run in the same directory, so a log without ``transcript.json`` always
+    means an interrupted run.
+    """
+    if persist_dir is None:
+        return
+    persist_dir = Path(persist_dir)
+    first = state.layer == 1
+    if first:
+        persist_dir.mkdir(parents=True, exist_ok=True)
+        for name in ("transcript.json", "ledger.json"):
+            (persist_dir / name).unlink(missing_ok=True)
+    line = json.dumps(state.to_json_dict(), sort_keys=True) + "\n"
+    mode = "w" if first else "a"
+    with (persist_dir / "layers.jsonl").open(mode, encoding="utf-8") as handle:
+        handle.write(line)
+
+
+def _write_json_atomic(path: Path, payload: dict) -> None:
+    """Stream ``payload`` as indented JSON to a temp file, then rename it.
+
+    There is no fsync: the file survives a process crash, not a power loss.
+    """
+    temp = path.with_name(path.name + ".tmp")
+    with temp.open("w", encoding="utf-8", newline="\n") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    os.replace(temp, path)
+
+
 def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
+    """Write the final ``transcript.json`` and ``ledger.json``, then drop the log."""
     if persist_dir is None:
         return
     persist_dir = Path(persist_dir)
     persist_dir.mkdir(parents=True, exist_ok=True)
-    (persist_dir / "transcript.json").write_bytes(transcript.to_json_bytes())
-    ledger_payload = json.dumps(
-        transcript.ledger.to_json_dict(), indent=2, sort_keys=True
-    )
-    (persist_dir / "ledger.json").write_text(ledger_payload + "\n", encoding="utf-8")
+    payload = transcript.to_json_dict()
+    _write_json_atomic(persist_dir / "transcript.json", payload)
+    _write_json_atomic(persist_dir / "ledger.json", payload["ledger"])
+    (persist_dir / "layers.jsonl").unlink(missing_ok=True)
 
 
 def _propose_layer(
@@ -370,7 +409,7 @@ def run_pipeline(
             except _CALL_FAILURES as exc:
                 return _abort(transcript, persist_dir, f"layer {layer} snapshot: {exc}")
             state.snapshot_answer = last_snapshot.text
-        _flush(persist_dir, transcript)
+        _append_layer(persist_dir, state)
         if terminated_here:
             transcript.stop_reason = STOP_ADAPTIVE
             break

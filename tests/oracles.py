@@ -6,6 +6,7 @@ sums, no shortcuts shared with the implementation under test).
 
 from __future__ import annotations
 
+import math
 import random
 
 from rmoa.embedding import EmbeddingVector, SimilarityMatrix, build_similarity_matrix
@@ -44,6 +45,17 @@ def naive_greedy_select(rows: list[list[float]], k: int) -> list[int]:
         chosen.append(best_i)
         candidates.remove(best_i)
     return chosen
+
+
+def naive_norm(vector: EmbeddingVector) -> float:
+    """Euclidean norm, recomputed from the components on every call."""
+    return math.sqrt(math.fsum(c * c for c in vector.components))
+
+
+def naive_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """Clamped cosine with both norms recomputed and a generator dot product."""
+    dot = math.fsum(x * y for x, y in zip(a.components, b.components))
+    return max(-1.0, min(1.0, dot / (naive_norm(a) * naive_norm(b))))
 
 
 def random_vectors(

@@ -23,7 +23,7 @@ from rmoa.errors import (
 )
 from rmoa.mockbackend import MockEmbeddingBackend, mock_embed
 
-from oracles import random_vectors
+from oracles import naive_cosine, naive_norm, random_vectors
 
 
 def vec(*components: float) -> EmbeddingVector:
@@ -117,6 +117,20 @@ class TestSimilarityMatrix:
                 for j in range(n):
                     assert matrix.entries[i][j] == matrix.entries[j][i]
                     assert -1.0 <= matrix.entries[i][j] <= 1.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 16, 64, 300, 1024])
+    def test_bit_identical_to_naive_oracle(self, dim):
+        rng = random.Random(dim)
+        vectors = random_vectors(rng, 6, dim)
+        vectors += [v.scaled(10.0 ** rng.randint(-6, 6)) for v in vectors[:3]]
+        matrix = build_similarity_matrix(vectors)
+        for i, a in enumerate(vectors):
+            assert a.norm() == naive_norm(a)
+            assert matrix.entries[i][i] == 1.0
+            for j, b in enumerate(vectors):
+                if i != j:
+                    assert cosine(a, b) == naive_cosine(a, b)
+                    assert matrix.entries[i][j] == naive_cosine(a, b)
 
     def test_validation_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -29,17 +29,18 @@ def response(text: str) -> Response:
 class FlakyChat:
     """Delegates to a mock but fails the configured call ordinals."""
 
-    def __init__(self, fail_calls=(), fail_all=False):
+    def __init__(self, fail_calls=(), fail_all=False, error=BackendUnavailableError):
         self.inner = MockChatBackend(MockRule())
         self.model = self.inner.model
         self.fail_calls = set(fail_calls)
         self.fail_all = fail_all
+        self.error = error
         self.calls = 0
 
     def chat(self, messages, *, temperature, max_tokens):
         self.calls += 1
         if self.fail_all or self.calls in self.fail_calls:
-            raise BackendUnavailableError(f"scripted failure on call {self.calls}")
+            raise self.error(f"scripted failure on call {self.calls}")
         return self.inner.chat(messages, temperature=temperature, max_tokens=max_tokens)
 
 
@@ -187,6 +188,7 @@ class TestRunRmoa:
         on_disk = json.loads((tmp_path / "transcript.json").read_text())
         assert on_disk["stop_reason"] == "backend_abort"
         assert (tmp_path / "ledger.json").is_file()
+        assert not (tmp_path / "layers.jsonl").exists()
 
     def test_extractor_failure_aborts_after_first_layer(self):
         # layer 1: calls 1-2 succeed; layer 2: proposals 3-4 succeed, the
@@ -226,6 +228,50 @@ class TestRunRmoa:
         assert len(payload["layer_states"]) == 2
         assert payload["stop_reason"] == "max_layers"
         assert payload["final_response"]["text"]
+
+    def test_crash_leaves_layer_log_and_rerun_finishes_clean(self, tmp_path):
+        # layer 1: calls 1-2; layer 2: calls 3-4 plus the extractor (5);
+        # layer 3 starts at call 6, which raises like a crash would
+        config = make_config(layers=3, proposers=2, k=1)
+
+        def bundle(**flaky):
+            return Backends(chat=FlakyChat(**flaky), embedding=make_mock_bundle().embedding)
+
+        clean = run_pipeline("Crash midway.", config, bundle(), parallelism=1)
+        run_pipeline("Crash midway.", config, bundle(), parallelism=1, persist_dir=tmp_path)
+        with pytest.raises(RuntimeError):
+            run_pipeline(
+                "Crash midway.", config, bundle(fail_calls={6}, error=RuntimeError),
+                parallelism=1, persist_dir=tmp_path,
+            )
+        lines = (tmp_path / "layers.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == [
+            state.to_json_dict() for state in clean.layer_states[:2]
+        ]
+        assert not (tmp_path / "transcript.json").exists()
+        assert not (tmp_path / "ledger.json").exists()
+
+        run_pipeline("Crash midway.", config, bundle(), parallelism=1, persist_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
+
+    @pytest.mark.parametrize(
+        ("mode", "fail_calls", "stop_reason"),
+        [("rmoa", (), "max_layers"), ("moa", (), "max_layers"), ("rmoa", {5}, "backend_abort")],
+        ids=["rmoa", "moa", "rmoa-abort"],
+    )
+    def test_files_on_disk_match_in_memory_bytes(self, tmp_path, mode, fail_calls, stop_reason):
+        config = make_config(layers=3, proposers=2, k=1, mode=mode)
+        bundle = Backends(
+            chat=FlakyChat(fail_calls=fail_calls), embedding=make_mock_bundle().embedding
+        )
+        transcript = run_pipeline(
+            "Bytes on disk.", config, bundle, parallelism=1, persist_dir=tmp_path
+        )
+        assert transcript.stop_reason == stop_reason
+        assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
+        ledger_text = json.dumps(transcript.ledger.to_json_dict(), indent=2, sort_keys=True)
+        assert (tmp_path / "ledger.json").read_bytes() == (ledger_text + "\n").encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
 
     def test_capture_layer_answers_snapshots_each_layer(self):
         config = make_config(
