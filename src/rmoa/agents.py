@@ -57,6 +57,11 @@ class Residual:
     def detected(self) -> bool:
         return self.kind == "has_residual"
 
+    @property
+    def prompt_text(self) -> str:
+        """What a prompt shows for this residual: its findings, or the empty marker."""
+        return self.text if self.detected and self.text else EMPTY_RESIDUAL_MARKER
+
     @classmethod
     def found(cls, text: str) -> "Residual":
         return cls("has_residual", text)
@@ -206,11 +211,10 @@ def aggregate(
     """Fuse reference responses (and any residual) into a final answer."""
     if not previous_selected:
         raise ValueError("previous_selected must be nonempty")
-    residual_text = residual.text if residual.detected and residual.text else EMPTY_RESIDUAL_MARKER
     prompt = template.render(
         query=query,
         references=render_numbered_responses(previous_selected),
-        residual=residual_text,
+        residual=residual.prompt_text,
     )
     result = backend.chat(
         [{"role": "user", "content": prompt}],

@@ -64,54 +64,17 @@ class RetryPolicy:
     max_attempts: int = 3
     base_delay_s: float = 0.5
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1 or self.base_delay_s < 0:
+            raise ValueError("max_attempts must be at least 1 and base_delay_s nonnegative")
+
     def delay(self, attempt: int) -> float:
         return self.base_delay_s * (2**attempt)
 
 
-def _post_json(
-    session: requests.Session,
-    url: str,
-    payload: dict,
-    headers: dict[str, str],
-    retry: RetryPolicy,
-    timeout_s: float,
-) -> dict:
-    last_error: Exception | None = None
-    for attempt in range(retry.max_attempts):
-        try:
-            response = session.post(url, json=payload, headers=headers, timeout=timeout_s)
-        except requests.RequestException as exc:
-            last_error = exc
-        else:
-            if response.status_code == 200:
-                try:
-                    return response.json()
-                except ValueError as exc:
-                    raise ProtocolError(f"{url} returned invalid JSON: {exc}") from exc
-            if response.status_code not in _RETRYABLE_STATUS:
-                raise ProtocolError(
-                    f"{url} returned HTTP {response.status_code}: {response.text[:200]}"
-                )
-            last_error = ProtocolError(
-                f"{url} returned HTTP {response.status_code}"
-            )
-        if attempt + 1 < retry.max_attempts:
-            time.sleep(retry.delay(attempt))
-    raise BackendUnavailableError(
-        f"{url} unreachable after {retry.max_attempts} attempts: {last_error}"
-    )
-
-
-def _auth_headers(api_key: str | None) -> dict[str, str]:
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    return headers
-
-
 @dataclass
-class HttpChatBackend:
-    """Chat-completions client for any endpoint speaking the standard shape."""
+class _HttpClient:
+    """Endpoint, credentials and retrying POST shared by the wire clients."""
 
     base_url: str
     model: str
@@ -120,7 +83,45 @@ class HttpChatBackend:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
+        if not self.timeout_s > 0:
+            raise ValueError("timeout_s must be positive")
         self._session = requests.Session()
+
+    def _post(self, path: str, payload: dict) -> dict:
+        """POST ``payload`` to ``path`` under the base URL, retrying transient failures."""
+        url = self.base_url.rstrip("/") + path
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        last_error: Exception | None = None
+        for attempt in range(self.retry.max_attempts):
+            try:
+                response = self._session.post(
+                    url, json=payload, headers=headers, timeout=self.timeout_s
+                )
+            except requests.RequestException as exc:
+                last_error = exc
+            else:
+                if response.status_code == 200:
+                    try:
+                        return response.json()
+                    except ValueError as exc:
+                        raise ProtocolError(f"{url} returned invalid JSON: {exc}") from exc
+                if response.status_code not in _RETRYABLE_STATUS:
+                    raise ProtocolError(
+                        f"{url} returned HTTP {response.status_code}: {response.text[:200]}"
+                    )
+                last_error = ProtocolError(f"{url} returned HTTP {response.status_code}")
+            if attempt + 1 < self.retry.max_attempts:
+                time.sleep(self.retry.delay(attempt))
+        raise BackendUnavailableError(
+            f"{url} unreachable after {self.retry.max_attempts} attempts: {last_error}"
+        )
+
+
+@dataclass
+class HttpChatBackend(_HttpClient):
+    """Chat-completions client for any endpoint speaking the standard shape."""
 
     def chat(
         self, messages: list[dict[str, str]], *, temperature: float, max_tokens: int
@@ -131,10 +132,7 @@ class HttpChatBackend:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        url = self.base_url.rstrip("/") + "/chat/completions"
-        data = _post_json(
-            self._session, url, payload, _auth_headers(self.api_key), self.retry, self.timeout_s
-        )
+        data = self._post("/chat/completions", payload)
         try:
             text = data["choices"][0]["message"]["content"]
             usage = data["usage"]
@@ -151,25 +149,13 @@ class HttpChatBackend:
 
 
 @dataclass
-class HttpEmbeddingBackend:
+class HttpEmbeddingBackend(_HttpClient):
     """Embeddings client for any endpoint speaking the standard shape."""
 
-    base_url: str
-    model: str
-    api_key: str | None = None
-    timeout_s: float = 60.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     max_input_chars: int | None = None
 
-    def __post_init__(self) -> None:
-        self._session = requests.Session()
-
     def embed(self, texts: Sequence[str]) -> EmbeddingBatch:
-        payload = {"model": self.model, "input": list(texts)}
-        url = self.base_url.rstrip("/") + "/embeddings"
-        data = _post_json(
-            self._session, url, payload, _auth_headers(self.api_key), self.retry, self.timeout_s
-        )
+        data = self._post("/embeddings", {"model": self.model, "input": list(texts)})
         try:
             rows = sorted(data["data"], key=lambda row: int(row["index"]))
             vectors = tuple(

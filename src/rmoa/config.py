@@ -3,23 +3,26 @@
 One document covers the run shape, backend endpoints, pricing, model
 parameter counts, and the prompt asset directory. Secrets never live in
 the file: HTTP backends name the environment variable holding their token.
+Each setting's type and default are declared only on the dataclass or
+constructor it feeds; an omitted key keeps that default.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass
+from decimal import Decimal
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .accounting import DEFAULT_PRICE_PER_MILLION
-from .agents import SamplingParams
 from .backends import Backends, HttpChatBackend, HttpEmbeddingBackend, RetryPolicy
 from .errors import ConfigError
+from .harness import DEFAULT_ITEM_PARALLELISM
 from .mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 from .pipeline import RunConfig
-from .termination import TerminationConfig
 
 
 @dataclass
@@ -32,7 +35,7 @@ class AppConfig:
     price_per_million_tokens: Decimal = DEFAULT_PRICE_PER_MILLION
     params_per_model: dict[str, int] = field(default_factory=dict)
     prompt_dir: Path | None = None
-    item_parallelism: int = 4
+    item_parallelism: int = DEFAULT_ITEM_PARALLELISM
     proposer_parallelism: int | None = None
 
 
@@ -44,32 +47,72 @@ def _expect_mapping(value, name: str) -> dict:
     return value
 
 
-def parse_run_config(raw: dict) -> RunConfig:
-    sampling_raw = _expect_mapping(raw.get("sampling"), "run.sampling")
-    termination_raw = _expect_mapping(raw.get("termination"), "run.termination")
-    sampling = SamplingParams(
-        temperature=float(sampling_raw.get("temperature", 0.7)),
-        max_tokens=int(sampling_raw.get("max_tokens", 1024)),
-    )
-    termination = TerminationConfig(
-        policy=str(termination_raw.get("policy", "llm")),
-        m=int(termination_raw.get("m", 1)),
-        theta=float(termination_raw.get("theta", 0.9)),
-        sigma2=float(termination_raw.get("sigma2", 1e-3)),
-    )
+def _hints(target) -> dict:
+    """Parameter name to declared type for the constructor of ``target``."""
+    hints = get_type_hints(target.__init__)
+    hints.pop("return", None)
+    return hints
+
+
+def _convert(value, kind, path: str):
+    """``value`` from the file as ``kind``; ``path`` names its key in errors.
+
+    Dataclass-typed values are nested sections; ``null`` means unset only
+    for optional types and for object-valued keys.
+    """
+    if is_dataclass(kind):
+        return _read_section(kind, _expect_mapping(value, path), path)
+    if get_origin(kind) in (dict, Mapping):
+        key_kind, value_kind = get_args(kind)
+        return {
+            _convert(key, key_kind, path): _convert(item, value_kind, f"{path}.{key}")
+            for key, item in _expect_mapping(value, path).items()
+        }
+    if type(None) in get_args(kind):
+        if value is None:
+            return None
+        (kind,) = (arg for arg in get_args(kind) if arg is not type(None))
+    if value is None:
+        raise ConfigError(f"{path}: must not be null")
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"{path}: must be true or false, got {value!r}")
     try:
-        return RunConfig(
-            layers=int(raw.get("layers", 6)),
-            proposers_per_layer=int(raw.get("proposers_per_layer", 6)),
-            select_k=int(raw.get("select_k", 3)),
-            termination=termination,
-            sampling=sampling,
-            mode=str(raw.get("mode", "rmoa")),
-            benchmark=str(raw.get("benchmark", "generic")),
-            capture_layer_answers=bool(raw.get("capture_layer_answers", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid run configuration: {exc}") from exc
+        # Decimal goes through str so 0.1 means 0.1, not the nearest double.
+        return kind(str(value)) if kind is Decimal else kind(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}") from exc
+
+
+def _settings(hints: dict, raw: dict, path: str, names) -> dict:
+    """Each of ``names`` that ``raw`` sets, converted to its type in ``hints``.
+
+    Names ``raw`` omits are left out, so the constructor's defaults apply.
+    """
+    return {
+        name: _convert(raw[name], hints[name], f"{path}.{name}") for name in names if name in raw
+    }
+
+
+def _read(target, raw: dict, path: str, **given):
+    """Call ``target`` with ``given`` plus every other parameter ``raw`` sets."""
+    hints = _hints(target)
+    names = [name for name in hints if name not in given]
+    try:
+        return target(**_settings(hints, raw, path, names), **given)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read_section(cls, raw: dict, path: str):
+    """``cls`` from a section in which every key must name one of its fields."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{', '.join(f'{path}.{key}' for key in unknown)}: unknown key")
+    return _read(cls, raw, path)
 
 
 def load_config(path: str | Path) -> AppConfig:
@@ -83,44 +126,21 @@ def load_config(path: str | Path) -> AppConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must contain a JSON object")
 
-    run = parse_run_config(_expect_mapping(raw.get("run"), "run"))
-    backends_raw = _expect_mapping(raw.get("backends"), "backends")
-    pricing_raw = _expect_mapping(raw.get("pricing"), "pricing")
-    prompts_raw = _expect_mapping(raw.get("prompts"), "prompts")
-    execution_raw = _expect_mapping(raw.get("execution"), "execution")
-
-    try:
-        price = Decimal(
-            str(pricing_raw.get("price_per_million_tokens", DEFAULT_PRICE_PER_MILLION))
-        )
-    except InvalidOperation as exc:
-        raise ConfigError(f"invalid price_per_million_tokens: {exc}") from exc
-
-    params_raw = _expect_mapping(raw.get("params_per_model"), "params_per_model")
-    params = {str(model): int(count) for model, count in params_raw.items()}
-
-    prompt_dir_raw = prompts_raw.get("directory")
-    prompt_dir = Path(prompt_dir_raw) if prompt_dir_raw else None
-
-    proposer_parallelism = execution_raw.get("proposer_parallelism")
+    hints = _hints(AppConfig)
+    backends = _expect_mapping(raw.get("backends"), "backends")
+    pricing = _expect_mapping(raw.get("pricing"), "pricing")
+    execution = _expect_mapping(raw.get("execution"), "execution")
+    directory = _expect_mapping(raw.get("prompts"), "prompts").get("directory")
+    params = raw.get("params_per_model")
     return AppConfig(
-        run=run,
-        chat_spec=_expect_mapping(backends_raw.get("chat"), "backends.chat"),
-        embedding_spec=_expect_mapping(backends_raw.get("embedding"), "backends.embedding"),
-        price_per_million_tokens=price,
-        params_per_model=params,
-        prompt_dir=prompt_dir,
-        item_parallelism=int(execution_raw.get("item_parallelism", 4)),
-        proposer_parallelism=(
-            int(proposer_parallelism) if proposer_parallelism is not None else None
-        ),
-    )
-
-
-def _build_retry(spec: dict) -> RetryPolicy:
-    return RetryPolicy(
-        max_attempts=int(spec.get("max_attempts", 3)),
-        base_delay_s=float(spec.get("base_delay_s", 0.5)),
+        run=_read_section(RunConfig, _expect_mapping(raw.get("run"), "run"), "run"),
+        chat_spec=_expect_mapping(backends.get("chat"), "backends.chat"),
+        embedding_spec=_expect_mapping(backends.get("embedding"), "backends.embedding"),
+        params_per_model=_convert(params, hints["params_per_model"], "params_per_model"),
+        # An empty directory string means unset, like null.
+        prompt_dir=_convert(directory or None, hints["prompt_dir"], "prompts.directory"),
+        **_settings(hints, pricing, "pricing", ["price_per_million_tokens"]),
+        **_settings(hints, execution, "execution", ["item_parallelism", "proposer_parallelism"]),
     )
 
 
@@ -136,54 +156,39 @@ def _api_key_from_env(spec: dict, name: str) -> str | None:
     return value
 
 
+def _http_backend(cls, spec: dict, name: str):
+    """An HTTP client from the keys ``spec`` sets; its token comes from the environment."""
+    path = f"backends.{name}"
+    if "base_url" not in spec or "model" not in spec:
+        raise ConfigError(f"http {name} backend needs base_url and model")
+    retry = _read(RetryPolicy, spec, path)
+    return _read(cls, spec, path, api_key=_api_key_from_env(spec, path), retry=retry)
+
+
 def build_chat_backend(spec: dict):
     kind = str(spec.get("kind", "mock"))
     if kind == "mock":
-        rule = MockRule(
-            behavior=str(spec.get("behavior", "echo")),
-            answers={str(k): str(v) for k, v in _expect_mapping(
-                spec.get("answers"), "backends.chat.answers").items()},
-            script=tuple(
-                _parse_script_entry(entry) for entry in spec.get("script", [])
-            ),
-        )
-        return MockChatBackend(rule, model=str(spec.get("model", "mock-chat")))
+        given = {"script": _parse_script(spec["script"])} if "script" in spec else {}
+        rule = _read(MockRule, spec, "backends.chat", **given)
+        return _read(MockChatBackend, spec, "backends.chat", rule=rule)
     if kind == "http":
-        if "base_url" not in spec or "model" not in spec:
-            raise ConfigError("http chat backend needs base_url and model")
-        return HttpChatBackend(
-            base_url=str(spec["base_url"]),
-            model=str(spec["model"]),
-            api_key=_api_key_from_env(spec, "backends.chat"),
-            timeout_s=float(spec.get("timeout_s", 60.0)),
-            retry=_build_retry(spec),
-        )
+        return _http_backend(HttpChatBackend, spec, "chat")
     raise ConfigError(f"unknown chat backend kind {kind!r}")
 
 
 def build_embedding_backend(spec: dict):
     kind = str(spec.get("kind", "mock"))
     if kind == "mock":
-        max_chars = spec.get("max_input_chars")
-        return MockEmbeddingBackend(
-            seed=int(spec.get("seed", 7)),
-            dim=int(spec.get("dim", 64)),
-            model=str(spec.get("model", "mock-embed")),
-            max_input_chars=int(max_chars) if max_chars is not None else None,
-        )
+        return _read(MockEmbeddingBackend, spec, "backends.embedding")
     if kind == "http":
-        if "base_url" not in spec or "model" not in spec:
-            raise ConfigError("http embedding backend needs base_url and model")
-        max_chars = spec.get("max_input_chars")
-        return HttpEmbeddingBackend(
-            base_url=str(spec["base_url"]),
-            model=str(spec["model"]),
-            api_key=_api_key_from_env(spec, "backends.embedding"),
-            timeout_s=float(spec.get("timeout_s", 60.0)),
-            retry=_build_retry(spec),
-            max_input_chars=int(max_chars) if max_chars is not None else None,
-        )
+        return _http_backend(HttpEmbeddingBackend, spec, "embedding")
     raise ConfigError(f"unknown embedding backend kind {kind!r}")
+
+
+def _parse_script(entries) -> tuple[bool, ...]:
+    if not isinstance(entries, list):
+        raise ConfigError("backends.chat.script must be a list of yes/no entries")
+    return tuple(_parse_script_entry(entry) for entry in entries)
 
 
 def _parse_script_entry(entry) -> bool:

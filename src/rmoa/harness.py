@@ -27,12 +27,14 @@ from .accounting import (
 )
 from .backends import Backends
 from .errors import ConfigError, DatasetError, UndefinedRateError
-from .pipeline import STOP_BACKEND_ABORT, RunConfig, Transcript, run_pipeline
+from .pipeline import STOP_BACKEND_ABORT, RunConfig, Transcript, run_pipeline, write_atomic
 from .prompts import PromptSet, load_prompt_set
 
 GRADERS = ("boxed_math", "exact_match", "none")
 
 _SLUG = re.compile(r"[^A-Za-z0-9._-]+")
+
+DEFAULT_ITEM_PARALLELISM = 4
 
 
 @dataclass(frozen=True)
@@ -283,7 +285,7 @@ def run_benchmark(
     params_per_model: dict[str, int] | None = None,
     prompts: PromptSet | None = None,
     out_dir: Path | None = None,
-    item_parallelism: int = 4,
+    item_parallelism: int = DEFAULT_ITEM_PARALLELISM,
     proposer_parallelism: int | None = None,
 ) -> BenchmarkReport:
     """Run the pipeline over every item and aggregate the outcomes.
@@ -433,8 +435,12 @@ def _text_cell(value) -> str:
 
 
 def write_report_files(report_dict: dict, out_dir: Path) -> None:
+    """Write the three report files atomically, rendering all before writing any."""
+    texts = {
+        "report.json": json.dumps(report_dict, indent=2, sort_keys=True) + "\n",
+        "report.csv": render_report_csv(report_dict),
+        "report.txt": render_report_text(report_dict),
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
-    (out_dir / "report.json").write_text(payload, encoding="utf-8")
-    (out_dir / "report.csv").write_text(render_report_csv(report_dict), encoding="utf-8")
-    (out_dir / "report.txt").write_text(render_report_text(report_dict), encoding="utf-8")
+    for name, text in texts.items():
+        write_atomic(out_dir / name, [text])

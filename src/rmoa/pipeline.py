@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from .accounting import UsageLedger
 from .agents import (
-    EMPTY_RESIDUAL_MARKER,
     NO_RESIDUAL,
     Residual,
     Response,
@@ -96,24 +97,7 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "layers": self.layers,
-            "proposers_per_layer": self.proposers_per_layer,
-            "select_k": self.select_k,
-            "termination": {
-                "policy": self.termination.policy,
-                "m": self.termination.m,
-                "theta": self.termination.theta,
-                "sigma2": self.termination.sigma2,
-            },
-            "sampling": {
-                "temperature": self.sampling.temperature,
-                "max_tokens": self.sampling.max_tokens,
-            },
-            "mode": self.mode,
-            "benchmark": self.benchmark,
-            "capture_layer_answers": self.capture_layer_answers,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -199,12 +183,9 @@ def build_reference_context(
     """Numbered reference blocks in selection order, then the residual block."""
     if not previous_selected:
         raise ValueError("previous_selected must be nonempty")
-    residual_text = (
-        residual.text if residual.detected and residual.text else EMPTY_RESIDUAL_MARKER
-    )
     return (
         f"{render_numbered_responses(list(previous_selected))}\n\n"
-        f"Residual:\n{residual_text}"
+        f"Residual:\n{residual.prompt_text}"
     )
 
 
@@ -229,15 +210,14 @@ def _append_layer(persist_dir: Path | None, state: LayerState) -> None:
         handle.write(line)
 
 
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    """Stream ``payload`` as indented JSON to a temp file, then rename it.
+def write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Stream ``chunks`` to a temp file beside ``path``, then rename it into place.
 
     There is no fsync: the file survives a process crash, not a power loss.
     """
     temp = path.with_name(path.name + ".tmp")
     with temp.open("w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.writelines(chunks)
     os.replace(temp, path)
 
 
@@ -248,8 +228,9 @@ def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
     persist_dir = Path(persist_dir)
     persist_dir.mkdir(parents=True, exist_ok=True)
     payload = transcript.to_json_dict()
-    _write_json_atomic(persist_dir / "transcript.json", payload)
-    _write_json_atomic(persist_dir / "ledger.json", payload["ledger"])
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    for name, part in (("transcript.json", payload), ("ledger.json", payload["ledger"])):
+        write_atomic(persist_dir / name, chain(encoder.iterencode(part), "\n"))
     (persist_dir / "layers.jsonl").unlink(missing_ok=True)
 
 
@@ -380,11 +361,7 @@ def run_pipeline(
                     config.termination, residual.detected, previous_vectors, selected_vectors
                 )
                 window = window.extended(not converged)
-                terminated_here = (
-                    layer < config.layers
-                    and config.termination.policy != "none"
-                    and adaptive_should_stop(window)
-                )
+                terminated_here = layer < config.layers and adaptive_should_stop(window)
             previous_selected = selected
             previous_vectors = selected_vectors
         else:

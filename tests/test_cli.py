@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,36 @@ def write_jsonl(path, records):
     path.write_text(
         "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8"
     )
+
+
+# (key path, malformed value): each must end in a ConfigError naming the key.
+BAD_VALUES = [
+    ("execution.item_parallelism", "four"),
+    ("backends.embedding.dim", "big"),
+    ("run.sampling.max_tokens", "lots"),
+    ("params_per_model.m", "7B"),
+    ("run.layers", "x"),
+    ("run.capture_layer_answers", "false"),
+    ("backends.chat.timeout_s", "slow"),
+    ("run.termination.m", None),
+]
+BAD_IDS = [key_path for key_path, _ in BAD_VALUES]
+
+
+def set_key(config_path, key_path, value):
+    """Rewrite the config file with ``key_path`` set to ``value``."""
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    if key_path.startswith("backends.chat."):
+        # the chat keys under test are HTTP settings; building the client sends nothing
+        config["backends"]["chat"] = {
+            "kind": "http", "base_url": "http://127.0.0.1:1/v1", "model": "m"
+        }
+    *parents, leaf = key_path.split(".")
+    node = config
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    config_path.write_text(json.dumps(config), encoding="utf-8")
 
 
 @pytest.fixture
@@ -109,6 +140,24 @@ class TestRunCommand:
         )
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key_path, value", BAD_VALUES, ids=BAD_IDS)
+    def test_bad_config_value_exits_2_naming_the_key(
+        self, workspace, capsys, key_path, value
+    ):
+        tmp_path, dataset, config = workspace
+        set_key(config, key_path, value)
+        code = main(
+            ["run", "--dataset", str(dataset), "--config", str(config),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert err.count(key_path) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGradeCommand:
@@ -237,3 +286,47 @@ class TestConfigLoading:
         )
         with pytest.raises(ConfigError, match="quantum"):
             build_backends(load_config(config_path))
+
+    @pytest.mark.parametrize("key_path, value", BAD_VALUES, ids=BAD_IDS)
+    def test_bad_value_is_config_error(self, workspace, key_path, value):
+        _, _, config_path = workspace
+        set_key(config_path, key_path, value)
+        with pytest.raises(ConfigError, match=re.escape(key_path)):
+            build_backends(load_config(config_path))
+
+    @pytest.mark.parametrize("key, value", [("timeout_s", 0), ("max_attempts", 0)])
+    def test_out_of_range_http_setting_is_config_error(self, workspace, key, value):
+        _, _, config_path = workspace
+        set_key(config_path, f"backends.chat.{key}", value)
+        with pytest.raises(ConfigError, match=f"backends.chat: {key}"):
+            build_backends(load_config(config_path))
+
+    @pytest.mark.parametrize(
+        "key_path", ["run.layer", "run.termination.window", "run.sampling.top_p"]
+    )
+    def test_unknown_run_key_rejected(self, workspace, key_path):
+        _, _, config_path = workspace
+        set_key(config_path, key_path, 12)
+        with pytest.raises(ConfigError, match=re.escape(f"{key_path}: unknown key")):
+            load_config(config_path)
+
+    def test_null_means_unset_where_documented(self, workspace):
+        _, _, config_path = workspace
+        for key_path in (
+            "execution.proposer_parallelism",
+            "backends.embedding.max_input_chars",
+            "prompts.directory",
+            "run.sampling",
+        ):
+            set_key(config_path, key_path, None)
+        config = load_config(config_path)
+        backends = build_backends(config)
+        assert config.proposer_parallelism is None
+        assert config.prompt_dir is None
+        assert config.run.sampling.max_tokens == 1024
+        assert backends.embedding.max_input_chars is None
+
+    def test_booleans_are_json_true_false(self, workspace):
+        _, _, config_path = workspace
+        set_key(config_path, "run.capture_layer_answers", True)
+        assert load_config(config_path).run.capture_layer_answers is True

@@ -7,6 +7,7 @@ from decimal import Decimal
 
 import pytest
 
+from rmoa import harness
 from rmoa.backends import Backends
 from rmoa.errors import BackendUnavailableError, DatasetError
 from rmoa.harness import (
@@ -221,6 +222,22 @@ class TestRunBenchmark:
             assert (tmp_path / name).is_file()
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["aggregates"]["graded"] == 2
+
+    def test_failed_report_render_keeps_earlier_report_files(self, tmp_path, monkeypatch):
+        items = exact_items(2)
+        config = make_config(layers=1, proposers=2, k=1)
+        run_benchmark(items, config, answering_bundle(items), out_dir=tmp_path)
+        names = ("report.json", "report.csv", "report.txt")
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+
+        def broken_csv(report_dict):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(harness, "render_report_csv", broken_csv)
+        with pytest.raises(RuntimeError, match="render failed"):
+            run_benchmark(items[:1], config, answering_bundle(items), out_dir=tmp_path)
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_tflops_reported_when_params_known(self):
         items = exact_items(1)

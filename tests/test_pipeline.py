@@ -135,6 +135,15 @@ class TestRunRmoa:
         assert transcript.ledger.count("extractor") == 1
         assert transcript.ledger.count("aggregator") == 1
 
+    def test_policy_none_never_stops_early(self):
+        config = make_config(layers=4, proposers=6, k=3, policy="none", m=1)
+        bundle = make_mock_bundle(behavior="residual_script", script=(False, False, False))
+        transcript = run_pipeline("Never stop.", config, bundle)
+        assert transcript.stop_reason == "max_layers"
+        assert [s.layer for s in transcript.layer_states] == [1, 2, 3, 4]
+        assert not any(s.terminated_here for s in transcript.layer_states)
+        assert transcript.ledger.count("extractor") == 3
+
     def test_m2_needs_two_quiet_layers(self):
         config = make_config(layers=5, proposers=4, k=2, policy="llm", m=2)
         bundle = make_mock_bundle(
