@@ -3,58 +3,32 @@ propagation, adaptive early stopping, and full cost accounting.
 
 Chat and embedding backends are pluggable; deterministic in-process mocks
 make every pipeline behavior testable offline.
+
+The package exports the names the README documents, plus the types a
+caller builds to use them; every other helper is imported from its
+submodule (``rmoa.agents``, ``rmoa.embedding``, ...).
 """
 
 from .accounting import (
     GradedRound,
-    TokenUsage,
     UsageLedger,
     dollar_cost,
-    format_dollars,
     hallucination_rate,
     tflops_estimate,
 )
-from .agents import (
-    NO_RESIDUAL,
-    Residual,
-    Response,
-    SamplingParams,
-    aggregate,
-    extract_residual,
-    parse_residual_flag,
-    propose,
-)
+from .agents import SamplingParams, parse_residual_flag
 from .backends import Backends, HttpChatBackend, HttpEmbeddingBackend, RetryPolicy
-from .embedding import (
-    EmbeddingVector,
-    SimilarityMatrix,
-    build_similarity_matrix,
-    cosine,
-    embed_batch,
-)
+from .embedding import EmbeddingVector, build_similarity_matrix
 from .harness import (
     BenchmarkItem,
     BenchmarkReport,
     grade_boxed,
-    grade_exact,
     load_dataset,
     run_benchmark,
 )
-from .mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule, mock_embed
-from .pipeline import (
-    LayerState,
-    RunConfig,
-    Transcript,
-    build_reference_context,
-    run_pipeline,
-)
-from .prompts import PromptSet, PromptTemplate, load_prompt_set
-from .selection import (
-    SelectionResult,
-    greedy_diverse_select,
-    initial_index,
-    next_index,
-)
+from .mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
+from .pipeline import RunConfig, Transcript, run_pipeline
+from .selection import greedy_diverse_select
 from .termination import (
     ResidualWindow,
     TerminationConfig,
@@ -73,45 +47,24 @@ __all__ = [
     "GradedRound",
     "HttpChatBackend",
     "HttpEmbeddingBackend",
-    "LayerState",
     "MockChatBackend",
     "MockEmbeddingBackend",
     "MockRule",
-    "NO_RESIDUAL",
-    "PromptSet",
-    "PromptTemplate",
-    "Residual",
     "ResidualWindow",
-    "Response",
     "RetryPolicy",
     "RunConfig",
     "SamplingParams",
-    "SelectionResult",
-    "SimilarityMatrix",
     "TerminationConfig",
-    "TokenUsage",
     "Transcript",
     "UsageLedger",
     "adaptive_should_stop",
-    "aggregate",
-    "build_reference_context",
     "build_similarity_matrix",
-    "cosine",
     "dollar_cost",
-    "embed_batch",
-    "extract_residual",
-    "format_dollars",
     "grade_boxed",
-    "grade_exact",
     "greedy_diverse_select",
     "hallucination_rate",
-    "initial_index",
     "load_dataset",
-    "load_prompt_set",
-    "mock_embed",
-    "next_index",
     "parse_residual_flag",
-    "propose",
     "run_benchmark",
     "run_pipeline",
     "similarity_threshold_stop",

@@ -112,10 +112,6 @@ class UsageLedger:
         return out
 
     def to_json_dict(self) -> dict:
-        try:
-            tflops: float | None = tflops_estimate(self)
-        except ConfigError:
-            tflops = None
         return {
             "entries": [
                 {
@@ -133,7 +129,7 @@ class UsageLedger:
                 "completion_tokens": self.completion_tokens(),
                 "total_tokens": self.total_tokens(),
                 "dollar_cost": str(format_dollars(dollar_cost(self))),
-                "tflops": tflops,
+                "tflops": tflops_or_none(self),
             },
         }
 
@@ -170,6 +166,14 @@ def tflops_estimate(ledger: UsageLedger) -> float:
             )
         flops += 2 * params * entry.usage.total
     return flops / _FLOPS_PER_TFLOP
+
+
+def tflops_or_none(ledger: UsageLedger) -> float | None:
+    """:func:`tflops_estimate`, or None when a chat model has no parameter count."""
+    try:
+        return tflops_estimate(ledger)
+    except ConfigError:
+        return None
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not report_path.is_file():
         print(f"error: {report_path} not found (run `rmoa run` first)", file=sys.stderr)
         return 2
-    report_dict = json.loads(report_path.read_text(encoding="utf-8"))
-    write_report_files(report_dict, Path(args.run_dir))
+    try:
+        report_dict = json.loads(report_path.read_text(encoding="utf-8"))
+        # Renders all three reports before writing any, so a bad dict writes nothing.
+        write_report_files(report_dict, Path(args.run_dir))
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        print(
+            f"error: {report_path} is not a valid report: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     print(render_report_text(report_dict), end="")
     return 0
 

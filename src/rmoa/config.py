@@ -78,6 +78,11 @@ def _convert(value, kind, path: str):
         if isinstance(value, bool):
             return value
         raise ConfigError(f"{path}: must be true or false, got {value!r}")
+    # int() and float() would read true as 1 and cut 2.9 down to 2.
+    if (isinstance(value, bool) and kind in (int, float)) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
     try:
         # Decimal goes through str so 0.1 means 0.1, not the nearest double.
         return kind(str(value)) if kind is Decimal else kind(value)

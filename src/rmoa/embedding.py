@@ -106,16 +106,6 @@ class SimilarityMatrix:
     def entries(self) -> tuple[tuple[float, ...], ...]:
         return self._entries
 
-    def __getitem__(self, index: tuple[int, int]) -> float:
-        i, j = index
-        return self._entries[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SimilarityMatrix) and self._entries == other._entries
-
-    def __repr__(self) -> str:
-        return f"SimilarityMatrix(n={self.n})"
-
 
 def build_similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
     """Pairwise cosine similarities of ``vectors``; exactly symmetric.
@@ -126,25 +116,19 @@ def build_similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMat
     if not vectors:
         raise ValueError("at least one vector is required")
     dimension = vectors[0].dimension
-    norms = []
     for index, vector in enumerate(vectors):
         if vector.dimension != dimension:
             raise DimensionMismatchError(
                 f"vector {index} has dimension {vector.dimension}, expected {dimension}"
             )
-        norm = vector.norm()
-        if norm == 0.0:
+        if vector.norm() == 0.0:
             raise DegenerateEmbeddingError(f"vector {index} has zero norm")
-        norms.append(norm)
     n = len(vectors)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 1.0
         for j in range(i + 1, n):
-            dot = math.fsum(map(mul, vectors[i].components, vectors[j].components))
-            value = max(-1.0, min(1.0, dot / (norms[i] * norms[j])))
-            rows[i][j] = value
-            rows[j][i] = value
+            rows[i][j] = rows[j][i] = cosine(vectors[i], vectors[j])
     return SimilarityMatrix(rows)
 
 

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -23,11 +22,18 @@ from .accounting import (
     dollar_cost,
     format_dollars,
     hallucination_rate,
-    tflops_estimate,
+    tflops_or_none,
 )
 from .backends import Backends
-from .errors import ConfigError, DatasetError, UndefinedRateError
-from .pipeline import STOP_BACKEND_ABORT, RunConfig, Transcript, run_pipeline, write_atomic
+from .errors import DatasetError, UndefinedRateError
+from .pipeline import (
+    STOP_BACKEND_ABORT,
+    RunConfig,
+    Transcript,
+    ordered_map,
+    run_pipeline,
+    write_atomic,
+)
 from .prompts import PromptSet, load_prompt_set
 
 GRADERS = ("boxed_math", "exact_match", "none")
@@ -314,13 +320,7 @@ def run_benchmark(
         )
         return _item_result(item, transcript)
 
-    if item_parallelism <= 1 or len(items) <= 1:
-        results = [run_item(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=item_parallelism) as pool:
-            futures = [pool.submit(run_item, item) for item in items]
-            results = [future.result() for future in futures]
-    report = BenchmarkReport(results, config)
+    report = BenchmarkReport(ordered_map(run_item, items, item_parallelism), config)
     if out_dir is not None:
         write_report_files(report.to_json_dict(items), Path(out_dir))
     return report
@@ -328,10 +328,6 @@ def run_benchmark(
 
 def _item_result(item: BenchmarkItem, transcript: Transcript) -> ItemResult:
     answer = transcript.final_response.text if transcript.final_response else None
-    try:
-        tflops: float | None = tflops_estimate(transcript.ledger)
-    except ConfigError:
-        tflops = None
     layer_answers = None
     if transcript.config.capture_layer_answers:
         layer_answers = [
@@ -347,7 +343,7 @@ def _item_result(item: BenchmarkItem, transcript: Transcript) -> ItemResult:
         stop_reason=transcript.stop_reason,
         total_tokens=transcript.ledger.total_tokens(),
         cost=dollar_cost(transcript.ledger),
-        tflops=tflops,
+        tflops=tflops_or_none(transcript.ledger),
         layer_answers=layer_answers,
     )
 

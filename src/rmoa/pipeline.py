@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .accounting import UsageLedger
 from .agents import (
@@ -234,6 +234,19 @@ def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
     (persist_dir / "layers.jsonl").unlink(missing_ok=True)
 
 
+def ordered_map(fn: Callable, args: Sequence, workers: int) -> list:
+    """``fn`` applied to each of ``args``, results in input order.
+
+    With one worker or one argument the calls run inline on the calling
+    thread; otherwise on a pool of ``workers`` threads. The first exception
+    in input order propagates, and calls not yet started are then skipped.
+    """
+    if workers <= 1 or len(args) <= 1:
+        return [fn(arg) for arg in args]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, args))
+
+
 def _propose_layer(
     task: str,
     references: str | None,
@@ -254,42 +267,29 @@ def _propose_layer(
     count = config.proposers_per_layer
     roles = prompts.roles
 
-    def call(agent_index: int) -> Response:
-        return propose(
-            task,
-            references,
-            roles[agent_index % len(roles)],
-            backends.chat,
-            config.sampling,
-            layer=layer,
-            agent_index=agent_index,
-            refinement_template=prompts.refinement,
-        )
+    def call(agent_index: int) -> Response | Exception:
+        try:
+            return propose(
+                task,
+                references,
+                roles[agent_index % len(roles)],
+                backends.chat,
+                config.sampling,
+                layer=layer,
+                agent_index=agent_index,
+                refinement_template=prompts.refinement,
+            )
+        except _CALL_FAILURES as exc:
+            return exc
 
-    outcomes: list[Response | Exception] = [None] * count  # type: ignore[list-item]
     workers = parallelism if parallelism else min(count, _DEFAULT_MAX_PARALLEL_PROPOSERS)
-    if workers <= 1 or count == 1:
-        for i in range(count):
-            try:
-                outcomes[i] = call(i)
-            except _CALL_FAILURES as exc:
-                outcomes[i] = exc
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(call, i) for i in range(count)]
-            for i, future in enumerate(futures):
-                try:
-                    outcomes[i] = future.result()
-                except _CALL_FAILURES as exc:
-                    outcomes[i] = exc
     responses: list[Response] = []
-    for i, outcome in enumerate(outcomes):
+    for i, outcome in enumerate(ordered_map(call, range(count), workers)):
         if isinstance(outcome, Exception):
             events.append(f"layer {layer} proposer {i} failed: {outcome}")
         else:
             responses.append(outcome)
-    for response in responses:
-        ledger.append("proposer", backends.chat.model, response.usage)
+            ledger.append("proposer", backends.chat.model, outcome.usage)
     return responses
 
 

@@ -84,7 +84,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             status, payload = (
                 server.script.pop(0) if server.script else (500, {"error": "empty script"})
             )
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -96,7 +96,10 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 class HttpStub:
-    """Scripted local HTTP endpoint: pop one (status, payload) per request."""
+    """Scripted local HTTP endpoint: pop one (status, payload) per request.
+
+    A ``bytes`` payload is sent as the body unchanged; anything else as JSON.
+    """
 
     def __init__(self) -> None:
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)

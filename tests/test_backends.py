@@ -85,6 +85,14 @@ class TestHttpChatBackend:
                 [{"role": "user", "content": "q"}], temperature=0.0, max_tokens=8
             )
 
+    def test_non_json_body_is_protocol_error_without_retry(self, http_stub):
+        http_stub.script.extend([(200, b"<html>gateway</html>"), (200, chat_payload())])
+        with pytest.raises(ProtocolError, match="invalid JSON"):
+            chat_backend(http_stub).chat(
+                [{"role": "user", "content": "q"}], temperature=0.0, max_tokens=8
+            )
+        assert len(http_stub.requests) == 1
+
     def test_unreachable_host(self):
         backend = HttpChatBackend(
             base_url="http://127.0.0.1:9/v1",

@@ -29,8 +29,16 @@ BAD_VALUES = [
     ("run.capture_layer_answers", "false"),
     ("backends.chat.timeout_s", "slow"),
     ("run.termination.m", None),
+    ("run.layers", 2.9),
+    ("run.layers", True),
+    ("run.sampling.temperature", True),
+    ("execution.item_parallelism", 1.5),
 ]
-BAD_IDS = [key_path for key_path, _ in BAD_VALUES]
+# A number or boolean shares its key path with a string case, so its id names the value.
+BAD_IDS = [
+    f"{key_path}={json.dumps(value)}" if isinstance(value, (bool, int, float)) else key_path
+    for key_path, value in BAD_VALUES
+]
 
 
 def set_key(config_path, key_path, value):
@@ -180,6 +188,30 @@ class TestGradeCommand:
         assert "accuracy: 1/2 = 0.5000" in stdout
         assert "unknown ids: 1" in stdout
 
+    def test_grades_boxed_math(self, tmp_path, capsys):
+        dataset = tmp_path / "math.jsonl"
+        write_jsonl(
+            dataset,
+            [
+                {"id": f"m{i}", "question": f"Math question {i}?", "answer": "\\frac{1}{2}",
+                 "grader": "boxed_math"}
+                for i in range(2)
+            ],
+        )
+        answers = tmp_path / "answers.jsonl"
+        write_jsonl(
+            answers,
+            [
+                {"id": "m0", "answer": "So the answer is $\\boxed{ \\frac{1}{2} }$."},
+                {"id": "m1", "answer": "\\boxed{\\frac{1}{2}} or rather \\boxed{2}"},
+            ],
+        )
+        assert main(["grade", "--answers", str(answers), "--dataset", str(dataset)]) == 0
+        stdout = capsys.readouterr().out
+        assert "m0: correct" in stdout
+        assert "m1: incorrect" in stdout
+        assert "accuracy: 1/2 = 0.5000" in stdout
+
 
 class TestReportCommand:
     def test_rerenders_existing_run(self, workspace, capsys):
@@ -197,6 +229,25 @@ class TestReportCommand:
     def test_missing_report_is_an_error(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
         assert "report.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty-object"])
+    def test_bad_report_is_an_error_and_writes_nothing(self, workspace, capsys, damage):
+        tmp_path, dataset, config = workspace
+        out = tmp_path / "out"
+        assert main(
+            ["run", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+        ) == 0
+        report = out / "report.json"
+        text = report.read_text()
+        report.write_text(text[: len(text) // 2] if damage == "truncated" else "{}")
+        before = {name: (out / name).read_bytes() for name in ("report.csv", "report.txt")}
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {report}")
+        assert "Traceback" not in err
+        assert {name: (out / name).read_bytes() for name in before} == before
 
 
 class TestSelftestCommand:
@@ -242,6 +293,19 @@ class TestConfigLoading:
         monkeypatch.setenv("RMOA_TEST_TOKEN", "tok")
         backends = build_backends(load_config(config_path))
         assert backends.chat.api_key == "tok"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "cannot read config"), ("{not json", "is not valid JSON"),
+         ("[1, 2]", "must contain a JSON object")],
+        ids=["missing", "invalid-json", "not-an-object"],
+    )
+    def test_unreadable_config_is_config_error(self, tmp_path, content, message):
+        config_path = tmp_path / "config.json"
+        if content is not None:
+            config_path.write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_config(config_path)
 
     def test_invalid_run_shape_rejected(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -267,6 +267,20 @@ class TestRunBenchmark:
         assert payload["per_layer_capture"] is True
         assert payload["hallucination_rates"] == {"2": 0.0, "3": 0.0}
 
+    @pytest.mark.parametrize("answering, rate", [(True, "0.0000"), (False, "-")])
+    def test_report_text_lists_flip_rates(self, answering, rate):
+        # echo replies never match the gold, so no round has a correct item to flip
+        items = exact_items(2)
+        config = make_config(
+            layers=3, proposers=2, k=1, policy="none", capture_layer_answers=True
+        )
+        bundle = answering_bundle(items) if answering else make_mock_bundle()
+        text = harness.render_report_text(
+            run_benchmark(items, config, bundle).to_json_dict(items)
+        )
+        assert "per-layer answers captured: yes" in text
+        assert f"flip rate round 2: {rate}\nflip rate round 3: {rate}\n" in text
+
 
 class TestRoundsTracking:
     def _result(self, item_id, layer_answers, correct=True):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -29,19 +30,23 @@ def response(text: str) -> Response:
 class FlakyChat:
     """Delegates to a mock but fails the configured call ordinals."""
 
-    def __init__(self, fail_calls=(), fail_all=False, error=BackendUnavailableError):
+    def __init__(
+        self, fail_calls=(), fail_all=False, error=BackendUnavailableError, blank_calls=()
+    ):
         self.inner = MockChatBackend(MockRule())
         self.model = self.inner.model
         self.fail_calls = set(fail_calls)
         self.fail_all = fail_all
         self.error = error
+        self.blank_calls = set(blank_calls)
         self.calls = 0
 
     def chat(self, messages, *, temperature, max_tokens):
         self.calls += 1
         if self.fail_all or self.calls in self.fail_calls:
             raise self.error(f"scripted failure on call {self.calls}")
-        return self.inner.chat(messages, temperature=temperature, max_tokens=max_tokens)
+        result = self.inner.chat(messages, temperature=temperature, max_tokens=max_tokens)
+        return replace(result, text=" \n") if self.calls in self.blank_calls else result
 
 
 class TestBuildReferenceContext:
@@ -216,6 +221,18 @@ class TestRunRmoa:
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
         assert len(transcript.layer_states) == 1
+
+    @pytest.mark.parametrize("mode", ["rmoa", "moa"])
+    def test_blank_aggregation_aborts(self, mode):
+        config = make_config(layers=1, proposers=1, k=1, mode=mode)
+        bundle = Backends(chat=FlakyChat(blank_calls={2}), embedding=make_mock_bundle().embedding)
+        transcript = run_pipeline("Aggregator goes blank.", config, bundle, parallelism=1)
+        assert transcript.stop_reason == "backend_abort"
+        assert transcript.final_response is None
+        assert transcript.events == [
+            "aborted: final aggregation: aggregator returned an empty completion"
+        ]
+        assert transcript.ledger.count("aggregator") == 0
 
     @pytest.mark.parametrize("mode", ["rmoa", "moa"])
     def test_snapshot_failure_aborts(self, mode):
