@@ -39,9 +39,15 @@ class EmbeddingVector:
         object.__setattr__(self, "components", components)
         if not components:
             raise ValueError("an embedding vector needs at least one component")
-        if not all(map(math.isfinite, components)):
-            raise ValueError("embedding components must be finite")
-        norm = math.sqrt(math.fsum(map(mul, components, components)))
+        # A NaN or infinite component makes the sum of squares NaN, infinite
+        # or overflow, so the components are scanned only in those cases.
+        try:
+            norm = math.sqrt(math.fsum(map(mul, components, components)))
+        except OverflowError:
+            _require_finite(components)
+            raise
+        if not math.isfinite(norm):
+            _require_finite(components)
         object.__setattr__(self, "_norm", norm)
 
     @property
@@ -53,6 +59,11 @@ class EmbeddingVector:
 
     def scaled(self, factor: float) -> "EmbeddingVector":
         return EmbeddingVector(tuple(c * factor for c in self.components))
+
+
+def _require_finite(components: tuple[float, ...]) -> None:
+    if not all(map(math.isfinite, components)):
+        raise ValueError("embedding components must be finite") from None
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -171,7 +182,7 @@ def embed_batch(
             raise ProtocolError(
                 f"embedding {index} has dimension {len(row)}, expected {dimension}"
             )
-        vectors.append(EmbeddingVector(tuple(row)))
+        vectors.append(EmbeddingVector(row))
     if ledger is not None:
         ledger.append("embedding", batch.model, batch.usage)
     return vectors

@@ -352,16 +352,16 @@ def run_pipeline(
                     params=config.sampling,
                     ledger=ledger,
                 )
+                if layer >= 2:
+                    converged = layer_converged(
+                        config.termination, residual.detected, previous_vectors, selected_vectors
+                    )
+                    window = window.extended(not converged)
+                    terminated_here = layer < config.layers and adaptive_should_stop(window)
             except (_CALL_FAILURES + (DegenerateEmbeddingError, DimensionMismatchError)) as exc:
                 return _abort(transcript, persist_dir, f"layer {layer}: {exc}")
             aggregation_base = previous_selected or selected
             reference = build_reference_context(aggregation_base, residual)
-            if layer >= 2:
-                converged = layer_converged(
-                    config.termination, residual.detected, previous_vectors, selected_vectors
-                )
-                window = window.extended(not converged)
-                terminated_here = layer < config.layers and adaptive_should_stop(window)
             previous_selected = selected
             previous_vectors = selected_vectors
         else:

@@ -8,6 +8,7 @@ so a single window mechanism drives every policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,13 +41,24 @@ def adaptive_should_stop(window: ResidualWindow) -> bool:
     return len(history) >= m and not any(history[-m:])
 
 
+def _cross_pairs(
+    prev_vecs: Sequence[EmbeddingVector], curr_vecs: Sequence[EmbeddingVector]
+) -> list[tuple[EmbeddingVector, EmbeddingVector]]:
+    """Every (previous, current) pair, row-major."""
+    if not prev_vecs or not curr_vecs:
+        raise ValueError("both vector lists must be nonempty")
+    return [(p, c) for p in prev_vecs for c in curr_vecs]
+
+
 def pairwise_similarities(
     prev_vecs: Sequence[EmbeddingVector], curr_vecs: Sequence[EmbeddingVector]
 ) -> list[float]:
     """Cosine similarity of every (previous, current) pair, row-major."""
-    if not prev_vecs or not curr_vecs:
-        raise ValueError("both vector lists must be nonempty")
-    return [cosine(p, c) for p in prev_vecs for c in curr_vecs]
+    return [cosine(p, c) for p, c in _cross_pairs(prev_vecs, curr_vecs)]
+
+
+def _has_safe_norm(vector: EmbeddingVector) -> bool:
+    return 0.0 < vector.norm() < math.inf
 
 
 def similarity_threshold_stop(
@@ -54,9 +66,20 @@ def similarity_threshold_stop(
     curr_selected_vecs: Sequence[EmbeddingVector],
     theta: float,
 ) -> bool:
-    """True iff every cross-round similarity strictly exceeds ``theta``."""
-    sims = pairwise_similarities(prev_selected_vecs, curr_selected_vecs)
-    return all(s > theta for s in sims)
+    """True iff every cross-round similarity strictly exceeds ``theta``.
+
+    Pairs are evaluated in the row-major order of ``pairwise_similarities``
+    until the first one at or below ``theta``; the decision is the same as
+    checking them all. First, every pair whose cosine could raise (unequal
+    dimensions, or a zero or infinite norm) has that cosine computed, so a
+    bad vector anywhere in either list raises the error the full list of
+    similarities would.
+    """
+    pairs = _cross_pairs(prev_selected_vecs, curr_selected_vecs)
+    for p, c in pairs:
+        if p.dimension != c.dimension or not (_has_safe_norm(p) and _has_safe_norm(c)):
+            cosine(p, c)
+    return all(cosine(p, c) > theta for p, c in pairs)
 
 
 def squared_deviation_sum(sims: Sequence) -> object:

@@ -9,8 +9,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from rmoa.backends import Backends
+from rmoa.backends import Backends, EmbeddingBatch
 from rmoa.embedding import SimilarityMatrix
+from rmoa.errors import BackendUnavailableError
 from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 from rmoa.pipeline import RunConfig
 from rmoa.termination import TerminationConfig
@@ -47,6 +48,36 @@ def make_mock_bundle(
         chat=MockChatBackend(rule),
         embedding=MockEmbeddingBackend(seed=embed_seed, dim=embed_dim),
     )
+
+
+class FaultyEmbedding:
+    """Mock embeddings, one call per layer, that go wrong from call ``from_call`` on.
+
+    ``fault`` is ``"unavailable"`` (the call raises ``BackendUnavailableError``),
+    ``"short"`` (one row too few) or ``"dimension"`` (rows switch from 16 to
+    32 components). Each run gets a fresh call count through ``fork_for_run``.
+    """
+
+    def __init__(self, fault: str, from_call: int = 2) -> None:
+        self.fault = fault
+        self.from_call = from_call
+        self.model = "faulty-embed"
+        self.max_input_chars = None
+        self.calls = 0
+
+    def embed(self, texts) -> EmbeddingBatch:
+        self.calls += 1
+        faulty = self.calls >= self.from_call
+        if faulty and self.fault == "unavailable":
+            raise BackendUnavailableError(f"scripted embedding failure on call {self.calls}")
+        dim = 32 if faulty and self.fault == "dimension" else 16
+        batch = MockEmbeddingBackend(dim=dim, model=self.model).embed(texts)
+        if faulty and self.fault == "short":
+            return EmbeddingBatch(batch.vectors[:-1], batch.usage, batch.model)
+        return batch
+
+    def fork_for_run(self) -> "FaultyEmbedding":
+        return FaultyEmbedding(self.fault, self.from_call)
 
 
 def make_config(

@@ -30,6 +30,35 @@ def vec(*components: float) -> EmbeddingVector:
     return EmbeddingVector(tuple(components))
 
 
+class TestEmbeddingVector:
+    @pytest.mark.parametrize(
+        ("components", "error", "message"),
+        [
+            ((math.nan, 1.0), ValueError, "embedding components must be finite"),
+            ((math.inf, 1.0), ValueError, "embedding components must be finite"),
+            ((math.inf, 1e154, 1e154), ValueError, "embedding components must be finite"),
+            ((1e154, 1e154), OverflowError, "intermediate overflow in fsum"),
+            ((), ValueError, "an embedding vector needs at least one component"),
+        ],
+        ids=["nan", "inf", "inf-and-overflow", "overflow", "empty"],
+    )
+    def test_rejected_inputs(self, components, error, message):
+        with pytest.raises(error) as caught:
+            EmbeddingVector(components)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_huge_finite_components_give_an_infinite_norm(self):
+        assert vec(1e200, 1.0).norm() == math.inf
+
+    def test_components_are_converted_to_floats(self):
+        v = EmbeddingVector(("1.5", 2))
+        assert v.components == (1.5, 2.0)
+        assert type(v.components) is tuple
+        assert all(type(c) is float for c in v.components)
+        assert v.norm() == 2.5
+
+
 class TestCosine:
     def test_self_similarity_is_one(self):
         rng = random.Random(11)
@@ -206,3 +235,39 @@ class TestEmbedBatch:
 
         with pytest.raises(ProtocolError, match="dimension"):
             embed_batch(["a", "b"], RaggedBackend())
+
+    @pytest.mark.parametrize(
+        ("rows", "expected"),
+        [
+            ([[3.0, 4.0], ["0.5", 0]], ((3.0, 4.0), (0.5, 0.0))),
+            (((1, 0), (0.0, 2.0)), ((1.0, 0.0), (0.0, 2.0))),
+        ],
+        ids=["lists", "tuples"],
+    )
+    def test_rows_become_float_tuples(self, rows, expected):
+        class RowBackend:
+            model = "stub"
+            max_input_chars = None
+
+            def embed(self, texts):
+                return EmbeddingBatch(vectors=rows, usage=TokenUsage(0, 0), model=self.model)
+
+        vectors = embed_batch(["a", "b"], RowBackend())
+        assert tuple(v.components for v in vectors) == expected
+        assert all(type(c) is float for v in vectors for c in v.components)
+        assert [v.norm() for v in vectors] == [naive_norm(v) for v in vectors]
+
+    def test_nan_row_is_value_error(self):
+        class NanBackend:
+            model = "stub"
+            max_input_chars = None
+
+            def embed(self, texts):
+                return EmbeddingBatch(
+                    vectors=((1.0, 0.0), (math.nan, 0.0)),
+                    usage=TokenUsage(0, 0),
+                    model=self.model,
+                )
+
+        with pytest.raises(ValueError, match="finite"):
+            embed_batch(["a", "b"], NanBackend())

@@ -21,7 +21,7 @@ from rmoa.harness import (
 )
 from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 
-from conftest import make_config, make_mock_bundle
+from conftest import FaultyEmbedding, make_config, make_mock_bundle
 
 
 def write_jsonl(path, records):
@@ -210,6 +210,22 @@ class TestRunBenchmark:
         assert report.items[1].stop_reason == "backend_abort"
         assert report.items[1].correct is None
         assert report.graded_count == 2
+
+    def test_stop_check_dimension_mismatch_aborts_items_and_report_is_written(
+        self, tmp_path
+    ):
+        items = exact_items(2)
+        config = make_config(layers=2, proposers=2, k=1, policy="sim_threshold")
+        bundle = Backends(
+            chat=MockChatBackend(MockRule()), embedding=FaultyEmbedding("dimension")
+        )
+        report = run_benchmark(items, config, bundle, out_dir=tmp_path)
+        assert [item.stop_reason for item in report.items] == ["backend_abort"] * 2
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert [item["stop_reason"] for item in payload["items"]] == ["backend_abort"] * 2
+        for item in items:
+            transcript = json.loads((tmp_path / item.id / "transcript.json").read_text())
+            assert transcript["events"] == ["aborted: layer 2: dimension mismatch: 16 vs 32"]
 
     def test_run_dir_layout(self, tmp_path):
         items = exact_items(2)

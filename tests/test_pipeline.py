@@ -20,7 +20,7 @@ from rmoa.pipeline import (
 )
 from rmoa.termination import TerminationConfig
 
-from conftest import make_config, make_mock_bundle
+from conftest import FaultyEmbedding, make_config, make_mock_bundle
 
 
 def response(text: str) -> Response:
@@ -246,6 +246,49 @@ class TestRunRmoa:
         assert len(transcript.layer_states) == 1
         assert transcript.layer_states[0].snapshot_answer is None
         assert transcript.final_response is None
+
+    @pytest.mark.parametrize(
+        ("fault", "reason"),
+        [
+            ("unavailable", "scripted embedding failure on call 2"),
+            ("short", "backend returned 1 embeddings for 2 texts"),
+        ],
+    )
+    def test_embedding_failure_at_layer_two_aborts(self, tmp_path, fault, reason):
+        config = make_config(layers=3, proposers=2, k=1)
+        bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding(fault))
+        transcript = run_pipeline(
+            "Embeddings die.", config, bundle, parallelism=1, persist_dir=tmp_path
+        )
+        assert transcript.stop_reason == "backend_abort"
+        assert [state.layer for state in transcript.layer_states] == [1]
+        assert transcript.final_response is None
+        assert transcript.events == [f"aborted: layer 2: {reason}"]
+        assert transcript.ledger.count("embedding") == 1
+        assert transcript.ledger.count("extractor") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
+        assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
+
+    @pytest.mark.parametrize("policy", ["sim_threshold", "variance"])
+    def test_embedding_dimension_change_aborts_in_the_stop_check(self, tmp_path, policy):
+        config = make_config(layers=3, proposers=2, k=1, policy=policy)
+        bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding("dimension"))
+        transcript = run_pipeline(
+            "Dimensions drift.", config, bundle, parallelism=1, persist_dir=tmp_path
+        )
+        assert transcript.stop_reason == "backend_abort"
+        assert [state.layer for state in transcript.layer_states] == [1]
+        assert transcript.events == ["aborted: layer 2: dimension mismatch: 16 vs 32"]
+        assert transcript.ledger.count("embedding") == 2
+        assert transcript.ledger.count("extractor") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
+
+    def test_embedding_dimension_change_is_harmless_under_llm_policy(self):
+        config = make_config(layers=3, proposers=2, k=1, policy="llm")
+        bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding("dimension"))
+        transcript = run_pipeline("Dimensions drift.", config, bundle, parallelism=1)
+        assert transcript.stop_reason == "max_layers"
+        assert len(transcript.layer_states) == 3
 
     def test_persisted_transcript_updates_per_layer(self, tmp_path):
         config = make_config(layers=2, proposers=2, k=1, policy="none")

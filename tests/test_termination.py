@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from rmoa.embedding import EmbeddingVector
+from rmoa import termination
+from rmoa.embedding import EmbeddingVector, cosine
 from rmoa.errors import ConfigError, DegenerateEmbeddingError
 from rmoa.termination import (
     ResidualWindow,
@@ -100,6 +101,92 @@ class TestSimilarityThresholdStop:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
             pairwise_similarities([], [unit(1.0, 0.0)])
+        with pytest.raises(ValueError):
+            similarity_threshold_stop([unit(1.0, 0.0)], [], 0.5)
+
+
+def perturbed(rng: random.Random, base: EmbeddingVector, scale: float) -> EmbeddingVector:
+    return EmbeddingVector(tuple(c + rng.gauss(0.0, scale) for c in base.components))
+
+
+class TestSimilarityThresholdStopShortCircuit:
+    def test_decision_matches_every_pair(self):
+        rng = random.Random(67)
+        outcomes = {True: 0, False: 0}
+        ties = 0
+        for trial in range(600):
+            dim = rng.randint(2, 16)
+            prev_count, curr_count = rng.randint(1, 3), rng.randint(1, 3)
+            if trial % 3 == 0:
+                # perturbed copies of one vector: usually every pair is above theta
+                base = random_vectors(rng, 1, dim)[0]
+                prev = [perturbed(rng, base, 0.01) for _ in range(prev_count)]
+                curr = [perturbed(rng, base, 0.01) for _ in range(curr_count)]
+            else:
+                prev = random_vectors(rng, prev_count, dim)
+                curr = random_vectors(rng, curr_count, dim)
+            sims = pairwise_similarities(prev, curr)
+            if trial % 3 == 1:
+                theta = rng.choice(sims)  # one cosine exactly at theta
+                ties += 1
+            elif trial % 3 == 0:
+                theta = rng.uniform(0.9, 0.999)
+            else:
+                theta = rng.uniform(-1.0, 1.0)
+            expected = all(s > theta for s in sims)
+            assert similarity_threshold_stop(prev, curr, theta) is expected
+            outcomes[expected] += 1
+        assert ties == 200
+        assert min(outcomes.values()) >= 100
+
+    def test_equal_cosine_among_higher_ones_does_not_stop(self):
+        a = unit(1.0, 0.0)
+        b = unit(0.8, 0.6)  # cosine with a is exactly 0.8
+        assert similarity_threshold_stop([a, a], [a, a, b], 0.8) is False
+        assert similarity_threshold_stop([a, a], [a, a, b], 0.7999999999999999) is True
+
+    def test_first_failing_pair_is_the_only_cosine(self, monkeypatch):
+        calls = []
+
+        def counting(p, c):
+            calls.append((p, c))
+            return cosine(p, c)
+
+        monkeypatch.setattr(termination, "cosine", counting)
+        a, b = unit(1.0, 0.0), unit(0.0, 1.0)
+        assert similarity_threshold_stop([a, a, a], [b, a, a], 0.5) is False
+        assert calls == [(a, b)]
+
+        calls.clear()
+        assert similarity_threshold_stop([a, a, a], [a, a, a], 0.5) is True
+        assert len(calls) == 9
+
+    @pytest.mark.parametrize(
+        ("prev_last", "curr_last"),
+        [
+            ((0.0, 0.0), (1.0, 0.0)),
+            ((1.0, 0.0), (0.0, 0.0)),
+            ((1.0, 0.0, 0.0), (1.0, 0.0)),
+            ((1.0, 0.0), (1.0, 0.0, 0.0)),
+            ((0.0, 0.0), (1.0, 0.0, 0.0)),
+            ((1e200, -1e200), (1e200, 1e200)),  # infinite norms: -inf + inf in fsum
+        ],
+        ids=[
+            "prev-zero", "curr-zero", "prev-dimension", "curr-dimension", "both",
+            "infinite-norms",
+        ],
+    )
+    def test_bad_vector_late_in_either_list_still_raises(self, prev_last, curr_last):
+        # the first pair is orthogonal, so the decision is known after one cosine
+        a, b = unit(1.0, 0.0), unit(0.0, 1.0)
+        prev = [a, a, EmbeddingVector(prev_last)]
+        curr = [b, a, EmbeddingVector(curr_last)]
+        with pytest.raises(Exception) as full:
+            pairwise_similarities(prev, curr)
+        with pytest.raises(type(full.value)) as lazy:
+            similarity_threshold_stop(prev, curr, 0.5)
+        assert type(lazy.value) is type(full.value)
+        assert str(lazy.value) == str(full.value)
 
 
 class TestVarianceStop:
