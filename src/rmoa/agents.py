@@ -7,6 +7,7 @@ calls are single user messages built entirely from their templates.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -80,8 +81,8 @@ class SamplingParams:
     max_tokens: int = 1024
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be nonnegative")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and nonnegative")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be at least 1")
 

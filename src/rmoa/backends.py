@@ -4,22 +4,40 @@ Both wire clients speak the widespread JSON chat-completions and embeddings
 shapes: POST ``{base}/chat/completions`` with ``{"model", "messages",
 "temperature", "max_tokens"}`` and POST ``{base}/embeddings`` with
 ``{"model", "input"}``. Transient failures (connection errors, timeouts,
-HTTP 429/5xx) are retried with exponential backoff; anything else is a
+HTTP 429/5xx) are retried with exponential backoff, and each failed attempt
+is logged as a warning on the ``rmoa.backends`` logger; anything else is a
 protocol error and fails immediately.
+
+Each client holds one urllib3 pool of up to 10 keep-alive connections,
+built with the client. The proxy for the base URL is read from the
+environment (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``)
+at that point, not on every call. HTTPS certificates are verified against
+certifi's bundle. Redirects are not followed: a 3xx reply is a protocol
+error. ``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE`` and ``~/.netrc`` are not
+read.
 """
 
 from __future__ import annotations
 
+import json
+import logging
 import time
+import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
+from urllib.parse import unquote, urlsplit
 
-import requests
+import certifi
+import urllib3
 
 from .accounting import TokenUsage
-from .errors import BackendUnavailableError, ProtocolError
+from .errors import BackendUnavailableError, ConfigError, ProtocolError
+
+logger = logging.getLogger(__name__)
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+# Idle keep-alive connections each client's pool holds for reuse.
+_POOL_MAXSIZE = 10
 
 
 @dataclass(frozen=True)
@@ -74,7 +92,7 @@ class RetryPolicy:
 
 @dataclass
 class _HttpClient:
-    """Endpoint, credentials and retrying POST shared by the wire clients."""
+    """Endpoint, credentials, connection pool and retrying POST shared by the wire clients."""
 
     base_url: str
     model: str
@@ -85,7 +103,12 @@ class _HttpClient:
     def __post_init__(self) -> None:
         if not self.timeout_s > 0:
             raise ValueError("timeout_s must be positive")
-        self._session = requests.Session()
+        self._timeout = urllib3.Timeout(connect=self.timeout_s, read=self.timeout_s)
+        self._pool = _pool_for(self.base_url)
+
+    def close(self) -> None:
+        """Close the pool's idle connections; a later call opens new ones."""
+        self._pool.clear()
 
     def _post(self, path: str, payload: dict) -> dict:
         """POST ``payload`` to ``path`` under the base URL, retrying transient failures."""
@@ -93,30 +116,67 @@ class _HttpClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        attempts = self.retry.max_attempts
         last_error: Exception | None = None
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(attempts):
             try:
-                response = self._session.post(
-                    url, json=payload, headers=headers, timeout=self.timeout_s
+                response = self._pool.urlopen(
+                    "POST",
+                    url,
+                    body=body,
+                    headers=headers,
+                    retries=False,
+                    redirect=False,
+                    timeout=self._timeout,
                 )
-            except requests.RequestException as exc:
+            except urllib3.exceptions.HTTPError as exc:
                 last_error = exc
+                failure = type(exc).__name__
             else:
-                if response.status_code == 200:
+                if response.status == 200:
                     try:
-                        return response.json()
+                        return json.loads(response.data)
                     except ValueError as exc:
                         raise ProtocolError(f"{url} returned invalid JSON: {exc}") from exc
-                if response.status_code not in _RETRYABLE_STATUS:
-                    raise ProtocolError(
-                        f"{url} returned HTTP {response.status_code}: {response.text[:200]}"
-                    )
-                last_error = ProtocolError(f"{url} returned HTTP {response.status_code}")
-            if attempt + 1 < self.retry.max_attempts:
-                time.sleep(self.retry.delay(attempt))
+                if response.status not in _RETRYABLE_STATUS:
+                    text = response.data[:200].decode("utf-8", "replace")
+                    raise ProtocolError(f"{url} returned HTTP {response.status}: {text}")
+                failure = f"HTTP {response.status}"
+                last_error = ProtocolError(f"{url} returned {failure}")
+            delay = self.retry.delay(attempt) if attempt + 1 < attempts else None
+            logger.warning(
+                "POST %s attempt %d/%d failed (%s); %s",
+                url,
+                attempt + 1,
+                attempts,
+                failure,
+                "giving up" if delay is None else f"retrying in {delay:g} s",
+            )
+            if delay is not None:
+                time.sleep(delay)
         raise BackendUnavailableError(
-            f"{url} unreachable after {self.retry.max_attempts} attempts: {last_error}"
+            f"{url} unreachable after {attempts} attempts: {last_error}"
         )
+
+
+def _pool_for(base_url: str) -> urllib3.PoolManager:
+    """A keep-alive pool for ``base_url``, through the proxy the environment names for it."""
+    parts = urlsplit(base_url)
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(parts.scheme) or proxies.get("all")
+    settings = {"maxsize": _POOL_MAXSIZE, "ca_certs": certifi.where()}
+    if not proxy or urllib.request.proxy_bypass(parts.hostname or ""):
+        return urllib3.PoolManager(**settings)
+    if "://" not in proxy:
+        proxy = "http://" + proxy
+    auth = urllib3.util.parse_url(proxy).auth
+    if auth:
+        settings["proxy_headers"] = urllib3.make_headers(proxy_basic_auth=unquote(auth))
+    try:
+        return urllib3.ProxyManager(proxy, **settings)
+    except urllib3.exceptions.ProxySchemeUnknown as exc:
+        raise ConfigError(f"proxy for {base_url}: {exc}") from exc
 
 
 @dataclass
@@ -158,9 +218,7 @@ class HttpEmbeddingBackend(_HttpClient):
         data = self._post("/embeddings", {"model": self.model, "input": list(texts)})
         try:
             rows = sorted(data["data"], key=lambda row: int(row["index"]))
-            vectors = tuple(
-                tuple(float(x) for x in row["embedding"]) for row in rows
-            )
+            vectors = tuple(tuple(map(float, row["embedding"])) for row in rows)
             usage = data.get("usage", {})
             prompt_tokens = int(usage.get("prompt_tokens", 0))
         except (KeyError, TypeError, ValueError) as exc:

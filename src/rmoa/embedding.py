@@ -67,7 +67,7 @@ def _require_finite(components: tuple[float, ...]) -> None:
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine similarity of two nonzero vectors, clamped to [-1, 1]."""
+    """Cosine similarity of two vectors with nonzero finite norms, clamped to [-1, 1]."""
     if a.dimension != b.dimension:
         raise DimensionMismatchError(
             f"dimension mismatch: {a.dimension} vs {b.dimension}"
@@ -76,6 +76,8 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     norm_b = b.norm()
     if norm_a == 0.0 or norm_b == 0.0:
         raise DegenerateEmbeddingError("cosine is undefined for zero-norm vectors")
+    if norm_a == math.inf or norm_b == math.inf:
+        raise DegenerateEmbeddingError("cosine is undefined for vectors whose norm overflows")
     dot = math.fsum(map(mul, a.components, b.components))
     return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
 
@@ -134,6 +136,8 @@ def build_similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMat
             )
         if vector.norm() == 0.0:
             raise DegenerateEmbeddingError(f"vector {index} has zero norm")
+        if vector.norm() == math.inf:
+            raise DegenerateEmbeddingError(f"vector {index} has a norm that overflows")
     n = len(vectors)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):

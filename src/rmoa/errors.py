@@ -10,7 +10,7 @@ class DimensionMismatchError(RmoaError, ValueError):
 
 
 class DegenerateEmbeddingError(RmoaError, ValueError):
-    """A zero-norm embedding cannot take part in cosine similarity."""
+    """An embedding whose norm is zero or overflows cannot take part in cosine similarity."""
 
 
 class BackendUnavailableError(RmoaError, RuntimeError):

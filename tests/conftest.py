@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -54,8 +55,10 @@ class FaultyEmbedding:
     """Mock embeddings, one call per layer, that go wrong from call ``from_call`` on.
 
     ``fault`` is ``"unavailable"`` (the call raises ``BackendUnavailableError``),
-    ``"short"`` (one row too few) or ``"dimension"`` (rows switch from 16 to
-    32 components). Each run gets a fresh call count through ``fork_for_run``.
+    ``"short"`` (one row too few), ``"dimension"`` (rows switch from 16 to
+    32 components) or ``"overflow"`` (rows alternate ``(1e200, 1e200)`` and
+    ``(1e200, -1e200)``, finite rows whose norms overflow). Each run gets a
+    fresh call count through ``fork_for_run``.
     """
 
     def __init__(self, fault: str, from_call: int = 2) -> None:
@@ -74,6 +77,9 @@ class FaultyEmbedding:
         batch = MockEmbeddingBackend(dim=dim, model=self.model).embed(texts)
         if faulty and self.fault == "short":
             return EmbeddingBatch(batch.vectors[:-1], batch.usage, batch.model)
+        if faulty and self.fault == "overflow":
+            rows = tuple(((1e200, 1e200), (1e200, -1e200))[i % 2] for i in range(len(texts)))
+            return EmbeddingBatch(rows, batch.usage, batch.model)
         return batch
 
     def fork_for_run(self) -> "FaultyEmbedding":
@@ -110,15 +116,21 @@ class _StubHandler(BaseHTTPRequestHandler):
                     "path": self.path,
                     "body": body,
                     "authorization": self.headers.get("Authorization"),
+                    "proxy_authorization": self.headers.get("Proxy-Authorization"),
+                    "client": self.client_address,
                 }
             )
-            status, payload = (
+            status, payload, *extra = (
                 server.script.pop(0) if server.script else (500, {"error": "empty script"})
             )
+        options = extra[0] if extra else {}
+        time.sleep(options.get("delay_s", 0.0))
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in options.get("headers", {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -126,14 +138,24 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveStubHandler(_StubHandler):
+    protocol_version = "HTTP/1.1"
+
+
 class HttpStub:
     """Scripted local HTTP endpoint: pop one (status, payload) per request.
 
     A ``bytes`` payload is sent as the body unchanged; anything else as JSON.
+    An optional third element, ``{"delay_s": ..., "headers": {...}}``, delays
+    the reply or adds headers to it. The default stub speaks HTTP/1.0 and
+    closes each connection after one reply; ``keep_alive=True`` speaks
+    HTTP/1.1 and keeps connections open. Each recorded request names the
+    client address it came from.
     """
 
-    def __init__(self) -> None:
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    def __init__(self, keep_alive: bool = False) -> None:
+        handler = _KeepAliveStubHandler if keep_alive else _StubHandler
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.server.script = []
         self.server.requests = []
         self.server.lock = threading.Lock()
@@ -161,5 +183,12 @@ class HttpStub:
 @pytest.fixture
 def http_stub():
     stub = HttpStub()
+    yield stub
+    stub.close()
+
+
+@pytest.fixture
+def keep_alive_stub():
+    stub = HttpStub(keep_alive=True)
     yield stub
     stub.close()

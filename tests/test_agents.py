@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import string
 
@@ -259,8 +260,9 @@ class TestTypes:
             Residual("maybe")
 
     def test_sampling_params_validation(self):
-        with pytest.raises(ValueError):
-            SamplingParams(temperature=-0.1)
+        for temperature in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                SamplingParams(temperature=temperature)
         with pytest.raises(ValueError):
             SamplingParams(max_tokens=0)
 

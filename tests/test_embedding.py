@@ -96,6 +96,21 @@ class TestCosine:
         with pytest.raises(DegenerateEmbeddingError):
             cosine(vec(0.0, 0.0), vec(1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        ("a", "b"),
+        [
+            ((1e200, 1e200), (1e200, -1e200)),
+            ((1e200, 1e200), (1e200, 1.0)),
+            ((1.0, 0.0), (1e200, 1.0)),
+        ],
+        ids=["inf-minus-inf-dot", "nan-ratio", "one-overflowing-norm"],
+    )
+    def test_overflowing_norm_rejected(self, a, b):
+        with pytest.raises(DegenerateEmbeddingError, match="norm overflows"):
+            cosine(vec(*a), vec(*b))
+        with pytest.raises(DegenerateEmbeddingError, match="norm overflows"):
+            cosine(vec(*b), vec(*a))
+
     def test_nonfinite_components_rejected(self):
         with pytest.raises(ValueError):
             vec(float("nan"), 1.0)
@@ -129,6 +144,10 @@ class TestSimilarityMatrix:
     def test_degenerate_vector_named(self):
         with pytest.raises(DegenerateEmbeddingError, match="1"):
             build_similarity_matrix([vec(1.0, 0.0), vec(0.0, 0.0)])
+
+    def test_overflowing_norm_named(self):
+        with pytest.raises(DegenerateEmbeddingError, match="^vector 1 has a norm that overflows$"):
+            build_similarity_matrix([vec(1.0, 0.0), vec(1e200, 1e200), vec(1e200, -1e200)])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -227,6 +227,22 @@ class TestRunBenchmark:
             transcript = json.loads((tmp_path / item.id / "transcript.json").read_text())
             assert transcript["events"] == ["aborted: layer 2: dimension mismatch: 16 vs 32"]
 
+    def test_embedding_rows_whose_norms_overflow_abort_items_and_report_is_written(
+        self, tmp_path
+    ):
+        items = exact_items(2)
+        config = make_config(layers=2, proposers=2, k=1, policy="sim_threshold")
+        bundle = Backends(
+            chat=MockChatBackend(MockRule()), embedding=FaultyEmbedding("overflow")
+        )
+        report = run_benchmark(items, config, bundle, out_dir=tmp_path)
+        assert [item.stop_reason for item in report.items] == ["backend_abort"] * 2
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert [item["stop_reason"] for item in payload["items"]] == ["backend_abort"] * 2
+        for item in items:
+            transcript = json.loads((tmp_path / item.id / "transcript.json").read_text())
+            assert transcript["events"] == ["aborted: layer 2: vector 0 has a norm that overflows"]
+
     def test_run_dir_layout(self, tmp_path):
         items = exact_items(2)
         config = make_config(layers=1, proposers=2, k=1)

@@ -283,6 +283,17 @@ class TestRunRmoa:
         assert transcript.ledger.count("extractor") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
 
+    def test_embedding_rows_whose_norms_overflow_abort_the_item(self, tmp_path):
+        config = make_config(layers=3, proposers=2, k=1)
+        bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding("overflow", from_call=1))
+        transcript = run_pipeline(
+            "Norms overflow.", config, bundle, parallelism=1, persist_dir=tmp_path
+        )
+        assert transcript.stop_reason == "backend_abort"
+        assert transcript.layer_states == []
+        assert transcript.events == ["aborted: layer 1: vector 0 has a norm that overflows"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
+
     def test_embedding_dimension_change_is_harmless_under_llm_policy(self):
         config = make_config(layers=3, proposers=2, k=1, policy="llm")
         bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding("dimension"))

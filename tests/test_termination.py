@@ -169,7 +169,7 @@ class TestSimilarityThresholdStopShortCircuit:
             ((1.0, 0.0, 0.0), (1.0, 0.0)),
             ((1.0, 0.0), (1.0, 0.0, 0.0)),
             ((0.0, 0.0), (1.0, 0.0, 0.0)),
-            ((1e200, -1e200), (1e200, 1e200)),  # infinite norms: -inf + inf in fsum
+            ((1e200, -1e200), (1e200, 1e200)),  # norms overflow to inf
         ],
         ids=[
             "prev-zero", "curr-zero", "prev-dimension", "curr-dimension", "both",
