@@ -16,6 +16,7 @@ from .harness import (
     BenchmarkItem,
     grade_answer,
     load_dataset,
+    read_jsonl,
     render_report_text,
     run_benchmark,
     write_report_files,
@@ -96,30 +97,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_grade(args: argparse.Namespace) -> int:
     items = {item.id: item for item in load_dataset(args.dataset)}
-    graded = 0
-    correct = 0
-    missing = 0
-    with Path(args.answers).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                print(f"error: answers line {lineno}: {exc}", file=sys.stderr)
-                return 2
-            item = items.get(str(record.get("id")))
-            if item is None:
-                missing += 1
-                print(f"{record.get('id')}: not in dataset")
-                continue
-            verdict = grade_answer(item, str(record.get("answer", "")))
-            if verdict is None:
-                print(f"{item.id}: ungraded")
-                continue
-            graded += 1
-            correct += verdict
-            print(f"{item.id}: {'correct' if verdict else 'incorrect'}")
+    graded = correct = missing = 0
+    for _, record in list(read_jsonl(args.answers)):
+        item = items.get(str(record.get("id")))
+        if item is None:
+            missing += 1
+            print(f"{record.get('id')}: not in dataset")
+            continue
+        verdict = grade_answer(item, str(record.get("answer", "")))
+        if verdict is None:
+            print(f"{item.id}: ungraded")
+            continue
+        graded += 1
+        correct += verdict
+        print(f"{item.id}: {'correct' if verdict else 'incorrect'}")
     if graded:
         print(f"accuracy: {correct}/{graded} = {correct / graded:.4f}")
     else:

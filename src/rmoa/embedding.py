@@ -39,13 +39,13 @@ class EmbeddingVector:
         object.__setattr__(self, "components", components)
         if not components:
             raise ValueError("an embedding vector needs at least one component")
-        # A NaN or infinite component makes the sum of squares NaN, infinite
-        # or overflow, so the components are scanned only in those cases.
+        # A NaN or infinite component makes the norm NaN or infinite, so the
+        # components are scanned only then. Finite components whose sum of
+        # squares overflows inside fsum get the norm inf, as a square would.
         try:
             norm = math.sqrt(math.fsum(map(mul, components, components)))
         except OverflowError:
-            _require_finite(components)
-            raise
+            norm = math.inf
         if not math.isfinite(norm):
             _require_finite(components)
         object.__setattr__(self, "_norm", norm)
@@ -63,7 +63,7 @@ class EmbeddingVector:
 
 def _require_finite(components: tuple[float, ...]) -> None:
     if not all(map(math.isfinite, components)):
-        raise ValueError("embedding components must be finite") from None
+        raise ValueError("embedding components must be finite")
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
+from typing import Iterator
 
 from .accounting import (
     DEFAULT_PRICE_PER_MILLION,
@@ -57,41 +58,52 @@ class BenchmarkItem:
             raise DatasetError(f"item {self.id!r} has a grader but no gold answer")
 
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each nonblank line of a JSON-lines file.
+
+    A file that cannot be read, a line that is not JSON, or a line that is
+    not a JSON object raises ``DatasetError`` naming the file.
+    """
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise DatasetError(f"{path}: line {lineno}: expected an object")
+                yield lineno, record
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"{path}: cannot read: {exc}") from exc
+
+
 def load_dataset(path: str | Path) -> list[BenchmarkItem]:
     """Parse a JSONL dataset, preserving file order and rejecting duplicates."""
-    path = Path(path)
     items: list[BenchmarkItem] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DatasetError(f"{path}: line {lineno}: expected an object")
-            for field_name in ("id", "question", "grader"):
-                if field_name not in record:
-                    raise DatasetError(
-                        f"{path}: line {lineno}: missing field {field_name!r}"
-                    )
-            item_id = str(record["id"])
-            if item_id in seen:
-                raise DatasetError(f"{path}: line {lineno}: duplicate id {item_id!r}")
-            seen.add(item_id)
-            try:
-                items.append(
-                    BenchmarkItem(
-                        id=item_id,
-                        question=str(record["question"]),
-                        gold_answer=str(record.get("answer", "")),
-                        grader=str(record["grader"]),
-                    )
+    for lineno, record in read_jsonl(path):
+        for field_name in ("id", "question", "grader"):
+            if field_name not in record:
+                raise DatasetError(f"{path}: line {lineno}: missing field {field_name!r}")
+        item_id = str(record["id"])
+        if item_id in seen:
+            raise DatasetError(f"{path}: line {lineno}: duplicate id {item_id!r}")
+        seen.add(item_id)
+        try:
+            items.append(
+                BenchmarkItem(
+                    id=item_id,
+                    question=str(record["question"]),
+                    gold_answer=str(record.get("answer", "")),
+                    grader=str(record["grader"]),
                 )
-            except DatasetError as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
+            )
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
     return items
 
 

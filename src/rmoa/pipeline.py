@@ -6,8 +6,13 @@ next layer's reference; ``RunConfig.mode`` decides that one step. In
 residual against the previous layer's selection, builds the reference from
 the previous selection plus that residual, and checks the early-stop
 window. In ``moa`` mode every reply is forwarded with no residual and no
-early stop. Aborts, per-layer snapshots, persistence and the final
-aggregation are shared; the aggregation template follows the mode.
+early stop. Per-layer snapshots, persistence and the final aggregation
+are shared; the aggregation template follows the mode.
+
+An item has one guarded path: a failed call, a degenerate or mismatched
+embedding, or a layer whose proposers all failed ends it as
+``backend_abort`` with the event ``aborted: <stage>: <reason>``; the stage
+is ``layer N``, ``layer N snapshot`` or ``final aggregation``.
 """
 
 from __future__ import annotations
@@ -62,6 +67,14 @@ STOP_BACKEND_ABORT = "backend_abort"
 
 # Exceptions that mean "this call failed", as opposed to caller bugs.
 _CALL_FAILURES = (BackendUnavailableError, ProtocolError, EmptyResponseError)
+
+
+class _Abort(Exception):
+    """A layer that cannot go on although no single call raised."""
+
+
+# Everything that ends an item early as ``backend_abort``.
+_ABORTS = _CALL_FAILURES + (DegenerateEmbeddingError, DimensionMismatchError, _Abort)
 
 _DEFAULT_MAX_PARALLEL_PROPOSERS = 8
 
@@ -247,52 +260,6 @@ def ordered_map(fn: Callable, args: Sequence, workers: int) -> list:
         return list(pool.map(fn, args))
 
 
-def _propose_layer(
-    task: str,
-    references: str | None,
-    layer: int,
-    config: RunConfig,
-    backends: Backends,
-    prompts: PromptSet,
-    ledger: UsageLedger,
-    events: list[str],
-    parallelism: int | None,
-) -> list[Response]:
-    """Fan proposers out, then reassemble by agent index.
-
-    Failed slots are dropped and noted; usage is appended to the ledger in
-    agent-index order after the barrier so ledgers never depend on thread
-    scheduling.
-    """
-    count = config.proposers_per_layer
-    roles = prompts.roles
-
-    def call(agent_index: int) -> Response | Exception:
-        try:
-            return propose(
-                task,
-                references,
-                roles[agent_index % len(roles)],
-                backends.chat,
-                config.sampling,
-                layer=layer,
-                agent_index=agent_index,
-                refinement_template=prompts.refinement,
-            )
-        except _CALL_FAILURES as exc:
-            return exc
-
-    workers = parallelism if parallelism else min(count, _DEFAULT_MAX_PARALLEL_PROPOSERS)
-    responses: list[Response] = []
-    for i, outcome in enumerate(ordered_map(call, range(count), workers)):
-        if isinstance(outcome, Exception):
-            events.append(f"layer {layer} proposer {i} failed: {outcome}")
-        else:
-            responses.append(outcome)
-            ledger.append("proposer", backends.chat.model, outcome.usage)
-    return responses
-
-
 def run_pipeline(
     query: str,
     config: RunConfig,
@@ -312,8 +279,39 @@ def run_pipeline(
     prompts = prompts or load_prompt_set(config.benchmark)
     ledger = ledger if ledger is not None else UsageLedger()
     transcript = Transcript(config, query, [], None, ledger, None)
+    events = transcript.events
     task = prompts.render_task(query)
     template = prompts.aggregation if refine else prompts.baseline_aggregation
+    count = config.proposers_per_layer
+    workers = parallelism if parallelism else min(count, _DEFAULT_MAX_PARALLEL_PROPOSERS)
+
+    def propose_layer(layer: int, references: str | None) -> list[Response]:
+        # Failed slots are dropped and noted; usage goes to the ledger in
+        # agent-index order after the barrier, never in thread order.
+        def call(agent_index: int) -> Response | Exception:
+            try:
+                return propose(
+                    task, references, prompts.roles[agent_index % len(prompts.roles)],
+                    backends.chat, config.sampling, layer=layer, agent_index=agent_index,
+                    refinement_template=prompts.refinement,
+                )
+            except _CALL_FAILURES as exc:
+                return exc
+
+        responses: list[Response] = []
+        for i, outcome in enumerate(ordered_map(call, range(count), workers)):
+            if isinstance(outcome, Exception):
+                events.append(f"layer {layer} proposer {i} failed: {outcome}")
+            else:
+                responses.append(outcome)
+                ledger.append("proposer", backends.chat.model, outcome.usage)
+        return responses
+
+    def fuse(layer: int) -> Response:
+        return aggregate(
+            aggregation_base, residual, backends.chat, query=query, template=template,
+            params=config.sampling, layer=layer, ledger=ledger,
+        )
 
     window = ResidualWindow((), config.termination.m)
     previous_selected: list[Response] = []
@@ -321,36 +319,28 @@ def run_pipeline(
     reference: str | None = None
     aggregation_base: list[Response] = []
     residual: Residual = NO_RESIDUAL
-    last_snapshot: Response | None = None
+    snapshot: Response | None = None
 
-    for layer in range(1, config.layers + 1):
-        responses = _propose_layer(
-            task, reference, layer, config, backends, prompts,
-            ledger, transcript.events, parallelism,
-        )
-        if not responses:
-            return _abort(transcript, persist_dir, f"layer {layer}: every proposer failed")
+    try:
+        for layer in range(1, config.layers + 1):
+            stage = f"layer {layer}"
+            responses = propose_layer(layer, reference)
+            if not responses:
+                raise _Abort("every proposer failed")
 
-        terminated_here = False
-        if refine:
-            try:
+            terminated_here = False
+            if refine:
                 vectors = embed_batch(
-                    [r.text for r in responses],
-                    backends.embedding,
-                    ledger=ledger,
-                    on_event=transcript.events.append,
+                    [r.text for r in responses], backends.embedding,
+                    ledger=ledger, on_event=events.append,
                 )
                 matrix = build_similarity_matrix(vectors)
                 selection = greedy_diverse_select(matrix, config.select_k)
                 selected = [responses[i] for i in selection.selected_indices]
                 selected_vectors = [vectors[i] for i in selection.selected_indices]
                 residual = extract_residual(
-                    selected,
-                    previous_selected,
-                    backends.chat,
-                    template=prompts.extraction,
-                    params=config.sampling,
-                    ledger=ledger,
+                    selected, previous_selected, backends.chat,
+                    template=prompts.extraction, params=config.sampling, ledger=ledger,
                 )
                 if layer >= 2:
                     converged = layer_converged(
@@ -358,63 +348,30 @@ def run_pipeline(
                     )
                     window = window.extended(not converged)
                     terminated_here = layer < config.layers and adaptive_should_stop(window)
-            except (_CALL_FAILURES + (DegenerateEmbeddingError, DimensionMismatchError)) as exc:
-                return _abort(transcript, persist_dir, f"layer {layer}: {exc}")
-            aggregation_base = previous_selected or selected
-            reference = build_reference_context(aggregation_base, residual)
-            previous_selected = selected
-            previous_vectors = selected_vectors
-        else:
-            selection = SelectionResult(tuple(range(len(responses))), len(responses))
-            aggregation_base = responses
-            reference = render_numbered_responses(responses)
+                aggregation_base = previous_selected or selected
+                reference = build_reference_context(aggregation_base, residual)
+                previous_selected = selected
+                previous_vectors = selected_vectors
+            else:
+                selection = SelectionResult(tuple(range(len(responses))), len(responses))
+                aggregation_base = responses
+                reference = render_numbered_responses(responses)
 
-        state = LayerState(layer, responses, selection, residual, reference, terminated_here)
-        transcript.layer_states.append(state)
-        if config.capture_layer_answers:
-            try:
-                last_snapshot = aggregate(
-                    aggregation_base,
-                    residual,
-                    backends.chat,
-                    query=query,
-                    template=template,
-                    params=config.sampling,
-                    layer=layer,
-                    ledger=ledger,
-                )
-            except _CALL_FAILURES as exc:
-                return _abort(transcript, persist_dir, f"layer {layer} snapshot: {exc}")
-            state.snapshot_answer = last_snapshot.text
-        _append_layer(persist_dir, state)
-        if terminated_here:
-            transcript.stop_reason = STOP_ADAPTIVE
-            break
-    if transcript.stop_reason is None:
-        transcript.stop_reason = STOP_MAX_LAYERS
+            state = LayerState(layer, responses, selection, residual, reference, terminated_here)
+            transcript.layer_states.append(state)
+            if config.capture_layer_answers:
+                stage = f"layer {layer} snapshot"
+                snapshot = fuse(layer)
+                state.snapshot_answer = snapshot.text
+            _append_layer(persist_dir, state)
+            if terminated_here:
+                break
 
-    if last_snapshot is not None:
-        transcript.final_response = last_snapshot
-    else:
-        try:
-            transcript.final_response = aggregate(
-                aggregation_base,
-                residual,
-                backends.chat,
-                query=query,
-                template=template,
-                params=config.sampling,
-                layer=transcript.layer_states[-1].layer,
-                ledger=ledger,
-            )
-        except _CALL_FAILURES as exc:
-            return _abort(transcript, persist_dir, f"final aggregation: {exc}")
-    _flush(persist_dir, transcript)
-    return transcript
-
-
-def _abort(transcript: Transcript, persist_dir: Path | None, reason: str) -> Transcript:
-    transcript.events.append(f"aborted: {reason}")
-    transcript.stop_reason = STOP_BACKEND_ABORT
+        stage = "final aggregation"
+        transcript.final_response = snapshot if snapshot is not None else fuse(layer)
+        transcript.stop_reason = STOP_ADAPTIVE if terminated_here else STOP_MAX_LAYERS
+    except _ABORTS as exc:
+        events.append(f"aborted: {stage}: {exc}")
+        transcript.stop_reason = STOP_BACKEND_ABORT
     _flush(persist_dir, transcript)
     return transcript

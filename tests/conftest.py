@@ -56,9 +56,11 @@ class FaultyEmbedding:
 
     ``fault`` is ``"unavailable"`` (the call raises ``BackendUnavailableError``),
     ``"short"`` (one row too few), ``"dimension"`` (rows switch from 16 to
-    32 components) or ``"overflow"`` (rows alternate ``(1e200, 1e200)`` and
-    ``(1e200, -1e200)``, finite rows whose norms overflow). Each run gets a
-    fresh call count through ``fork_for_run``.
+    32 components), ``"overflow"`` (rows alternate ``(1e200, 1e200)`` and
+    ``(1e200, -1e200)``, finite rows whose norms overflow) or
+    ``"sum-overflow"`` (every row is ``(1e154, 1e154)``: each square is
+    finite, their sum is not). Each run gets a fresh call count through
+    ``fork_for_run``.
     """
 
     def __init__(self, fault: str, from_call: int = 2) -> None:
@@ -80,6 +82,8 @@ class FaultyEmbedding:
         if faulty and self.fault == "overflow":
             rows = tuple(((1e200, 1e200), (1e200, -1e200))[i % 2] for i in range(len(texts)))
             return EmbeddingBatch(rows, batch.usage, batch.model)
+        if faulty and self.fault == "sum-overflow":
+            return EmbeddingBatch(((1e154, 1e154),) * len(texts), batch.usage, batch.model)
         return batch
 
     def fork_for_run(self) -> "FaultyEmbedding":

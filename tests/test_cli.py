@@ -213,6 +213,60 @@ class TestGradeCommand:
         assert "accuracy: 1/2 = 0.5000" in stdout
 
 
+# (command, file, damage): each must end in one error line naming the file and exit 2.
+BAD_INPUT_FILES = [
+    ("run", "dataset", "missing"),
+    ("run", "dataset", "directory"),
+    ("run", "dataset", "not-utf8"),
+    ("grade", "dataset", "missing"),
+    ("grade", "answers", "missing"),
+    ("grade", "answers", "directory"),
+    ("grade", "answers", "not-utf8"),
+    ("grade", "answers", "invalid-json"),
+    ("grade", "answers", "not-an-object"),
+]
+
+
+def damage_file(path, damage):
+    if damage == "missing":
+        path.unlink()
+    elif damage == "directory":
+        path.unlink()
+        path.mkdir()
+    elif damage == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}\n")
+    else:
+        # a good first line, so an error after it must still print no grades
+        bad = "{not json" if damage == "invalid-json" else '["ex1", "answer-ex1"]'
+        path.write_text(
+            json.dumps({"id": "ex0", "answer": "answer-ex0"}) + "\n" + bad + "\n",
+            encoding="utf-8",
+        )
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize(
+        "command, role, damage", BAD_INPUT_FILES, ids=["-".join(case) for case in BAD_INPUT_FILES]
+    )
+    def test_bad_input_file_is_one_error_line(self, workspace, capsys, command, role, damage):
+        tmp_path, dataset, config = workspace
+        answers = tmp_path / "answers.jsonl"
+        write_jsonl(answers, [{"id": "ex0", "answer": "answer-ex0"}])
+        target = dataset if role == "dataset" else answers
+        damage_file(target, damage)
+        if command == "run":
+            argv = ["run", "--dataset", str(dataset), "--config", str(config),
+                    "--out", str(tmp_path / "out")]
+        else:
+            argv = ["grade", "--answers", str(answers), "--dataset", str(dataset)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {target}: ")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestReportCommand:
     def test_rerenders_existing_run(self, workspace, capsys):
         tmp_path, dataset, config = workspace

@@ -37,10 +37,9 @@ class TestEmbeddingVector:
             ((math.nan, 1.0), ValueError, "embedding components must be finite"),
             ((math.inf, 1.0), ValueError, "embedding components must be finite"),
             ((math.inf, 1e154, 1e154), ValueError, "embedding components must be finite"),
-            ((1e154, 1e154), OverflowError, "intermediate overflow in fsum"),
             ((), ValueError, "an embedding vector needs at least one component"),
         ],
-        ids=["nan", "inf", "inf-and-overflow", "overflow", "empty"],
+        ids=["nan", "inf", "inf-and-overflow", "empty"],
     )
     def test_rejected_inputs(self, components, error, message):
         with pytest.raises(error) as caught:
@@ -50,6 +49,8 @@ class TestEmbeddingVector:
 
     def test_huge_finite_components_give_an_infinite_norm(self):
         assert vec(1e200, 1.0).norm() == math.inf
+        # each square is finite, but their sum overflows inside fsum
+        assert vec(1e154, 1e154).norm() == math.inf
 
     def test_components_are_converted_to_floats(self):
         v = EmbeddingVector(("1.5", 2))

@@ -243,6 +243,21 @@ class TestRunBenchmark:
             transcript = json.loads((tmp_path / item.id / "transcript.json").read_text())
             assert transcript["events"] == ["aborted: layer 2: vector 0 has a norm that overflows"]
 
+    def test_embedding_rows_whose_squares_sum_past_the_float_range_still_write_the_report(
+        self, tmp_path
+    ):
+        items = exact_items(2)
+        config = make_config(layers=2, proposers=2, k=1)
+        bundle = Backends(
+            chat=MockChatBackend(MockRule()), embedding=FaultyEmbedding("sum-overflow")
+        )
+        run_benchmark(items, config, bundle, out_dir=tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert [item["stop_reason"] for item in payload["items"]] == ["backend_abort"] * 2
+        for item in items:
+            transcript = json.loads((tmp_path / item.id / "transcript.json").read_text())
+            assert transcript["events"] == ["aborted: layer 2: vector 0 has a norm that overflows"]
+
     def test_run_dir_layout(self, tmp_path):
         items = exact_items(2)
         config = make_config(layers=1, proposers=2, k=1)

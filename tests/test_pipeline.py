@@ -248,6 +248,52 @@ class TestRunRmoa:
         assert transcript.final_response is None
 
     @pytest.mark.parametrize(
+        ("mode", "shape", "flaky", "layers_kept", "events"),
+        [
+            *(
+                (mode, {"layers": 3, "proposers": 2}, {"fail_all": True}, [], [
+                    "layer 1 proposer 0 failed: scripted failure on call 1",
+                    "layer 1 proposer 1 failed: scripted failure on call 2",
+                    "aborted: layer 1: every proposer failed",
+                ])
+                for mode in ("rmoa", "moa")
+            ),
+            # layer 2: proposals are calls 3-4, the extractor is call 5
+            ("rmoa", {"layers": 3, "proposers": 2}, {"fail_calls": {5}}, [1],
+             ["aborted: layer 2: scripted failure on call 5"]),
+            *(
+                (mode, {"layers": 2, "proposers": 2, "capture_layer_answers": True},
+                 {"fail_calls": {3}}, [1],
+                 ["aborted: layer 1 snapshot: scripted failure on call 3"])
+                for mode in ("rmoa", "moa")
+            ),
+            *(
+                (mode, {"layers": 1, "proposers": 1}, {"fail_calls": {2}}, [1],
+                 ["aborted: final aggregation: scripted failure on call 2"])
+                for mode in ("rmoa", "moa")
+            ),
+        ],
+        ids=[
+            "proposers-rmoa", "proposers-moa", "extractor",
+            "snapshot-rmoa", "snapshot-moa", "final-rmoa", "final-moa",
+        ],
+    )
+    def test_abort_stage_is_named_in_the_event_log(
+        self, tmp_path, mode, shape, flaky, layers_kept, events
+    ):
+        config = make_config(k=1, mode=mode, **shape)
+        bundle = Backends(chat=FlakyChat(**flaky), embedding=make_mock_bundle().embedding)
+        transcript = run_pipeline(
+            "Abort somewhere.", config, bundle, parallelism=1, persist_dir=tmp_path
+        )
+        assert transcript.stop_reason == "backend_abort"
+        assert transcript.final_response is None
+        assert [state.layer for state in transcript.layer_states] == layers_kept
+        assert transcript.events == events
+        assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
+        assert not (tmp_path / "layers.jsonl").exists()
+
+    @pytest.mark.parametrize(
         ("fault", "reason"),
         [
             ("unavailable", "scripted embedding failure on call 2"),
@@ -293,6 +339,21 @@ class TestRunRmoa:
         assert transcript.layer_states == []
         assert transcript.events == ["aborted: layer 1: vector 0 has a norm that overflows"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
+
+    def test_embedding_rows_whose_squares_sum_past_the_float_range_abort_the_item(
+        self, tmp_path
+    ):
+        config = make_config(layers=3, proposers=2, k=1)
+        bundle = Backends(
+            chat=FlakyChat(), embedding=FaultyEmbedding("sum-overflow", from_call=1)
+        )
+        transcript = run_pipeline(
+            "Squares overflow.", config, bundle, parallelism=1, persist_dir=tmp_path
+        )
+        assert transcript.stop_reason == "backend_abort"
+        assert transcript.layer_states == []
+        assert transcript.events == ["aborted: layer 1: vector 0 has a norm that overflows"]
+        assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
 
     def test_embedding_dimension_change_is_harmless_under_llm_policy(self):
         config = make_config(layers=3, proposers=2, k=1, policy="llm")
