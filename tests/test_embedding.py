@@ -37,13 +37,17 @@ class TestEmbeddingVector:
             ((math.nan, 1.0), ValueError, "embedding components must be finite"),
             ((math.inf, 1.0), ValueError, "embedding components must be finite"),
             ((math.inf, 1e154, 1e154), ValueError, "embedding components must be finite"),
+            ((1e154, 1e154), DegenerateEmbeddingError, "vector 0 has a norm that overflows"),
             ((), ValueError, "an embedding vector needs at least one component"),
         ],
-        ids=["nan", "inf", "inf-and-overflow", "empty"],
+        ids=["nan", "inf", "inf-and-overflow", "overflow", "empty"],
     )
     def test_rejected_inputs(self, components, error, message):
+        # Non-finite and empty rows are refused when the vector is built; a
+        # finite row whose squares sum past the float range is built with the
+        # norm inf and refused where the layer compares it.
         with pytest.raises(error) as caught:
-            EmbeddingVector(components)
+            build_similarity_matrix([EmbeddingVector(components)])
         assert type(caught.value) is error
         assert str(caught.value) == message
 
