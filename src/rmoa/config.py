@@ -38,6 +38,12 @@ class AppConfig:
     item_parallelism: int = DEFAULT_ITEM_PARALLELISM
     proposer_parallelism: int | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("item_parallelism", "proposer_parallelism"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"execution.{name}: must be at least 1, got {value}")
+
 
 def _expect_mapping(value, name: str) -> dict:
     if value is None:

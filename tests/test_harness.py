@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import threading
 from decimal import Decimal
+from itertools import product
 
 import pytest
 
@@ -45,6 +47,29 @@ def exact_items(count: int) -> list[BenchmarkItem]:
 def answering_bundle(items) -> Backends:
     answers = {item.question: item.gold_answer for item in items}
     return make_mock_bundle(behavior="template_answer", answers=answers)
+
+
+class ThreadRecordingChat:
+    """Mock chat that notes the thread of every proposer call (the calls
+    with a system persona), and raises ``RuntimeError`` on proposer call
+    ``bug_at``, a caller bug rather than a failed call."""
+
+    def __init__(self, bug_at: int | None = None):
+        self.inner = MockChatBackend(MockRule())
+        self.model = self.inner.model
+        self.bug_at = bug_at
+        # Thread objects, not idents: an exited thread's ident can be reused.
+        self.threads: list[threading.Thread] = []
+        self._lock = threading.Lock()
+
+    def chat(self, messages, *, temperature, max_tokens):
+        if messages[0]["role"] == "system":
+            with self._lock:
+                self.threads.append(threading.current_thread())
+                calls = len(self.threads)
+            if calls == self.bug_at:
+                raise RuntimeError("caller bug")
+        return self.inner.chat(messages, temperature=temperature, max_tokens=max_tokens)
 
 
 class TestLoadDataset:
@@ -177,16 +202,58 @@ class TestRunBenchmark:
     def test_deterministic_across_item_parallelism(self):
         items = exact_items(6)
         config = make_config(layers=2, proposers=3, k=2, policy="none")
-        payloads = [
-            json.dumps(
+        payloads = {
+            (p, q): json.dumps(
                 run_benchmark(
-                    items, config, answering_bundle(items), item_parallelism=p
+                    items, config, answering_bundle(items),
+                    item_parallelism=p, proposer_parallelism=q,
                 ).to_json_dict(items),
                 sort_keys=True,
             )
-            for p in (1, 4)
-        ]
-        assert payloads[0] == payloads[1]
+            for p, q in product((1, 4), (1, 3))
+        }
+        assert len(set(payloads.values())) == 1
+
+    def test_proposer_calls_share_one_bounded_pool(self):
+        # the bound is item_parallelism x per-item workers = 2 x 3
+        items = exact_items(6)
+        config = make_config(layers=3, proposers=3, k=2, policy="none")
+        chat = ThreadRecordingChat()
+        bundle = Backends(chat=chat, embedding=MockEmbeddingBackend())
+        report = run_benchmark(items, config, bundle, item_parallelism=2)
+        assert [r.stop_reason for r in report.items] == ["max_layers"] * 6
+        assert len(chat.threads) == 6 * 3 * 3
+        assert len(set(chat.threads)) <= 6
+
+    def test_serial_proposers_run_on_the_item_thread(self):
+        items = exact_items(3)
+        config = make_config(layers=2, proposers=3, k=2, policy="none")
+        chat = ThreadRecordingChat()
+        bundle = Backends(chat=chat, embedding=MockEmbeddingBackend())
+        run_benchmark(items, config, bundle, item_parallelism=1, proposer_parallelism=1)
+        assert set(chat.threads) == {threading.current_thread()}
+
+    @pytest.mark.parametrize("bug_at", [None, 8], ids=["clean", "caller-bug"])
+    def test_run_leaves_no_threads_behind(self, bug_at):
+        items = exact_items(4)
+        config = make_config(layers=2, proposers=3, k=2, policy="none")
+        bundle = Backends(chat=ThreadRecordingChat(bug_at), embedding=MockEmbeddingBackend())
+        before = threading.active_count()
+        if bug_at is None:
+            run_benchmark(items, config, bundle, item_parallelism=2)
+        else:
+            with pytest.raises(RuntimeError, match="caller bug"):
+                run_benchmark(items, config, bundle, item_parallelism=2)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("name", ["item_parallelism", "proposer_parallelism"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_parallelism_below_one_is_rejected(self, name, value):
+        items = exact_items(2)
+        config = make_config(layers=1, proposers=2, k=1)
+        kind = name.split("_")[0]
+        with pytest.raises(ValueError, match=f"{kind}.parallelism must be at least 1, got {value}"):
+            run_benchmark(items, config, answering_bundle(items), **{name: value})
 
     def test_aborted_item_is_reported_and_run_continues(self):
         items = exact_items(3)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -16,6 +19,7 @@ from rmoa.mockbackend import MockChatBackend, MockRule
 from rmoa.pipeline import (
     RunConfig,
     build_reference_context,
+    ordered_map,
     run_pipeline,
 )
 from rmoa.termination import TerminationConfig
@@ -452,6 +456,26 @@ class TestRunRmoa:
             run_pipeline("", make_config(), bundle)
         assert bundle.chat.call_log == []
 
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_below_one_rejected_before_any_call(self, parallelism):
+        bundle = make_mock_bundle()
+        with pytest.raises(ValueError, match="parallelism must be at least 1"):
+            run_pipeline("Q", make_config(), bundle, parallelism=parallelism)
+        assert bundle.chat.call_log == []
+
+    def test_given_executor_runs_every_proposer_call(self):
+        config = make_config(layers=3, proposers=4, k=2, policy="none")
+        alone = run_pipeline("Shared pool?", config, make_mock_bundle())
+        with ThreadPoolExecutor(2) as pool:
+            shared = run_pipeline("Shared pool?", config, make_mock_bundle(), executor=pool)
+        assert shared.to_json_bytes() == alone.to_json_bytes()
+
+    def test_own_pool_is_shut_down_on_return(self):
+        config = make_config(layers=3, proposers=4, k=2, policy="none")
+        before = threading.active_count()
+        run_pipeline("Own pool.", config, make_mock_bundle(), parallelism=4)
+        assert threading.active_count() == before
+
 
 class TestRunMoa:
     def test_minimal_pipeline(self):
@@ -497,6 +521,66 @@ class TestRunMoa:
         moa_cfg = make_config(layers=1, proposers=2, k=1, mode="moa")
         assert run_pipeline("Q", rmoa_cfg, make_mock_bundle()).config.mode == "rmoa"
         assert run_pipeline("Q", moa_cfg, make_mock_bundle()).config.mode == "moa"
+
+
+class TestOrderedMap:
+    def _thread_of(self, arg):
+        return threading.current_thread()
+
+    def test_no_pool_runs_inline(self):
+        me = threading.current_thread()
+        assert ordered_map(self._thread_of, [1, 2, 3], None) == [me] * 3
+
+    def test_one_argument_runs_inline_even_with_a_pool(self):
+        with ThreadPoolExecutor(2) as pool:
+            assert ordered_map(self._thread_of, [1], pool) == [threading.current_thread()]
+            assert ordered_map(self._thread_of, [], pool) == []
+
+    def test_results_come_back_in_input_order(self):
+        def late_first(arg):
+            time.sleep((4 - arg) * 0.01)
+            return arg * arg
+
+        with ThreadPoolExecutor(4) as pool:
+            assert ordered_map(late_first, range(4), pool) == [0, 1, 4, 9]
+
+    def test_failure_cancels_only_its_own_unstarted_calls(self):
+        # Calls 0 and 1 of map B hold two of three workers until ``release``.
+        # Map A's call 0 raises on the third worker, which may then start A's
+        # call 1 (it blocks too); A's calls 2-5 must never start, and B must
+        # still return every result.
+        release = threading.Event()
+        b_started = [threading.Event(), threading.Event()]
+        a_started: list[int] = []
+        b_results: list = []
+
+        def fn_b(arg):
+            if arg < 2:
+                b_started[arg].set()
+                assert release.wait(5)
+            return arg * 10
+
+        def fn_a(arg):
+            a_started.append(arg)
+            if arg == 0:
+                raise KeyError("first call fails")
+            assert release.wait(5)
+            return arg
+
+        with ThreadPoolExecutor(3) as pool:
+            other = threading.Thread(
+                target=lambda: b_results.extend(ordered_map(fn_b, range(4), pool))
+            )
+            other.start()
+            assert all(event.wait(5) for event in b_started)
+            try:
+                with pytest.raises(KeyError, match="first call fails"):
+                    ordered_map(fn_a, range(6), pool)
+            finally:
+                release.set()
+                other.join(5)
+        assert b_results == [0, 10, 20, 30]
+        assert a_started in ([0], [0, 1])
 
 
 # sha256 of the transcript bytes, measured before the two mode loops were merged
