@@ -5,13 +5,19 @@ Start from the row with the smallest mean similarity to everything
 repeatedly add the candidate whose worst-case similarity to the already
 selected set is smallest. Every argmin breaks ties toward the lowest index,
 so the result is a pure function of the matrix and k.
+
+Each argmin is decided on the matrix's entry intervals: only the indices
+whose interval could hold the least value are contenders, and only they
+are settled on exact values (``SimilarityMatrix.exact``), by the exact
+rule. Of several indices with equal vectors only the lowest contends,
+since their exact values are equal and the lowest would win the tie.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .embedding import SimilarityMatrix
 
@@ -32,21 +38,47 @@ class SelectionResult:
             raise ValueError("selected indices must be distinct")
 
 
+def _argmin(
+    intervals: dict[int, tuple[float, float]], exact: Callable[[int], float]
+) -> int:
+    """Lowest index with the least exact value.
+
+    ``intervals`` maps indices, in ascending order, to bounds of their
+    values. An index whose interval starts above the lowest upper end
+    cannot hold the least value, so only the others have ``exact`` computed.
+    """
+    ceiling = min(high for _, high in intervals.values())
+    contenders = [i for i, (low, _) in intervals.items() if low <= ceiling]
+    if len(contenders) == 1:
+        return contenders[0]
+    return min(contenders, key=exact)
+
+
+def _distinct(matrix: SimilarityMatrix, indices: Iterable[int]) -> list[int]:
+    """``indices`` in ascending order, without any whose lower twin is among them."""
+    kept: dict[int, int] = {}
+    for i in sorted(indices):
+        kept.setdefault(matrix.twin(i), i)
+    return list(kept.values())
+
+
 def initial_index(matrix: SimilarityMatrix) -> int:
     """Index of the row with the lowest mean similarity; ties pick lowest.
 
     Row means use ``math.fsum``, so permuting a row's entries cannot change
-    its mean and exact ties stay exact.
+    its mean and exact ties stay exact. A row's mean lies between the means
+    of its entries' lower and upper bounds, taken the same way, since a
+    correctly rounded sum or quotient is monotone in its operands. Only the
+    rows whose range overlaps the best one have their exact means computed.
     """
     n = matrix.n
-    best_index = 0
-    best_mean = math.fsum(matrix.entries[0]) / n
-    for i in range(1, n):
-        mean = math.fsum(matrix.entries[i]) / n
-        if mean < best_mean:
-            best_index = i
-            best_mean = mean
-    return best_index
+    intervals = {}
+    for i in _distinct(matrix, range(n)):
+        lows, highs = matrix.bounds(i, range(n))
+        intervals[i] = (math.fsum(lows) / n, math.fsum(highs) / n)
+    return _argmin(
+        intervals, lambda i: math.fsum(matrix.exact(i, j) for j in range(n)) / n
+    )
 
 
 def next_index(
@@ -54,7 +86,12 @@ def next_index(
     selected: Iterable[int],
     candidates: Iterable[int],
 ) -> int:
-    """Candidate whose max similarity to the selected set is smallest."""
+    """Candidate whose max similarity to the selected set is smallest; ties pick lowest.
+
+    A candidate's max lies between the max of its entries' lower bounds
+    and the max of their upper bounds; only candidates whose range
+    overlaps the best one have their exact max computed.
+    """
     selected = set(selected)
     candidates = set(candidates)
     if not selected or not candidates:
@@ -64,14 +101,11 @@ def next_index(
     n = matrix.n
     if any(not 0 <= i < n for i in selected | candidates):
         raise ValueError(f"indices must lie in [0, {n})")
-    best_index = -1
-    best_score = math.inf
-    for i in sorted(candidates):
-        score = max(matrix.entries[i][q] for q in selected)
-        if score < best_score:
-            best_index = i
-            best_score = score
-    return best_index
+    intervals = {}
+    for i in _distinct(matrix, candidates):
+        lows, highs = matrix.bounds(i, selected)
+        intervals[i] = (max(lows), max(highs))
+    return _argmin(intervals, lambda i: max(matrix.exact(i, q) for q in selected))
 
 
 def greedy_diverse_select(matrix: SimilarityMatrix, k: int) -> SelectionResult:

@@ -8,11 +8,10 @@ so a single window mechanism drives every policy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .embedding import EmbeddingVector, cosine
+from .embedding import EmbeddingVector, cosine, screenable, screened_cosine
 from .errors import ConfigError
 
 TERMINATION_POLICIES = ("llm", "sim_threshold", "variance", "none")
@@ -57,8 +56,15 @@ def pairwise_similarities(
     return [cosine(p, c) for p, c in _cross_pairs(prev_vecs, curr_vecs)]
 
 
-def _has_safe_norm(vector: EmbeddingVector) -> bool:
-    return 0.0 < vector.norm() < math.inf
+def _exceeds(p: EmbeddingVector, c: EmbeddingVector, theta: float) -> bool:
+    """``cosine(p, c) > theta``, computing the exact cosine only when the
+    screened interval contains ``theta``."""
+    estimate, radius = screened_cosine(p, c)
+    if estimate - radius > theta:
+        return True
+    if estimate + radius <= theta:
+        return False
+    return cosine(p, c) > theta
 
 
 def similarity_threshold_stop(
@@ -70,16 +76,19 @@ def similarity_threshold_stop(
 
     Pairs are evaluated in the row-major order of ``pairwise_similarities``
     until the first one at or below ``theta``; the decision is the same as
-    checking them all. First, every pair whose cosine could raise (unequal
-    dimensions, or a zero or infinite norm) has that cosine computed, so a
-    bad vector anywhere in either list raises the error the full list of
-    similarities would.
+    checking them all. Each pair is decided on its screened cosine
+    (``screened_cosine``) when the interval it spans lies on one side of
+    ``theta``, and on the exact ``cosine`` only when it contains ``theta``.
+    First, every pair whose cosine could raise (unequal dimensions, or a
+    size outside the screenable range, where the norm may be zero or
+    infinite) has that cosine computed, so a bad vector anywhere in either
+    list raises the error the full list of similarities would.
     """
     pairs = _cross_pairs(prev_selected_vecs, curr_selected_vecs)
     for p, c in pairs:
-        if p.dimension != c.dimension or not (_has_safe_norm(p) and _has_safe_norm(c)):
+        if p.dimension != c.dimension or not (screenable(p) and screenable(c)):
             cosine(p, c)
-    return all(cosine(p, c) > theta for p, c in pairs)
+    return all(_exceeds(p, c, theta) for p, c in pairs)
 
 
 def squared_deviation_sum(sims: Sequence) -> object:

@@ -12,12 +12,14 @@ import random
 from rmoa.embedding import EmbeddingVector, SimilarityMatrix, build_similarity_matrix
 
 
-def naive_greedy_select(rows: list[list[float]], k: int) -> list[int]:
+def naive_greedy_select(rows: list[list[float]], k: int, total=sum) -> list[int]:
     """Step-by-step diversity selection: literal translation of the rules.
 
     Start at the row minimizing the mean over all columns (diagonal
     included); each later step takes the candidate minimizing its maximum
-    similarity to the chosen set. Ties go to the lowest index.
+    similarity to the chosen set. Ties go to the lowest index. Row sums use
+    ``total``; ``math.fsum`` makes the means the implementation's, exact
+    ties included.
     """
     n = len(rows)
     if k >= n:
@@ -25,7 +27,7 @@ def naive_greedy_select(rows: list[list[float]], k: int) -> list[int]:
     best_i = None
     best_mean = None
     for i in range(n):
-        mean = sum(rows[i][j] for j in range(n)) / n
+        mean = total(rows[i][j] for j in range(n)) / n
         if best_mean is None or mean < best_mean:
             best_i = i
             best_mean = mean
@@ -56,6 +58,14 @@ def naive_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Clamped cosine with both norms recomputed and a generator dot product."""
     dot = math.fsum(x * y for x, y in zip(a.components, b.components))
     return max(-1.0, min(1.0, dot / (naive_norm(a) * naive_norm(b))))
+
+
+def naive_entries(vectors: list[EmbeddingVector]) -> list[list[float]]:
+    """The similarity matrix by ``naive_cosine``, with a unit diagonal."""
+    return [
+        [1.0 if i == j else naive_cosine(a, b) for j, b in enumerate(vectors)]
+        for i, a in enumerate(vectors)
+    ]
 
 
 def random_vectors(

@@ -103,10 +103,12 @@ def test_criterion_01_selection_matches_naive_oracle():
     while matrices < 1000:
         n = rng.randint(1, 8)
         matrix = random_similarity_matrix(rng, n)
+        # select before reading the entries, so selection decides on the
+        # screened intervals rather than on the cached exact matrix
+        chosen = [greedy_diverse_select(matrix, k).selected_indices for k in range(1, n + 1)]
         rows = [list(row) for row in matrix.entries]
-        for k in range(1, n + 1):
-            expected = tuple(naive_greedy_select(rows, k))
-            assert greedy_diverse_select(matrix, k).selected_indices == expected
+        for k, selected in enumerate(chosen, start=1):
+            assert selected == tuple(naive_greedy_select(rows, k))
         matrices += 1
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"oracle sweep took {elapsed:.2f}s"

@@ -38,14 +38,16 @@ class TestEmbeddingVector:
             ((math.inf, 1.0), ValueError, "embedding components must be finite"),
             ((math.inf, 1e154, 1e154), ValueError, "embedding components must be finite"),
             ((1e154, 1e154), DegenerateEmbeddingError, "vector 0 has a norm that overflows"),
+            ((1e-170, 1e-170), DegenerateEmbeddingError, "vector 0 has zero norm"),
             ((), ValueError, "an embedding vector needs at least one component"),
         ],
-        ids=["nan", "inf", "inf-and-overflow", "overflow", "empty"],
+        ids=["nan", "inf", "inf-and-overflow", "overflow", "underflow", "empty"],
     )
     def test_rejected_inputs(self, components, error, message):
         # Non-finite and empty rows are refused when the vector is built; a
-        # finite row whose squares sum past the float range is built with the
-        # norm inf and refused where the layer compares it.
+        # finite row whose squares sum past the float range (or all underflow
+        # to zero, though its hypot size is positive) is built with the norm
+        # inf (or 0) and refused where the layer compares it.
         with pytest.raises(error) as caught:
             build_similarity_matrix([EmbeddingVector(components)])
         assert type(caught.value) is error
@@ -62,6 +64,7 @@ class TestEmbeddingVector:
         assert type(v.components) is tuple
         assert all(type(c) is float for c in v.components)
         assert v.norm() == 2.5
+        assert v.size == 2.5
 
 
 class TestCosine:

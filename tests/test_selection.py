@@ -15,7 +15,12 @@ from rmoa.selection import (
     next_index,
 )
 
-from oracles import naive_greedy_select, random_similarity_matrix, random_vectors
+from oracles import (
+    naive_entries,
+    naive_greedy_select,
+    random_similarity_matrix,
+    random_vectors,
+)
 
 
 class TestInitialIndex:
@@ -90,15 +95,19 @@ class TestGreedyDiverseSelect:
         assert len(runs) == 1
 
     def test_matches_naive_oracle(self):
+        # each selection runs on a fresh matrix, before its entries are read,
+        # so it decides on screened intervals, not on cached exact values
         rng = random.Random(101)
         for _ in range(300):
             n = rng.randint(1, 8)
-            matrix = random_similarity_matrix(rng, n)
-            rows = [list(row) for row in matrix.entries]
+            vectors = random_vectors(rng, n, rng.randint(2, 16))
+            rows = naive_entries(vectors)
             for k in range(1, n + 1):
+                matrix = build_similarity_matrix(vectors)
                 assert greedy_diverse_select(matrix, k).selected_indices == tuple(
                     naive_greedy_select(rows, k)
                 )
+                assert [list(row) for row in matrix.entries] == rows
 
     def test_permutation_consistency(self):
         # n = 2 is excluded: both row means are identical by construction,

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rmoa import termination
-from rmoa.embedding import EmbeddingVector, cosine
+from rmoa.embedding import EmbeddingVector, cosine, screened_cosine
 from rmoa.errors import ConfigError, DegenerateEmbeddingError
 from rmoa.termination import (
     ResidualWindow,
@@ -109,6 +109,10 @@ def perturbed(rng: random.Random, base: EmbeddingVector, scale: float) -> Embedd
     return EmbeddingVector(tuple(c + rng.gauss(0.0, scale) for c in base.components))
 
 
+def copies(vectors: list[EmbeddingVector]) -> list[EmbeddingVector]:
+    return [EmbeddingVector(v.components) for v in vectors]
+
+
 class TestSimilarityThresholdStopShortCircuit:
     def test_decision_matches_every_pair(self):
         rng = random.Random(67)
@@ -125,7 +129,9 @@ class TestSimilarityThresholdStopShortCircuit:
             else:
                 prev = random_vectors(rng, prev_count, dim)
                 curr = random_vectors(rng, curr_count, dim)
-            sims = pairwise_similarities(prev, curr)
+            # the similarities come from copies, so the stop below runs on
+            # vectors whose exact norms are not yet cached
+            sims = pairwise_similarities(copies(prev), copies(curr))
             if trial % 3 == 1:
                 theta = rng.choice(sims)  # one cosine exactly at theta
                 ties += 1
@@ -146,20 +152,27 @@ class TestSimilarityThresholdStopShortCircuit:
         assert similarity_threshold_stop([a, a], [a, a, b], 0.7999999999999999) is True
 
     def test_first_failing_pair_is_the_only_cosine(self, monkeypatch):
-        calls = []
+        screened, exact = [], []
 
-        def counting(p, c):
-            calls.append((p, c))
+        def counting_screen(p, c):
+            screened.append((p, c))
+            return screened_cosine(p, c)
+
+        def counting_exact(p, c):
+            exact.append((p, c))
             return cosine(p, c)
 
-        monkeypatch.setattr(termination, "cosine", counting)
+        monkeypatch.setattr(termination, "screened_cosine", counting_screen)
+        monkeypatch.setattr(termination, "cosine", counting_exact)
         a, b = unit(1.0, 0.0), unit(0.0, 1.0)
         assert similarity_threshold_stop([a, a, a], [b, a, a], 0.5) is False
-        assert calls == [(a, b)]
+        assert screened == [(a, b)]
 
-        calls.clear()
+        screened.clear()
         assert similarity_threshold_stop([a, a, a], [a, a, a], 0.5) is True
-        assert len(calls) == 9
+        assert len(screened) == 9
+        # every cosine is far from theta, so the screen decides each pair alone
+        assert exact == []
 
     @pytest.mark.parametrize(
         ("prev_last", "curr_last"),
