@@ -30,12 +30,10 @@ from .accounting import (
 from .backends import Backends
 from .errors import DatasetError, UndefinedRateError
 from .pipeline import (
-    CALL_THREADS,
     STOP_BACKEND_ABORT,
     RunConfig,
     Transcript,
     ordered_map,
-    proposer_workers,
     run_pipeline,
     write_atomic,
 )
@@ -46,6 +44,8 @@ GRADERS = ("boxed_math", "exact_match", "none")
 _SLUG = re.compile(r"[^A-Za-z0-9._-]+")
 
 DEFAULT_ITEM_PARALLELISM = 4
+
+_DEFAULT_MAX_PARALLEL_PROPOSERS = 8
 
 
 @dataclass(frozen=True)
@@ -298,6 +298,18 @@ def _fork(backend):
     return fork() if callable(fork) else backend
 
 
+def _check_item_dirs(items: list[BenchmarkItem], out_dir: Path) -> None:
+    """Raise ``DatasetError`` if two items would write to one directory under ``out_dir``."""
+    owners: dict[str, str] = {}
+    for item in items:
+        slug = slugify(item.id)
+        if slug in owners:
+            raise DatasetError(
+                f"items {owners[slug]!r} and {item.id!r} share the directory {out_dir / slug}"
+            )
+        owners[slug] = item.id
+
+
 def run_benchmark(
     items: list[BenchmarkItem],
     config: RunConfig,
@@ -314,7 +326,8 @@ def run_benchmark(
 
     Items run concurrently up to ``item_parallelism``; results are
     assembled in input order so reports do not depend on scheduling. An
-    aborted item is reported ungraded and the run continues.
+    aborted item is reported ungraded and the run continues. Items whose
+    ids slugify to one directory under ``out_dir`` raise ``DatasetError``.
 
     Proposer calls of all items share one pool, opened once per run, of
     ``item_parallelism`` times each item's share of threads; the share is
@@ -323,7 +336,13 @@ def run_benchmark(
     """
     if item_parallelism < 1:
         raise ValueError(f"item_parallelism must be at least 1, got {item_parallelism}")
-    share = proposer_workers(proposer_parallelism, config.proposers_per_layer)
+    share = proposer_parallelism
+    if share is None:
+        share = min(config.proposers_per_layer, _DEFAULT_MAX_PARALLEL_PROPOSERS)
+    elif share < 1:
+        raise ValueError(f"proposer parallelism must be at least 1, got {share}")
+    if out_dir is not None:
+        _check_item_dirs(items, Path(out_dir))
     prompts = prompts or load_prompt_set(config.benchmark)
 
     def run_item(item: BenchmarkItem) -> ItemResult:
@@ -339,7 +358,6 @@ def run_benchmark(
             bundle,
             prompts=prompts,
             ledger=ledger,
-            parallelism=proposer_parallelism,
             persist_dir=persist,
             executor=calls,
         )
@@ -353,7 +371,7 @@ def run_benchmark(
     # on http-fanout in 50 s runs on a 2-vCPU VM). If an item raises, items
     # still running then fail at their next proposer fan-out.
     with _thread_pool(item_parallelism, "rmoa-item") as item_threads:
-        with _thread_pool(item_parallelism * share if share > 1 else 1, CALL_THREADS) as calls:
+        with _thread_pool(item_parallelism * share if share > 1 else 1, "rmoa-call") as calls:
             results = ordered_map(run_item, items, item_threads)
     report = BenchmarkReport(results, config)
     if out_dir is not None:

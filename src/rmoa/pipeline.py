@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -75,11 +75,6 @@ class _Abort(Exception):
 
 # Everything that ends an item early as ``backend_abort``.
 _ABORTS = _CALL_FAILURES + (DegenerateEmbeddingError, DimensionMismatchError, _Abort)
-
-_DEFAULT_MAX_PARALLEL_PROPOSERS = 8
-
-# Name prefix of the threads that run proposer calls.
-CALL_THREADS = "rmoa-call"
 
 
 @dataclass(frozen=True)
@@ -270,16 +265,6 @@ def ordered_map(fn: Callable, args: Sequence, pool: Executor | None) -> list:
     return list(pool.map(fn, args))
 
 
-def proposer_workers(parallelism: int | None, proposers: int) -> int:
-    """Threads one item's proposer calls may use: ``parallelism`` if given,
-    else one per proposer up to a default cap. One means inline."""
-    if parallelism is None:
-        return min(proposers, _DEFAULT_MAX_PARALLEL_PROPOSERS)
-    if parallelism < 1:
-        raise ValueError(f"proposer parallelism must be at least 1, got {parallelism}")
-    return parallelism
-
-
 def run_pipeline(
     query: str,
     config: RunConfig,
@@ -287,17 +272,16 @@ def run_pipeline(
     *,
     prompts: PromptSet | None = None,
     ledger: UsageLedger | None = None,
-    parallelism: int | None = None,
     persist_dir: Path | None = None,
     executor: Executor | None = None,
 ) -> Transcript:
     """Run the layered pipeline for one query in the mode named in the config.
 
-    Each layer's proposer calls run on ``executor`` when one is given (a
-    benchmark run shares one across its items). Without one, a call whose
-    ``proposer_workers(parallelism, ...)`` exceeds one opens a pool of that
-    many threads for its whole layer loop and shuts it down before it
-    returns; with one worker the calls run inline, with no thread.
+    Each layer's proposer calls run on ``executor`` when one is given, for
+    example a ``ThreadPoolExecutor`` of n workers for up to n concurrent
+    calls (a benchmark run shares one across its items); the caller owns
+    and closes it. Without one, the calls run inline on the calling
+    thread, one after another.
     """
     refine = config.mode == "rmoa"
     if refine and backends.embedding is None:
@@ -311,7 +295,6 @@ def run_pipeline(
     task = prompts.render_task(query)
     template = prompts.aggregation if refine else prompts.baseline_aggregation
     count = config.proposers_per_layer
-    workers = proposer_workers(parallelism, count)
 
     def propose_layer(layer: int, references: str | None) -> list[Response]:
         # Failed slots are dropped and noted; usage goes to the ledger in
@@ -327,7 +310,7 @@ def run_pipeline(
                 return exc
 
         responses: list[Response] = []
-        for i, outcome in enumerate(ordered_map(call, range(count), pool)):
+        for i, outcome in enumerate(ordered_map(call, range(count), executor)):
             if isinstance(outcome, Exception):
                 events.append(f"layer {layer} proposer {i} failed: {outcome}")
             else:
@@ -349,10 +332,6 @@ def run_pipeline(
     residual: Residual = NO_RESIDUAL
     snapshot: Response | None = None
 
-    own = None
-    if executor is None and workers > 1:
-        own = ThreadPoolExecutor(workers, thread_name_prefix=CALL_THREADS)
-    pool = executor or own
     try:
         for layer in range(1, config.layers + 1):
             stage = f"layer {layer}"
@@ -385,7 +364,7 @@ def run_pipeline(
                 previous_selected = selected
                 previous_vectors = selected_vectors
             else:
-                selection = SelectionResult(tuple(range(len(responses))), len(responses))
+                selection = SelectionResult(tuple(range(len(responses))))
                 aggregation_base = responses
                 reference = render_numbered_responses(responses)
 
@@ -405,8 +384,5 @@ def run_pipeline(
     except _ABORTS as exc:
         events.append(f"aborted: {stage}: {exc}")
         transcript.stop_reason = STOP_BACKEND_ABORT
-    finally:
-        if own is not None:
-            own.shutdown()
     _flush(persist_dir, transcript)
     return transcript

@@ -24,18 +24,20 @@ from .embedding import SimilarityMatrix
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen indices in selection order; ``k`` is the effective count."""
+    """Chosen indices in selection order."""
 
     selected_indices: tuple[int, ...]
-    k: int
 
     def __post_init__(self) -> None:
         indices = tuple(int(i) for i in self.selected_indices)
         object.__setattr__(self, "selected_indices", indices)
-        if len(indices) != self.k:
-            raise ValueError("k must equal the number of selected indices")
         if len(set(indices)) != len(indices):
             raise ValueError("selected indices must be distinct")
+
+    @property
+    def k(self) -> int:
+        """The effective count, below the configured k when a layer has fewer replies."""
+        return len(self.selected_indices)
 
 
 def _argmin(
@@ -119,11 +121,11 @@ def greedy_diverse_select(matrix: SimilarityMatrix, k: int) -> SelectionResult:
         raise ValueError("k must be at least 1")
     n = matrix.n
     if k >= n:
-        return SelectionResult(tuple(range(n)), n)
+        return SelectionResult(tuple(range(n)))
     chosen = [initial_index(matrix)]
     candidates = set(range(n)) - set(chosen)
     while len(chosen) < k:
         index = next_index(matrix, chosen, candidates)
         chosen.append(index)
         candidates.remove(index)
-    return SelectionResult(tuple(chosen), k)
+    return SelectionResult(tuple(chosen))

@@ -17,6 +17,19 @@ from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 from rmoa.pipeline import RunConfig
 from rmoa.termination import TerminationConfig
 
+@pytest.fixture(autouse=True)
+def no_leaked_rmoa_threads():
+    """Fail a test that leaves a pool thread of the package running.
+
+    ``run_benchmark`` names its pools ``rmoa-item`` and ``rmoa-call``, and
+    closing a pool joins its threads, so none may outlive the test.
+    """
+    yield
+    leaked = [t.name for t in threading.enumerate() if t.name.startswith("rmoa-")]
+    if leaked:
+        pytest.fail(f"threads left running: {sorted(leaked)}")
+
+
 # Unit vectors at 0, 10, 90 and 100 degrees, written down as their exact
 # pairwise cosines so the 0/3 row-mean tie is exact in floats.
 _C10 = math.cos(math.radians(10))
@@ -88,6 +101,29 @@ class FaultyEmbedding:
 
     def fork_for_run(self) -> "FaultyEmbedding":
         return FaultyEmbedding(self.fault, self.from_call)
+
+
+class ThreadRecordingChat:
+    """Mock chat that notes the thread of every proposer call (the calls
+    with a system persona), and raises ``RuntimeError`` on proposer call
+    ``bug_at``, a caller bug rather than a failed call."""
+
+    def __init__(self, bug_at: int | None = None):
+        self.inner = MockChatBackend(MockRule())
+        self.model = self.inner.model
+        self.bug_at = bug_at
+        # Thread objects, not idents: an exited thread's ident can be reused.
+        self.threads: list[threading.Thread] = []
+        self._lock = threading.Lock()
+
+    def chat(self, messages, *, temperature, max_tokens):
+        if messages[0]["role"] == "system":
+            with self._lock:
+                self.threads.append(threading.current_thread())
+                calls = len(self.threads)
+            if calls == self.bug_at:
+                raise RuntimeError("caller bug")
+        return self.inner.chat(messages, temperature=temperature, max_tokens=max_tokens)
 
 
 def make_config(

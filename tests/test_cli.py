@@ -153,6 +153,26 @@ class TestRunCommand:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_ids_sharing_a_directory_exit_2(self, workspace, capsys):
+        tmp_path, _, config = workspace
+        set_key(config, "execution.item_parallelism", 4)
+        dataset = tmp_path / "clash.jsonl"
+        write_jsonl(
+            dataset,
+            [
+                {"id": item_id, "question": f"Question {n}?", "grader": "none"}
+                for n, item_id in enumerate(["q 1", "q_1", "q/1"])
+            ],
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: items 'q 1' and 'q_1' share the directory {out / 'q_1'}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key_path, value", BAD_VALUES, ids=BAD_IDS)
     def test_bad_config_value_exits_2_naming_the_key(
         self, workspace, capsys, key_path, value

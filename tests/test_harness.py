@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 from decimal import Decimal
 from itertools import product
@@ -23,7 +24,7 @@ from rmoa.harness import (
 )
 from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 
-from conftest import FaultyEmbedding, make_config, make_mock_bundle
+from conftest import FaultyEmbedding, ThreadRecordingChat, make_config, make_mock_bundle
 
 
 def write_jsonl(path, records):
@@ -47,29 +48,6 @@ def exact_items(count: int) -> list[BenchmarkItem]:
 def answering_bundle(items) -> Backends:
     answers = {item.question: item.gold_answer for item in items}
     return make_mock_bundle(behavior="template_answer", answers=answers)
-
-
-class ThreadRecordingChat:
-    """Mock chat that notes the thread of every proposer call (the calls
-    with a system persona), and raises ``RuntimeError`` on proposer call
-    ``bug_at``, a caller bug rather than a failed call."""
-
-    def __init__(self, bug_at: int | None = None):
-        self.inner = MockChatBackend(MockRule())
-        self.model = self.inner.model
-        self.bug_at = bug_at
-        # Thread objects, not idents: an exited thread's ident can be reused.
-        self.threads: list[threading.Thread] = []
-        self._lock = threading.Lock()
-
-    def chat(self, messages, *, temperature, max_tokens):
-        if messages[0]["role"] == "system":
-            with self._lock:
-                self.threads.append(threading.current_thread())
-                calls = len(self.threads)
-            if calls == self.bug_at:
-                raise RuntimeError("caller bug")
-        return self.inner.chat(messages, temperature=temperature, max_tokens=max_tokens)
 
 
 class TestLoadDataset:
@@ -254,6 +232,26 @@ class TestRunBenchmark:
         kind = name.split("_")[0]
         with pytest.raises(ValueError, match=f"{kind}.parallelism must be at least 1, got {value}"):
             run_benchmark(items, config, answering_bundle(items), **{name: value})
+
+    @pytest.mark.parametrize("item_parallelism", [1, 4])
+    def test_ids_sharing_a_directory_are_rejected_before_any_call(
+        self, tmp_path, item_parallelism
+    ):
+        items = [
+            BenchmarkItem(item_id, f"Question {n}?", "", "none")
+            for n, item_id in enumerate(["q 1", "q_1", "q/1"])
+        ]
+        config = make_config(layers=1, proposers=2, k=1)
+        bundle = make_mock_bundle()
+        out = tmp_path / "out"
+        message = f"items 'q 1' and 'q_1' share the directory {out / 'q_1'}"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            run_benchmark(items, config, bundle, out_dir=out, item_parallelism=item_parallelism)
+        assert bundle.chat.call_log == []
+        assert not out.exists()
+        # without an output directory the ids do not clash
+        report = run_benchmark(items, config, bundle, item_parallelism=item_parallelism)
+        assert [r.item_id for r in report.items] == ["q 1", "q_1", "q/1"]
 
     def test_aborted_item_is_reported_and_run_continues(self):
         items = exact_items(3)

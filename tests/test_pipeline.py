@@ -15,7 +15,7 @@ from rmoa.accounting import TokenUsage
 from rmoa.agents import NO_RESIDUAL, Residual, Response
 from rmoa.backends import Backends
 from rmoa.errors import BackendUnavailableError, ConfigError
-from rmoa.mockbackend import MockChatBackend, MockRule
+from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 from rmoa.pipeline import (
     RunConfig,
     build_reference_context,
@@ -24,7 +24,7 @@ from rmoa.pipeline import (
 )
 from rmoa.termination import TerminationConfig
 
-from conftest import FaultyEmbedding, make_config, make_mock_bundle
+from conftest import FaultyEmbedding, ThreadRecordingChat, make_config, make_mock_bundle
 
 
 def response(text: str) -> Response:
@@ -107,8 +107,9 @@ class TestRunRmoa:
 
     def test_parallelism_does_not_change_transcripts(self):
         config = make_config(layers=3, proposers=5, k=2, policy="none")
-        serial = run_pipeline("Parallel?", config, make_mock_bundle(), parallelism=1)
-        threaded = run_pipeline("Parallel?", config, make_mock_bundle(), parallelism=5)
+        serial = run_pipeline("Parallel?", config, make_mock_bundle())
+        with ThreadPoolExecutor(5) as pool:
+            threaded = run_pipeline("Parallel?", config, make_mock_bundle(), executor=pool)
         assert serial.to_json_bytes() == threaded.to_json_bytes()
 
     def test_layers_are_monotone_and_selections_valid(self):
@@ -125,7 +126,7 @@ class TestRunRmoa:
     def test_layer_one_proposers_get_no_references(self):
         config = make_config(layers=2, proposers=3, k=2, policy="none")
         bundle = make_mock_bundle()
-        run_pipeline("Check reference flow.", config, bundle, parallelism=1)
+        run_pipeline("Check reference flow.", config, bundle)
         log = bundle.chat.call_log
         layer_one_prompts = [entry["prompt"] for entry in log[:3]]
         layer_two_prompts = [entry["prompt"] for entry in log[3:6]]
@@ -188,7 +189,7 @@ class TestRunRmoa:
     def test_failed_proposer_is_dropped(self):
         config = make_config(layers=1, proposers=3, k=2)
         bundle = Backends(chat=FlakyChat(fail_calls={2}), embedding=make_mock_bundle().embedding)
-        transcript = run_pipeline("Lose one proposer.", config, bundle, parallelism=1)
+        transcript = run_pipeline("Lose one proposer.", config, bundle)
         state = transcript.layer_states[0]
         assert len(state.responses) == 2
         assert [r.agent_index for r in state.responses] == [0, 2]
@@ -213,7 +214,7 @@ class TestRunRmoa:
         # extractor is call 5 and fails
         config = make_config(layers=3, proposers=2, k=1)
         bundle = Backends(chat=FlakyChat(fail_calls={5}), embedding=make_mock_bundle().embedding)
-        transcript = run_pipeline("Extractor dies.", config, bundle, parallelism=1)
+        transcript = run_pipeline("Extractor dies.", config, bundle)
         assert transcript.stop_reason == "backend_abort"
         assert len(transcript.layer_states) == 1
 
@@ -221,7 +222,7 @@ class TestRunRmoa:
     def test_aggregator_failure_aborts(self, mode):
         config = make_config(layers=1, proposers=1, k=1, mode=mode)
         bundle = Backends(chat=FlakyChat(fail_calls={2}), embedding=make_mock_bundle().embedding)
-        transcript = run_pipeline("Aggregator dies.", config, bundle, parallelism=1)
+        transcript = run_pipeline("Aggregator dies.", config, bundle)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
         assert len(transcript.layer_states) == 1
@@ -230,7 +231,7 @@ class TestRunRmoa:
     def test_blank_aggregation_aborts(self, mode):
         config = make_config(layers=1, proposers=1, k=1, mode=mode)
         bundle = Backends(chat=FlakyChat(blank_calls={2}), embedding=make_mock_bundle().embedding)
-        transcript = run_pipeline("Aggregator goes blank.", config, bundle, parallelism=1)
+        transcript = run_pipeline("Aggregator goes blank.", config, bundle)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
         assert transcript.events == [
@@ -245,7 +246,7 @@ class TestRunRmoa:
             layers=2, proposers=2, k=1, mode=mode, capture_layer_answers=True
         )
         bundle = Backends(chat=FlakyChat(fail_calls={3}), embedding=make_mock_bundle().embedding)
-        transcript = run_pipeline("Snapshot dies.", config, bundle, parallelism=1)
+        transcript = run_pipeline("Snapshot dies.", config, bundle)
         assert transcript.stop_reason == "backend_abort"
         assert len(transcript.layer_states) == 1
         assert transcript.layer_states[0].snapshot_answer is None
@@ -287,9 +288,7 @@ class TestRunRmoa:
     ):
         config = make_config(k=1, mode=mode, **shape)
         bundle = Backends(chat=FlakyChat(**flaky), embedding=make_mock_bundle().embedding)
-        transcript = run_pipeline(
-            "Abort somewhere.", config, bundle, parallelism=1, persist_dir=tmp_path
-        )
+        transcript = run_pipeline("Abort somewhere.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
         assert [state.layer for state in transcript.layer_states] == layers_kept
@@ -307,9 +306,7 @@ class TestRunRmoa:
     def test_embedding_failure_at_layer_two_aborts(self, tmp_path, fault, reason):
         config = make_config(layers=3, proposers=2, k=1)
         bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding(fault))
-        transcript = run_pipeline(
-            "Embeddings die.", config, bundle, parallelism=1, persist_dir=tmp_path
-        )
+        transcript = run_pipeline("Embeddings die.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert [state.layer for state in transcript.layer_states] == [1]
         assert transcript.final_response is None
@@ -323,9 +320,7 @@ class TestRunRmoa:
     def test_embedding_dimension_change_aborts_in_the_stop_check(self, tmp_path, policy):
         config = make_config(layers=3, proposers=2, k=1, policy=policy)
         bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding("dimension"))
-        transcript = run_pipeline(
-            "Dimensions drift.", config, bundle, parallelism=1, persist_dir=tmp_path
-        )
+        transcript = run_pipeline("Dimensions drift.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert [state.layer for state in transcript.layer_states] == [1]
         assert transcript.events == ["aborted: layer 2: dimension mismatch: 16 vs 32"]
@@ -336,9 +331,7 @@ class TestRunRmoa:
     def test_embedding_rows_whose_norms_overflow_abort_the_item(self, tmp_path):
         config = make_config(layers=3, proposers=2, k=1)
         bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding("overflow", from_call=1))
-        transcript = run_pipeline(
-            "Norms overflow.", config, bundle, parallelism=1, persist_dir=tmp_path
-        )
+        transcript = run_pipeline("Norms overflow.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.layer_states == []
         assert transcript.events == ["aborted: layer 1: vector 0 has a norm that overflows"]
@@ -351,9 +344,7 @@ class TestRunRmoa:
         bundle = Backends(
             chat=FlakyChat(), embedding=FaultyEmbedding("sum-overflow", from_call=1)
         )
-        transcript = run_pipeline(
-            "Squares overflow.", config, bundle, parallelism=1, persist_dir=tmp_path
-        )
+        transcript = run_pipeline("Squares overflow.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.layer_states == []
         assert transcript.events == ["aborted: layer 1: vector 0 has a norm that overflows"]
@@ -362,7 +353,7 @@ class TestRunRmoa:
     def test_embedding_dimension_change_is_harmless_under_llm_policy(self):
         config = make_config(layers=3, proposers=2, k=1, policy="llm")
         bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding("dimension"))
-        transcript = run_pipeline("Dimensions drift.", config, bundle, parallelism=1)
+        transcript = run_pipeline("Dimensions drift.", config, bundle)
         assert transcript.stop_reason == "max_layers"
         assert len(transcript.layer_states) == 3
 
@@ -382,12 +373,12 @@ class TestRunRmoa:
         def bundle(**flaky):
             return Backends(chat=FlakyChat(**flaky), embedding=make_mock_bundle().embedding)
 
-        clean = run_pipeline("Crash midway.", config, bundle(), parallelism=1)
-        run_pipeline("Crash midway.", config, bundle(), parallelism=1, persist_dir=tmp_path)
+        clean = run_pipeline("Crash midway.", config, bundle())
+        run_pipeline("Crash midway.", config, bundle(), persist_dir=tmp_path)
         with pytest.raises(RuntimeError):
             run_pipeline(
                 "Crash midway.", config, bundle(fail_calls={6}, error=RuntimeError),
-                parallelism=1, persist_dir=tmp_path,
+                persist_dir=tmp_path,
             )
         lines = (tmp_path / "layers.jsonl").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line) for line in lines] == [
@@ -396,7 +387,7 @@ class TestRunRmoa:
         assert not (tmp_path / "transcript.json").exists()
         assert not (tmp_path / "ledger.json").exists()
 
-        run_pipeline("Crash midway.", config, bundle(), parallelism=1, persist_dir=tmp_path)
+        run_pipeline("Crash midway.", config, bundle(), persist_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
 
     @pytest.mark.parametrize(
@@ -409,9 +400,7 @@ class TestRunRmoa:
         bundle = Backends(
             chat=FlakyChat(fail_calls=fail_calls), embedding=make_mock_bundle().embedding
         )
-        transcript = run_pipeline(
-            "Bytes on disk.", config, bundle, parallelism=1, persist_dir=tmp_path
-        )
+        transcript = run_pipeline("Bytes on disk.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == stop_reason
         assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
         ledger_text = json.dumps(transcript.ledger.to_json_dict(), indent=2, sort_keys=True)
@@ -456,13 +445,6 @@ class TestRunRmoa:
             run_pipeline("", make_config(), bundle)
         assert bundle.chat.call_log == []
 
-    @pytest.mark.parametrize("parallelism", [0, -3])
-    def test_parallelism_below_one_rejected_before_any_call(self, parallelism):
-        bundle = make_mock_bundle()
-        with pytest.raises(ValueError, match="parallelism must be at least 1"):
-            run_pipeline("Q", make_config(), bundle, parallelism=parallelism)
-        assert bundle.chat.call_log == []
-
     def test_given_executor_runs_every_proposer_call(self):
         config = make_config(layers=3, proposers=4, k=2, policy="none")
         alone = run_pipeline("Shared pool?", config, make_mock_bundle())
@@ -470,11 +452,16 @@ class TestRunRmoa:
             shared = run_pipeline("Shared pool?", config, make_mock_bundle(), executor=pool)
         assert shared.to_json_bytes() == alone.to_json_bytes()
 
-    def test_own_pool_is_shut_down_on_return(self):
+    def test_without_executor_proposers_run_inline(self, monkeypatch):
+        def no_thread(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         config = make_config(layers=3, proposers=4, k=2, policy="none")
-        before = threading.active_count()
-        run_pipeline("Own pool.", config, make_mock_bundle(), parallelism=4)
-        assert threading.active_count() == before
+        chat = ThreadRecordingChat()
+        run_pipeline("Inline.", config, Backends(chat=chat, embedding=MockEmbeddingBackend()))
+        assert len(chat.threads) == 3 * 4
+        assert set(chat.threads) == {threading.current_thread()}
 
 
 class TestRunMoa:

@@ -143,10 +143,6 @@ class TestGreedyDiverseSelect:
 
 
 class TestSelectionResult:
-    def test_k_must_match_length(self):
-        with pytest.raises(ValueError):
-            SelectionResult((0, 1), 3)
-
     def test_indices_must_be_distinct(self):
         with pytest.raises(ValueError):
-            SelectionResult((0, 0), 2)
+            SelectionResult((0, 0))
