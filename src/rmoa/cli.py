@@ -91,7 +91,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         item_parallelism=config.item_parallelism,
         proposer_parallelism=config.proposer_parallelism,
     )
-    print(render_report_text(report.to_json_dict(items)), end="")
+    print(render_report_text(report.to_json_dict()), end="")
     return 0
 
 
@@ -123,18 +123,15 @@ def _cmd_grade(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     report_path = Path(args.run_dir) / "report.json"
     if not report_path.is_file():
-        print(f"error: {report_path} not found (run `rmoa run` first)", file=sys.stderr)
-        return 2
+        raise RmoaError(f"{report_path} not found (run `rmoa run` first)")
     try:
         report_dict = json.loads(report_path.read_text(encoding="utf-8"))
         # Renders all three reports before writing any, so a bad dict writes nothing.
         write_report_files(report_dict, Path(args.run_dir))
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        print(
-            f"error: {report_path} is not a valid report: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
+        raise RmoaError(
+            f"{report_path} is not a valid report: {type(exc).__name__}: {exc}"
+        ) from exc
     print(render_report_text(report_dict), end="")
     return 0
 
@@ -178,9 +175,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         run_benchmark(items, config, _mock_bundle(), item_parallelism=parallelism)
         for parallelism in (4, 1)
     ]
-    payloads = [
-        json.dumps(report.to_json_dict(items), sort_keys=True) for report in reports
-    ]
+    payloads = [json.dumps(report.to_json_dict(), sort_keys=True) for report in reports]
     check("benchmark report is deterministic across parallelism", payloads[0] == payloads[1])
 
     transcripts = [

@@ -43,6 +43,8 @@ GRADERS = ("boxed_math", "exact_match", "none")
 
 _SLUG = re.compile(r"[^A-Za-z0-9._-]+")
 
+REPORT_FILES = ("report.json", "report.csv", "report.txt")
+
 DEFAULT_ITEM_PARALLELISM = 4
 
 _DEFAULT_MAX_PARALLEL_PROPOSERS = 8
@@ -169,6 +171,7 @@ class ItemResult:
     cost: Decimal
     tflops: float | None
     layer_answers: list[str] | None
+    layer_correct: list[bool | None] | None = None  # grades of layer_answers; not serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,36 +229,31 @@ class BenchmarkReport:
             return None
         return sum(item.layers_used for item in self.items) / len(self.items)
 
-    def rounds(self, items_source: list[BenchmarkItem]) -> list[GradedRound]:
+    def rounds(self) -> list[GradedRound]:
         """Per-round correctness over gradable items, for flip-rate analysis.
 
-        Items that stopped early keep their last answer for later rounds.
+        Items that stopped early keep their last grade for later rounds.
         Empty unless the run captured per-layer answers.
         """
-        by_id = {item.id: item for item in items_source}
         tracked = [
-            result
+            result.layer_correct
             for result in self.items
-            if result.layer_answers
+            if result.layer_correct
             and result.correct is not None
             and result.stop_reason != STOP_BACKEND_ABORT
         ]
         if not tracked:
             return []
-        depth = max(len(result.layer_answers) for result in tracked)
+        depth = max(len(grades) for grades in tracked)
         rounds: list[GradedRound] = []
         for round_index in range(depth):
-            graded = []
-            for result in tracked:
-                answers = result.layer_answers
-                answer = answers[min(round_index, len(answers) - 1)]
-                graded.append(bool(grade_answer(by_id[result.item_id], answer)))
+            graded = [bool(grades[min(round_index, len(grades) - 1)]) for grades in tracked]
             rounds.append(GradedRound(round_index + 1, tuple(graded)))
         return rounds
 
-    def hallucination_rates(self, items_source: list[BenchmarkItem]) -> dict[int, float | None]:
+    def hallucination_rates(self) -> dict[int, float | None]:
         """Flip rate between consecutive rounds; None where undefined."""
-        rounds = self.rounds(items_source)
+        rounds = self.rounds()
         rates: dict[int, float | None] = {}
         for prev, curr in zip(rounds, rounds[1:]):
             try:
@@ -264,13 +262,10 @@ class BenchmarkReport:
                 rates[curr.round] = None
         return rates
 
-    def to_json_dict(self, items_source: list[BenchmarkItem] | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         rates = None
-        if self.config.capture_layer_answers and items_source is not None:
-            rates = {
-                str(round_number): rate
-                for round_number, rate in self.hallucination_rates(items_source).items()
-            }
+        if self.config.capture_layer_answers:
+            rates = {str(number): rate for number, rate in self.hallucination_rates().items()}
         return {
             "aggregates": {
                 "items": len(self.items),
@@ -289,8 +284,9 @@ class BenchmarkReport:
 
 
 def slugify(value: str) -> str:
+    """A directory name for ``value``; ``item`` where it would be empty, ``.`` or ``..``."""
     slug = _SLUG.sub("_", value).strip("_")
-    return slug or "item"
+    return "item" if slug in ("", ".", "..") else slug
 
 
 def _fork(backend):
@@ -298,16 +294,26 @@ def _fork(backend):
     return fork() if callable(fork) else backend
 
 
-def _check_item_dirs(items: list[BenchmarkItem], out_dir: Path) -> None:
-    """Raise ``DatasetError`` if two items would write to one directory under ``out_dir``."""
+def _check_item_dirs(items: list[BenchmarkItem], out_dir: Path) -> dict[str, Path]:
+    """Each item's directory under ``out_dir``, by id.
+
+    Raise ``DatasetError`` if two items would share a directory, or one
+    would take the name of a report file or of its temp file.
+    """
+    reserved = {name for report in REPORT_FILES for name in (report, report + ".tmp")}
     owners: dict[str, str] = {}
     for item in items:
         slug = slugify(item.id)
+        if slug in reserved:
+            raise DatasetError(
+                f"item {item.id!r} would use {out_dir / slug}, a name kept for the report files"
+            )
         if slug in owners:
             raise DatasetError(
                 f"items {owners[slug]!r} and {item.id!r} share the directory {out_dir / slug}"
             )
         owners[slug] = item.id
+    return {item_id: out_dir / slug for slug, item_id in owners.items()}
 
 
 def run_benchmark(
@@ -327,7 +333,8 @@ def run_benchmark(
     Items run concurrently up to ``item_parallelism``; results are
     assembled in input order so reports do not depend on scheduling. An
     aborted item is reported ungraded and the run continues. Items whose
-    ids slugify to one directory under ``out_dir`` raise ``DatasetError``.
+    ids slugify to one directory under ``out_dir``, or to a report file's
+    name, raise ``DatasetError``.
 
     Proposer calls of all items share one pool, opened once per run, of
     ``item_parallelism`` times each item's share of threads; the share is
@@ -341,8 +348,7 @@ def run_benchmark(
         share = min(config.proposers_per_layer, _DEFAULT_MAX_PARALLEL_PROPOSERS)
     elif share < 1:
         raise ValueError(f"proposer parallelism must be at least 1, got {share}")
-    if out_dir is not None:
-        _check_item_dirs(items, Path(out_dir))
+    item_dirs = _check_item_dirs(items, Path(out_dir)) if out_dir is not None else {}
     prompts = prompts or load_prompt_set(config.benchmark)
 
     def run_item(item: BenchmarkItem) -> ItemResult:
@@ -351,14 +357,13 @@ def run_benchmark(
             chat=_fork(backends.chat),
             embedding=_fork(backends.embedding) if backends.embedding else None,
         )
-        persist = Path(out_dir) / slugify(item.id) if out_dir else None
         transcript = run_pipeline(
             item.question,
             config,
             bundle,
             prompts=prompts,
             ledger=ledger,
-            persist_dir=persist,
+            persist_dir=item_dirs.get(item.id),
             executor=calls,
         )
         return _item_result(item, transcript)
@@ -375,7 +380,7 @@ def run_benchmark(
             results = ordered_map(run_item, items, item_threads)
     report = BenchmarkReport(results, config)
     if out_dir is not None:
-        write_report_files(report.to_json_dict(items), Path(out_dir))
+        write_report_files(report.to_json_dict(), Path(out_dir))
     return report
 
 
@@ -387,14 +392,16 @@ def _thread_pool(workers: int, name: str):
 
 
 def _item_result(item: BenchmarkItem, transcript: Transcript) -> ItemResult:
+    """The item's outcome; its final and per-layer answers are graded here, once."""
     answer = transcript.final_response.text if transcript.final_response else None
-    layer_answers = None
+    layer_answers = layer_correct = None
     if transcript.config.capture_layer_answers:
         layer_answers = [
             state.snapshot_answer
             for state in transcript.layer_states
             if state.snapshot_answer is not None
         ]
+        layer_correct = [grade_answer(item, layer_answer) for layer_answer in layer_answers]
     return ItemResult(
         item_id=item.id,
         answer=answer,
@@ -405,6 +412,7 @@ def _item_result(item: BenchmarkItem, transcript: Transcript) -> ItemResult:
         cost=dollar_cost(transcript.ledger),
         tflops=tflops_or_none(transcript.ledger),
         layer_answers=layer_answers,
+        layer_correct=layer_correct,
     )
 
 
@@ -492,11 +500,11 @@ def _text_cell(value) -> str:
 
 def write_report_files(report_dict: dict, out_dir: Path) -> None:
     """Write the three report files atomically, rendering all before writing any."""
-    texts = {
-        "report.json": json.dumps(report_dict, indent=2, sort_keys=True) + "\n",
-        "report.csv": render_report_csv(report_dict),
-        "report.txt": render_report_text(report_dict),
-    }
+    texts = (
+        json.dumps(report_dict, indent=2, sort_keys=True) + "\n",
+        render_report_csv(report_dict),
+        render_report_text(report_dict),
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
+    for name, text in zip(REPORT_FILES, texts):
         write_atomic(out_dir / name, [text])

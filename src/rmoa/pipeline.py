@@ -23,7 +23,7 @@ from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .accounting import UsageLedger
 from .agents import (
@@ -67,6 +67,9 @@ STOP_BACKEND_ABORT = "backend_abort"
 
 # Exceptions that mean "this call failed", as opposed to caller bugs.
 _CALL_FAILURES = (BackendUnavailableError, ProtocolError, EmptyResponseError)
+
+# The text of transcript.json and ledger.json: stateless, so threads share it.
+_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 class _Abort(Exception):
@@ -169,9 +172,7 @@ class Transcript:
         }
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n").encode(
-            "utf-8"
-        )
+        return "".join(_json_chunks(self.to_json_dict())).encode("utf-8")
 
 
 def _response_dict(response: Response) -> dict:
@@ -232,6 +233,11 @@ def write_atomic(path: Path, chunks: Iterable[str]) -> None:
     os.replace(temp, path)
 
 
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """``payload`` as indented, key-sorted JSON plus a final newline, in pieces."""
+    return chain(_JSON_ENCODER.iterencode(payload), "\n")
+
+
 def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
     """Write the final ``transcript.json`` and ``ledger.json``, then drop the log.
 
@@ -245,9 +251,8 @@ def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
     persist_dir = Path(persist_dir)
     persist_dir.mkdir(parents=True, exist_ok=True)
     payload = transcript.to_json_dict()
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
     for name, part in (("transcript.json", payload), ("ledger.json", payload["ledger"])):
-        write_atomic(persist_dir / name, chain(encoder.iterencode(part), "\n"))
+        write_atomic(persist_dir / name, _json_chunks(part))
     (persist_dir / "layers.jsonl").unlink(missing_ok=True)
 
 

@@ -80,13 +80,13 @@ def bench(tmp_path_factory) -> BenchmarkFixture:
     reports = [
         run_benchmark(
             items, config, make_mock_bundle(), out_dir=run_dir, item_parallelism=4
-        ).to_json_dict(items)
+        ).to_json_dict()
         for run_dir in dirs[:2]
     ]
     elapsed = time.monotonic() - start
     moa_report = run_benchmark(
         items, moa_config, make_mock_bundle(), out_dir=dirs[2], item_parallelism=4
-    ).to_json_dict(items)
+    ).to_json_dict()
     return BenchmarkFixture(
         items=items,
         rmoa_dirs=(dirs[0], dirs[1]),

@@ -173,6 +173,29 @@ class TestRunCommand:
         assert err == f"error: items 'q 1' and 'q_1' share the directory {out / 'q_1'}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("item_id", ["report.json", "report.json.tmp"])
+    def test_id_taking_a_report_file_name_exits_2(self, workspace, capsys, item_id):
+        tmp_path, _, config = workspace
+        dataset = tmp_path / "reserved.jsonl"
+        write_jsonl(
+            dataset,
+            [
+                {"id": "a", "question": "Question a?", "grader": "none"},
+                {"id": item_id, "question": "Question b?", "grader": "none"},
+            ],
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: item {item_id!r} would use {out / item_id}, "
+            "a name kept for the report files\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("key_path, value", BAD_VALUES, ids=BAD_IDS)
     def test_bad_config_value_exits_2_naming_the_key(
         self, workspace, capsys, key_path, value

@@ -185,7 +185,7 @@ class TestRunBenchmark:
                 run_benchmark(
                     items, config, answering_bundle(items),
                     item_parallelism=p, proposer_parallelism=q,
-                ).to_json_dict(items),
+                ).to_json_dict(),
                 sort_keys=True,
             )
             for p, q in product((1, 4), (1, 3))
@@ -252,6 +252,52 @@ class TestRunBenchmark:
         # without an output directory the ids do not clash
         report = run_benchmark(items, config, bundle, item_parallelism=item_parallelism)
         assert [r.item_id for r in report.items] == ["q 1", "q_1", "q/1"]
+
+    @pytest.mark.parametrize(
+        "item_id", ["report.json", "report.json.tmp", "report.csv", "report.txt.tmp"]
+    )
+    def test_id_taking_a_report_file_name_is_rejected_before_any_call(self, tmp_path, item_id):
+        items = [
+            BenchmarkItem("a", "Question a?", "", "none"),
+            BenchmarkItem(item_id, "Question b?", "", "none"),
+        ]
+        bundle = make_mock_bundle()
+        out = tmp_path / "out"
+        message = f"item {item_id!r} would use {out / item_id}, a name kept for the report files"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            run_benchmark(items, make_config(layers=1, proposers=2, k=1), bundle, out_dir=out)
+        assert bundle.chat.call_log == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item_id", [".", ".."])
+    def test_run_writes_only_item_directories_and_reports(self, tmp_path, item_id):
+        items = [
+            BenchmarkItem(item_id, "Question a?", "", "none"),
+            BenchmarkItem("b", "Question b?", "", "none"),
+        ]
+        config = make_config(layers=2, proposers=2, k=1)
+        run_benchmark(items, config, make_mock_bundle(), out_dir=tmp_path / "out")
+        written = {path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")}
+        assert written == {
+            "out",
+            "out/report.json",
+            "out/report.csv",
+            "out/report.txt",
+            "out/item",
+            "out/item/transcript.json",
+            "out/item/ledger.json",
+            "out/b",
+            "out/b/transcript.json",
+            "out/b/ledger.json",
+        }
+
+    def test_dot_ids_share_the_item_directory(self, tmp_path):
+        items = [BenchmarkItem(item_id, "Question?", "", "none") for item_id in (".", "..")]
+        bundle = make_mock_bundle()
+        message = f"items '.' and '..' share the directory {tmp_path / 'item'}"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            run_benchmark(items, make_config(layers=1, proposers=2, k=1), bundle, out_dir=tmp_path)
+        assert bundle.chat.call_log == []
 
     def test_aborted_item_is_reported_and_run_continues(self):
         items = exact_items(3)
@@ -369,15 +415,35 @@ class TestRunBenchmark:
             layers=3, proposers=2, k=1, policy="none", capture_layer_answers=True
         )
         report = run_benchmark(items, config, answering_bundle(items))
-        rounds = report.rounds(items)
+        rounds = report.rounds()
         assert [r.round for r in rounds] == [1, 2, 3]
         assert all(len(r.correctness) == 3 for r in rounds)
-        rates = report.hallucination_rates(items)
+        rates = report.hallucination_rates()
         assert set(rates) == {2, 3}
         assert rates[2] == 0.0  # answers stay the mapped gold every round
-        payload = report.to_json_dict(items)
+        payload = report.to_json_dict()
         assert payload["per_layer_capture"] is True
         assert payload["hallucination_rates"] == {"2": 0.0, "3": 0.0}
+
+    def test_each_answer_is_graded_once_when_its_item_finishes(self, monkeypatch):
+        graded = []
+
+        def counting_grade(item, answer_text):
+            graded.append(item.id)
+            return grade_answer(item, answer_text)
+
+        monkeypatch.setattr(harness, "grade_answer", counting_grade)
+        items = exact_items(3)
+        config = make_config(
+            layers=3, proposers=2, k=1, policy="none", capture_layer_answers=True
+        )
+        report = run_benchmark(items, config, answering_bundle(items))
+        # 1 final answer + 3 layer snapshots per item, all graded by the run
+        assert sorted(graded) == ["q00"] * 4 + ["q01"] * 4 + ["q02"] * 4
+        first, second = report.to_json_dict(), report.to_json_dict()
+        assert len(graded) == 12
+        assert first == second
+        assert first["hallucination_rates"] == {"2": 0.0, "3": 0.0}
 
     @pytest.mark.parametrize("answering, rate", [(True, "0.0000"), (False, "-")])
     def test_report_text_lists_flip_rates(self, answering, rate):
@@ -388,18 +454,18 @@ class TestRunBenchmark:
         )
         bundle = answering_bundle(items) if answering else make_mock_bundle()
         text = harness.render_report_text(
-            run_benchmark(items, config, bundle).to_json_dict(items)
+            run_benchmark(items, config, bundle).to_json_dict()
         )
         assert "per-layer answers captured: yes" in text
         assert f"flip rate round 2: {rate}\nflip rate round 3: {rate}\n" in text
 
 
 class TestRoundsTracking:
-    def _result(self, item_id, layer_answers, correct=True):
+    def _result(self, item, layer_answers, correct=True):
         from rmoa.harness import ItemResult
 
         return ItemResult(
-            item_id=item_id,
+            item_id=item.id,
             answer=layer_answers[-1] if layer_answers else None,
             correct=correct,
             layers_used=len(layer_answers) if layer_answers else 1,
@@ -408,6 +474,9 @@ class TestRoundsTracking:
             cost=Decimal("0"),
             tflops=None,
             layer_answers=layer_answers,
+            layer_correct=(
+                [grade_answer(item, answer) for answer in layer_answers] if layer_answers else None
+            ),
         )
 
     def test_early_stopped_items_carry_last_answer_forward(self):
@@ -421,18 +490,18 @@ class TestRoundsTracking:
         # stopped after round 1 with the right answer
         report = BenchmarkReport(
             [
-                self._result("a", ["right", "right", "wrong"], correct=False),
-                self._result("b", ["right"], correct=True),
+                self._result(items[0], ["right", "right", "wrong"], correct=False),
+                self._result(items[1], ["right"], correct=True),
             ],
             make_config(layers=3, proposers=2, k=1, capture_layer_answers=True),
         )
-        rounds = report.rounds(items)
+        rounds = report.rounds()
         assert [r.correctness for r in rounds] == [
             (True, True),
             (True, True),
             (False, True),
         ]
-        rates = report.hallucination_rates(items)
+        rates = report.hallucination_rates()
         assert rates == {2: 0.0, 3: 0.5}
 
     def test_rounds_empty_without_capture(self):
@@ -440,9 +509,9 @@ class TestRoundsTracking:
 
         items = [BenchmarkItem("a", "qa", "right", "exact_match")]
         report = BenchmarkReport(
-            [self._result("a", None)], make_config(layers=1, proposers=2, k=1)
+            [self._result(items[0], None)], make_config(layers=1, proposers=2, k=1)
         )
-        assert report.rounds(items) == []
+        assert report.rounds() == []
 
 
 class TestSlugify:
@@ -454,3 +523,11 @@ class TestSlugify:
 
     def test_empty_becomes_item(self):
         assert slugify("///") == "item"
+
+    @pytest.mark.parametrize("value", [".", "..", "./", "/.."])
+    def test_dot_names_become_item(self, value):
+        assert slugify(value) == "item"
+
+    def test_dots_within_a_name_kept(self):
+        assert slugify("...") == "..."
+        assert slugify("a..b") == "a..b"
