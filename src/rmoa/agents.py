@@ -3,6 +3,9 @@
 A proposer call carries its persona in the system message and the task
 (plus any reference block) in the user message. Extractor and aggregator
 calls are single user messages built entirely from their templates.
+
+None of them records usage: the caller reads it from the ``Response`` a
+call returns, or from the extractor's raw ``ChatResult``.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .accounting import TokenUsage, UsageLedger
-from .backends import ChatBackend
+from .accounting import TokenUsage
+from .backends import ChatBackend, ChatResult
 from .errors import EmptyResponseError
 from .prompts import PromptTemplate
 
@@ -173,29 +176,22 @@ def extract_residual(
     *,
     template: PromptTemplate,
     params: SamplingParams,
-    ledger: UsageLedger | None = None,
-) -> Residual:
-    """Ask the extractor what changed between two rounds of selections.
+) -> ChatResult:
+    """Ask the extractor what changed between two nonempty rounds of selections.
 
-    With no previous round to compare against (the first layer), this is a
-    no-op that reports no residual without touching the backend.
+    Returns the raw reply; ``parse_residual_flag`` reads its verdict.
     """
-    if not current_selected:
-        raise ValueError("current_selected must be nonempty")
-    if not previous_selected:
-        return NO_RESIDUAL
+    if not current_selected or not previous_selected:
+        raise ValueError("current_selected and previous_selected must be nonempty")
     prompt = template.render(
         current_responses=render_numbered_responses(current_selected),
         previous_responses=render_numbered_responses(previous_selected),
     )
-    result = backend.chat(
+    return backend.chat(
         [{"role": "user", "content": prompt}],
         temperature=params.temperature,
         max_tokens=params.max_tokens,
     )
-    if ledger is not None:
-        ledger.append("extractor", result.model, result.usage)
-    return parse_residual_flag(result.text)
 
 
 def aggregate(
@@ -207,7 +203,6 @@ def aggregate(
     template: PromptTemplate,
     params: SamplingParams,
     layer: int = 0,
-    ledger: UsageLedger | None = None,
 ) -> Response:
     """Fuse reference responses (and any residual) into a final answer."""
     if not previous_selected:
@@ -224,8 +219,6 @@ def aggregate(
     )
     if not result.text.strip():
         raise EmptyResponseError("aggregator returned an empty completion")
-    if ledger is not None:
-        ledger.append("aggregator", result.model, result.usage)
     return Response(
         text=result.text,
         layer=layer,

@@ -195,9 +195,11 @@ class HttpChatBackend(_HttpClient):
         data = self._post("/chat/completions", payload)
         try:
             text = data["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"content is {type(text).__name__}, not a string")
             usage = data["usage"]
             result = ChatResult(
-                text=str(text),
+                text=text,
                 usage=TokenUsage(
                     int(usage["prompt_tokens"]), int(usage["completion_tokens"])
                 ),
@@ -218,9 +220,15 @@ class HttpEmbeddingBackend(_HttpClient):
         data = self._post("/embeddings", {"model": self.model, "input": list(texts)})
         try:
             rows = sorted(data["data"], key=lambda row: int(row["index"]))
+            indices = [int(row["index"]) for row in rows]
+            if indices != list(range(len(rows))):
+                raise ValueError(f"row indices {indices} are not 0..{len(rows) - 1}")
             vectors = tuple(tuple(map(float, row["embedding"])) for row in rows)
-            usage = data.get("usage", {})
-            prompt_tokens = int(usage.get("prompt_tokens", 0))
+            # A null usage counts as missing; any other non-object is malformed.
+            usage = data.get("usage")
+            if usage is not None and not isinstance(usage, dict):
+                raise TypeError(f"usage is {type(usage).__name__}, not an object")
+            prompt_tokens = int((usage or {}).get("prompt_tokens", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed embeddings payload: {exc}") from exc
         return EmbeddingBatch(

@@ -14,6 +14,7 @@ from .config import build_backends, load_config
 from .errors import RmoaError
 from .harness import (
     BenchmarkItem,
+    answer_text,
     grade_answer,
     load_dataset,
     read_jsonl,
@@ -99,12 +100,13 @@ def _cmd_grade(args: argparse.Namespace) -> int:
     items = {item.id: item for item in load_dataset(args.dataset)}
     graded = correct = missing = 0
     for _, record in list(read_jsonl(args.answers)):
-        item = items.get(str(record.get("id")))
+        item_id = record.get("id")
+        item = None if item_id is None else items.get(str(item_id))
         if item is None:
             missing += 1
-            print(f"{record.get('id')}: not in dataset")
+            print(f"{item_id}: not in dataset")
             continue
-        verdict = grade_answer(item, str(record.get("answer", "")))
+        verdict = grade_answer(item, answer_text(record))
         if verdict is None:
             print(f"{item.id}: ungraded")
             continue

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
+from .accounting import TokenUsage
 from .backends import EmbeddingBackend
 from .errors import DegenerateEmbeddingError, DimensionMismatchError, ProtocolError
 
@@ -301,10 +302,9 @@ def embed_batch(
     texts: Sequence[str],
     backend: EmbeddingBackend,
     *,
-    ledger=None,
     on_event: Callable[[str], None] | None = None,
-) -> list[EmbeddingVector]:
-    """Embed ``texts`` in order through ``backend``.
+) -> tuple[list[EmbeddingVector], TokenUsage]:
+    """Embed ``texts`` in order through ``backend``; return the vectors and the usage.
 
     Texts beyond the backend's declared input limit are truncated first and
     the truncation is reported through ``on_event`` (default: module log).
@@ -337,6 +337,4 @@ def embed_batch(
                 f"embedding {index} has dimension {len(row)}, expected {dimension}"
             )
         vectors.append(EmbeddingVector(row))
-    if ledger is not None:
-        ledger.append("embedding", batch.model, batch.usage)
-    return vectors
+    return vectors, batch.usage

@@ -58,6 +58,8 @@ class BenchmarkItem:
     grader: str
 
     def __post_init__(self) -> None:
+        if not self.question:
+            raise DatasetError(f"item {self.id!r} has an empty question")
         if self.grader not in GRADERS:
             raise DatasetError(f"unknown grader {self.grader!r}")
         if self.grader != "none" and not self.gold_answer:
@@ -88,12 +90,16 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def load_dataset(path: str | Path) -> list[BenchmarkItem]:
-    """Parse a JSONL dataset, preserving file order and rejecting duplicates."""
+    """Parse a JSONL dataset, preserving file order and rejecting duplicates.
+
+    A JSON ``null`` counts as a missing field: ``id``, ``question`` and
+    ``grader`` are required, and a missing ``answer`` reads as ``""``.
+    """
     items: list[BenchmarkItem] = []
     seen: set[str] = set()
     for lineno, record in read_jsonl(path):
         for field_name in ("id", "question", "grader"):
-            if field_name not in record:
+            if record.get(field_name) is None:
                 raise DatasetError(f"{path}: line {lineno}: missing field {field_name!r}")
         item_id = str(record["id"])
         if item_id in seen:
@@ -104,13 +110,19 @@ def load_dataset(path: str | Path) -> list[BenchmarkItem]:
                 BenchmarkItem(
                     id=item_id,
                     question=str(record["question"]),
-                    gold_answer=str(record.get("answer", "")),
+                    gold_answer=answer_text(record),
                     grader=str(record["grader"]),
                 )
             )
         except DatasetError as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
     return items
+
+
+def answer_text(record: dict) -> str:
+    """A record's ``answer`` as text; a missing or ``null`` answer is ``""``."""
+    answer = record.get("answer")
+    return "" if answer is None else str(answer)
 
 
 def _last_boxed_group(text: str) -> str | None:

@@ -33,6 +33,7 @@ from .agents import (
     SamplingParams,
     aggregate,
     extract_residual,
+    parse_residual_flag,
     propose,
     render_numbered_responses,
 )
@@ -324,10 +325,12 @@ def run_pipeline(
         return responses
 
     def fuse(layer: int) -> Response:
-        return aggregate(
+        response = aggregate(
             aggregation_base, residual, backends.chat, query=query, template=template,
-            params=config.sampling, layer=layer, ledger=ledger,
+            params=config.sampling, layer=layer,
         )
+        ledger.append("aggregator", backends.chat.model, response.usage)
+        return response
 
     window = ResidualWindow((), config.termination.m)
     previous_selected: list[Response] = []
@@ -346,19 +349,21 @@ def run_pipeline(
 
             terminated_here = False
             if refine:
-                vectors = embed_batch(
-                    [r.text for r in responses], backends.embedding,
-                    ledger=ledger, on_event=events.append,
+                vectors, usage = embed_batch(
+                    [r.text for r in responses], backends.embedding, on_event=events.append
                 )
+                ledger.append("embedding", backends.embedding.model, usage)
                 matrix = build_similarity_matrix(vectors)
                 selection = greedy_diverse_select(matrix, config.select_k)
                 selected = [responses[i] for i in selection.selected_indices]
                 selected_vectors = [vectors[i] for i in selection.selected_indices]
-                residual = extract_residual(
-                    selected, previous_selected, backends.chat,
-                    template=prompts.extraction, params=config.sampling, ledger=ledger,
-                )
-                if layer >= 2:
+                if previous_selected:
+                    reply = extract_residual(
+                        selected, previous_selected, backends.chat,
+                        template=prompts.extraction, params=config.sampling,
+                    )
+                    ledger.append("extractor", backends.chat.model, reply.usage)
+                    residual = parse_residual_flag(reply.text)
                     converged = layer_converged(
                         config.termination, residual.detected, previous_vectors, selected_vectors
                     )

@@ -101,7 +101,6 @@ def _profile(benchmark: str) -> PromptProfile:
 class PromptSet:
     """Everything the pipeline needs to phrase its agent calls."""
 
-    benchmark: str
     extraction: PromptTemplate
     aggregation: PromptTemplate
     baseline_aggregation: PromptTemplate
@@ -122,7 +121,6 @@ def load_prompt_set(
     profile = _profile(benchmark)
     task = load_template(profile.task, directory) if profile.task else None
     return PromptSet(
-        benchmark=benchmark,
         extraction=load_template("residual_extraction", directory),
         aggregation=load_template("residual_aggregation", directory),
         baseline_aggregation=load_template("baseline_aggregation", directory),

@@ -144,6 +144,12 @@ class TestHttpChatBackend:
                 [{"role": "user", "content": "q"}], temperature=0.0, max_tokens=8
             )
 
+    @pytest.mark.parametrize("content", [None, 7, ["hello"]], ids=["null", "number", "list"])
+    def test_content_that_is_not_a_string_is_protocol_error(self, http_stub, content):
+        http_stub.script.append((200, chat_payload(content)))
+        with pytest.raises(ProtocolError, match="not a string"):
+            ask(chat_backend(http_stub))
+
     def test_non_json_body_is_protocol_error_without_retry(self, http_stub):
         http_stub.script.extend([(200, b"<html>gateway</html>"), (200, chat_payload())])
         with pytest.raises(ProtocolError, match="invalid JSON"):
@@ -186,12 +192,28 @@ class TestHttpEmbeddingBackend:
             "input": ["a", "b"],
         }
 
-    def test_usage_optional(self, http_stub):
+    @pytest.mark.parametrize("usage", [{}, {"usage": None}], ids=["missing", "null"])
+    def test_usage_optional(self, http_stub, usage):
         http_stub.script.append(
-            (200, {"data": [{"index": 0, "embedding": [1.0, 0.0]}]})
+            (200, {"data": [{"index": 0, "embedding": [1.0, 0.0]}], **usage})
         )
         batch = embedding_backend(http_stub).embed(["a"])
         assert batch.usage.prompt_tokens == 0
+
+    @pytest.mark.parametrize("usage", [[], "5", 5], ids=["list", "string", "number"])
+    def test_usage_that_is_not_an_object_is_protocol_error(self, http_stub, usage):
+        http_stub.script.append(
+            (200, {"data": [{"index": 0, "embedding": [1.0, 0.0]}], "usage": usage})
+        )
+        with pytest.raises(ProtocolError, match="usage"):
+            embedding_backend(http_stub).embed(["a"])
+
+    @pytest.mark.parametrize("indices", [(0, 0), (5, 7), (1, 2)])
+    def test_row_indices_other_than_0_to_n_are_protocol_error(self, http_stub, indices):
+        rows = [{"index": i, "embedding": [1.0, float(i)]} for i in indices]
+        http_stub.script.append((200, {"data": rows}))
+        with pytest.raises(ProtocolError, match="indices"):
+            embedding_backend(http_stub).embed(["a", "b"])
 
     def test_embed_batch_flags_dimension_disagreement(self, http_stub):
         http_stub.script.append(

@@ -196,6 +196,30 @@ class TestRunCommand:
         )
         assert not out.exists()
 
+    def test_empty_question_exits_2_before_any_backend(self, workspace, capsys, monkeypatch):
+        tmp_path, _, config = workspace
+        dataset = tmp_path / "blank.jsonl"
+        write_jsonl(
+            dataset,
+            [
+                {"id": "a", "question": "Question a?", "grader": "none"},
+                {"id": "b", "question": "", "grader": "none"},
+            ],
+        )
+
+        def no_backends(config):
+            raise AssertionError("backends built for a bad dataset")
+
+        monkeypatch.setattr("rmoa.cli.build_backends", no_backends)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {dataset}: line 2: item 'b' has an empty question\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key_path, value", BAD_VALUES, ids=BAD_IDS)
     def test_bad_config_value_exits_2_naming_the_key(
         self, workspace, capsys, key_path, value
@@ -234,6 +258,31 @@ class TestGradeCommand:
         assert "ex1: incorrect" in stdout
         assert "accuracy: 1/2 = 0.5000" in stdout
         assert "unknown ids: 1" in stdout
+
+    def test_null_fields_read_as_missing(self, tmp_path, capsys):
+        dataset = tmp_path / "none.jsonl"
+        write_jsonl(
+            dataset,
+            [
+                {"id": item_id, "question": f"Question {item_id}?", "answer": "None",
+                 "grader": "exact_match"}
+                for item_id in ("null", "missing", "None")
+            ],
+        )
+        answers = tmp_path / "answers.jsonl"
+        write_jsonl(
+            answers,
+            [{"id": "null", "answer": None}, {"id": "missing"}, {"id": None, "answer": "None"}],
+        )
+        assert main(["grade", "--answers", str(answers), "--dataset", str(dataset)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.splitlines() == [
+            "null: incorrect",
+            "missing: incorrect",
+            "None: not in dataset",
+            "accuracy: 0/2 = 0.0000",
+            "unknown ids: 1",
+        ]
 
     def test_grades_boxed_math(self, tmp_path, capsys):
         dataset = tmp_path / "math.jsonl"

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from rmoa.accounting import TokenUsage, UsageLedger
+from rmoa.accounting import TokenUsage
 from rmoa.backends import EmbeddingBatch
 from rmoa.embedding import (
     EmbeddingVector,
@@ -208,32 +208,28 @@ class TestEmbedBatch:
 
     def test_deterministic_and_order_preserving(self):
         backend = MockEmbeddingBackend(seed=3, dim=16)
-        first = embed_batch(["a", "b"], backend)
-        second = embed_batch(["a", "b"], backend)
+        first, _ = embed_batch(["a", "b"], backend)
+        second, _ = embed_batch(["a", "b"], backend)
         assert first == second
         assert first[0] == mock_embed("a", 3, 16)
         assert first[1] == mock_embed("b", 3, 16)
 
     def test_duplicates_embed_identically(self):
         backend = MockEmbeddingBackend()
-        vectors = embed_batch(["x", "x"], backend)
+        vectors, _ = embed_batch(["x", "x"], backend)
         assert vectors[0] == vectors[1]
 
     def test_truncation_is_reported(self):
         backend = MockEmbeddingBackend(seed=1, dim=8, max_input_chars=10)
         events: list[str] = []
         long_text = "y" * 50
-        vectors = embed_batch(["short", long_text], backend, on_event=events.append)
+        vectors, _ = embed_batch(["short", long_text], backend, on_event=events.append)
         assert vectors[1] == mock_embed(long_text[:10], 1, 8)
         assert len(events) == 1 and "truncated" in events[0]
 
-    def test_ledger_records_one_embedding_entry(self):
-        ledger = UsageLedger()
-        embed_batch(["a", "bb"], MockEmbeddingBackend(), ledger=ledger)
-        entries = ledger.entries
-        assert len(entries) == 1
-        assert entries[0].kind == "embedding"
-        assert entries[0].usage.prompt_tokens == 2  # ceil(1/4) + ceil(2/4)
+    def test_returns_the_backend_usage(self):
+        _, usage = embed_batch(["a", "bb"], MockEmbeddingBackend())
+        assert usage == TokenUsage(2, 0)  # ceil(1/4) + ceil(2/4)
 
     def test_wrong_count_is_protocol_error(self):
         class ShortBackend:
@@ -279,7 +275,7 @@ class TestEmbedBatch:
             def embed(self, texts):
                 return EmbeddingBatch(vectors=rows, usage=TokenUsage(0, 0), model=self.model)
 
-        vectors = embed_batch(["a", "b"], RowBackend())
+        vectors, _ = embed_batch(["a", "b"], RowBackend())
         assert tuple(v.components for v in vectors) == expected
         assert all(type(c) is float for v in vectors for c in v.components)
         assert [v.norm() for v in vectors] == [naive_norm(v) for v in vectors]

@@ -76,6 +76,37 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field_name", ["id", "question", "grader"])
+    def test_null_required_field_is_missing(self, tmp_path, field_name):
+        path = tmp_path / "data.jsonl"
+        record = {"id": "a", "question": "q", "answer": "x", "grader": "exact_match"}
+        write_jsonl(path, [record, {**record, "id": "b", field_name: None}])
+        with pytest.raises(DatasetError, match=f"line 2: missing field '{field_name}'"):
+            load_dataset(path)
+
+    def test_null_answer_reads_as_no_answer(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{"id": "a", "question": "q", "answer": None, "grader": "none"}])
+        assert load_dataset(path)[0].gold_answer == ""
+        write_jsonl(
+            path, [{"id": "a", "question": "q", "answer": None, "grader": "exact_match"}]
+        )
+        with pytest.raises(DatasetError, match="gold"):
+            load_dataset(path)
+
+    def test_empty_question_names_file_and_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"id": "a", "question": "q", "grader": "none"},
+                {"id": "b", "question": "", "grader": "none"},
+            ],
+        )
+        message = f"^{re.escape(str(path))}: line 2: item 'b' has an empty question$"
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(path)
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         valid = {"id": "a", "question": "q", "answer": "x", "grader": "exact_match"}

@@ -510,6 +510,57 @@ class TestRunMoa:
         assert run_pipeline("Q", moa_cfg, make_mock_bundle()).config.mode == "moa"
 
 
+class ServedNameChat:
+    """Mock chat whose replies name a model other than the configured one."""
+
+    model = "configured-chat"
+
+    def __init__(self):
+        self.inner = MockChatBackend(MockRule())
+
+    def chat(self, messages, *, temperature, max_tokens):
+        result = self.inner.chat(messages, temperature=temperature, max_tokens=max_tokens)
+        return replace(result, model="served")
+
+
+class ServedNameEmbedding:
+    """Mock embeddings whose replies name a model other than the configured one."""
+
+    model = "configured-embed"
+    max_input_chars = None
+
+    def embed(self, texts):
+        return replace(MockEmbeddingBackend().embed(texts), model="served")
+
+
+@pytest.mark.parametrize(
+    ("mode", "snapshots", "per_layer", "tail"),
+    [
+        ("rmoa", True, ["proposer", "proposer", "embedding", "extractor", "aggregator"], []),
+        ("moa", False, ["proposer", "proposer"], ["aggregator"]),
+    ],
+)
+def test_ledger_records_every_call_in_order_under_the_configured_model(
+    mode, snapshots, per_layer, tail
+):
+    config = make_config(
+        layers=3, proposers=2, k=1, mode=mode, capture_layer_answers=snapshots
+    )
+    backends = Backends(chat=ServedNameChat(), embedding=ServedNameEmbedding())
+    transcript = run_pipeline("Which model?", config, backends)
+    layer_one = [kind for kind in per_layer if kind != "extractor"]
+    kinds = layer_one + per_layer * 2 + tail
+    models = {"embedding": "configured-embed"}
+    assert [(e.kind, e.model) for e in transcript.ledger.entries] == [
+        (kind, models.get(kind, "configured-chat")) for kind in kinds
+    ]
+    proposer_usage = [e.usage for e in transcript.ledger.entries if e.kind == "proposer"]
+    assert proposer_usage == [
+        r.usage for state in transcript.layer_states for r in state.responses
+    ]
+    assert transcript.ledger.entries[-1].usage == transcript.final_response.usage
+
+
 class TestOrderedMap:
     def _thread_of(self, arg):
         return threading.current_thread()
