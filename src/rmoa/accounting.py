@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ConfigError, UndefinedRateError
 
@@ -95,21 +95,6 @@ class UsageLedger:
 
     def completion_tokens(self) -> int:
         return sum(e.usage.completion_tokens for e in self.entries)
-
-    @classmethod
-    def merged(cls, ledgers: Iterable["UsageLedger"]) -> "UsageLedger":
-        """Concatenate ledgers that share a price and parameter table."""
-        ledgers = list(ledgers)
-        if not ledgers:
-            return cls()
-        out = cls(ledgers[0].price_per_million_tokens, ledgers[0].params_per_model)
-        for ledger in ledgers:
-            if ledger.price_per_million_tokens != out.price_per_million_tokens:
-                raise ValueError("cannot merge ledgers with different prices")
-            out.params_per_model.update(ledger.params_per_model)
-            for entry in ledger.entries:
-                out.append(entry.kind, entry.model, entry.usage)
-        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,7 +6,9 @@ shapes: POST ``{base}/chat/completions`` with ``{"model", "messages",
 ``{"model", "input"}``. Transient failures (connection errors, timeouts,
 HTTP 429/5xx) are retried with exponential backoff, and each failed attempt
 is logged as a warning on the ``rmoa.backends`` logger; anything else is a
-protocol error and fails immediately.
+protocol error and fails immediately. That includes a reply holding the
+non-standard literals ``NaN``, ``Infinity`` or ``-Infinity``, which the
+clients never send either.
 
 Each client holds one urllib3 pool of up to 10 keep-alive connections,
 built with the client. The proxy for the base URL is read from the
@@ -136,7 +138,7 @@ class _HttpClient:
             else:
                 if response.status == 200:
                     try:
-                        return json.loads(response.data)
+                        return json.loads(response.data, parse_constant=_refuse_constant)
                     except ValueError as exc:
                         raise ProtocolError(f"{url} returned invalid JSON: {exc}") from exc
                 if response.status not in _RETRYABLE_STATUS:
@@ -158,6 +160,10 @@ class _HttpClient:
         raise BackendUnavailableError(
             f"{url} unreachable after {attempts} attempts: {last_error}"
         )
+
+
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"non-standard literal {name}")
 
 
 def _pool_for(base_url: str) -> urllib3.PoolManager:
@@ -205,7 +211,7 @@ class HttpChatBackend(_HttpClient):
                 ),
                 model=self.model,
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed chat completion payload: {exc}") from exc
         return result
 
@@ -229,7 +235,7 @@ class HttpEmbeddingBackend(_HttpClient):
             if usage is not None and not isinstance(usage, dict):
                 raise TypeError(f"usage is {type(usage).__name__}, not an object")
             prompt_tokens = int((usage or {}).get("prompt_tokens", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed embeddings payload: {exc}") from exc
         return EmbeddingBatch(
             vectors=vectors,

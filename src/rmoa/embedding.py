@@ -30,10 +30,6 @@ from .errors import DegenerateEmbeddingError, DimensionMismatchError, ProtocolEr
 
 logger = logging.getLogger(__name__)
 
-# Validation slack for matrix invariants; fsum accumulation error over
-# realistic embedding dimensions is orders of magnitude below this.
-MATRIX_TOLERANCE = 1e-9
-
 # Sizes for which the exact norm is provably positive and finite and the
 # screen's error bound holds: no square overflows, and what underflows is
 # negligible against the bound.
@@ -83,9 +79,6 @@ class EmbeddingVector:
                 norm = math.inf
             object.__setattr__(self, "_norm", norm)
         return norm
-
-    def scaled(self, factor: float) -> "EmbeddingVector":
-        return EmbeddingVector(tuple(c * factor for c in self.components))
 
 
 def _require_finite(components: tuple[float, ...]) -> None:
@@ -170,60 +163,30 @@ def screened_cosine(a: EmbeddingVector, b: EmbeddingVector) -> tuple[float, floa
 class SimilarityMatrix:
     """Square matrix of pairwise cosine similarities with unit diagonal.
 
-    A matrix built from explicit ``entries`` validates and keeps them: each
-    entry is known exactly. A matrix from ``build_similarity_matrix`` keeps
-    each entry as an interval around its screened cosine, plus the vectors:
-    ``exact(i, j)`` refines one entry with ``cosine`` and caches it, and
-    ``entries`` returns the full exact matrix, built on first read. Both
-    kinds answer ``bounds``, ``exact`` and ``twin`` alike, so selection runs
-    one code path over them. An entry whose bounds meet is exact: the
-    diagonal, a refined entry, or one whose vectors lie outside the
-    screenable range.
+    ``build_similarity_matrix`` builds it. Each entry is kept as an
+    interval around its screened cosine (``low`` and ``high``), together
+    with the vectors: ``exact(i, j)`` refines one entry with ``cosine`` and
+    caches it. An entry whose bounds meet is exact: the diagonal, a refined
+    entry, or one whose vectors lie outside the screenable range.
 
     The caches are idempotent: a refinement computes the same value
     whichever thread runs it first, and the bounds hold the entry at every
     step of its update, so instances are still safe to share across threads.
     """
 
-    __slots__ = ("_low", "_high", "_vectors", "_twins", "_entries")
+    __slots__ = ("_low", "_high", "_vectors", "_twins")
 
-    def __init__(self, entries: Sequence[Sequence[float]]) -> None:
-        rows = tuple(tuple(float(x) for x in row) for row in entries)
-        n = len(rows)
-        if n == 0:
-            raise ValueError("similarity matrix must have at least one row")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-        tol = MATRIX_TOLERANCE
-        for i in range(n):
-            if abs(rows[i][i] - 1.0) > tol:
-                raise ValueError(f"diagonal entry ({i},{i}) is {rows[i][i]!r}, not 1")
-            for j in range(n):
-                value = rows[i][j]
-                if not math.isfinite(value) or not -1.0 - tol <= value <= 1.0 + tol:
-                    raise ValueError(f"entry ({i},{j}) out of range: {value!r}")
-                if abs(value - rows[j][i]) > tol:
-                    raise ValueError(f"matrix is not symmetric at ({i},{j})")
-        self._low = self._high = self._entries = rows
-        self._vectors = ()
-        self._twins = tuple(range(n))
-
-    @classmethod
-    def _screened(
-        cls,
+    def __init__(
+        self,
         low: list[list[float]],
         high: list[list[float]],
         vectors: tuple[EmbeddingVector, ...],
         twins: tuple[int, ...],
-    ) -> "SimilarityMatrix":
-        matrix = cls.__new__(cls)
-        matrix._low = low
-        matrix._high = high
-        matrix._vectors = vectors
-        matrix._twins = twins
-        matrix._entries = None
-        return matrix
+    ) -> None:
+        self._low = low
+        self._high = high
+        self._vectors = vectors
+        self._twins = twins
 
     @property
     def n(self) -> int:
@@ -233,7 +196,6 @@ class SimilarityMatrix:
         """Lowest index whose vector has the components of vector ``i``.
 
         Equal vectors have equal exact entries against every other index.
-        An explicit matrix has no vectors, so each index is its own twin.
         """
         return self._twins[i]
 
@@ -244,7 +206,7 @@ class SimilarityMatrix:
         return [low[j] for j in columns], [high[j] for j in columns]
 
     def exact(self, i: int, j: int) -> float:
-        """Entry ``(i, j)`` as ``entries`` holds it."""
+        """The exact entry ``(i, j)``: ``cosine`` of the two vectors, 1.0 on the diagonal."""
         low = self._low[i][j]
         if low == self._high[i][j]:
             return low
@@ -252,15 +214,6 @@ class SimilarityMatrix:
         self._low[i][j] = self._low[j][i] = value
         self._high[i][j] = self._high[j][i] = value
         return value
-
-    @property
-    def entries(self) -> tuple[tuple[float, ...], ...]:
-        if self._entries is None:
-            n = self.n
-            self._entries = tuple(
-                tuple(self.exact(i, j) for j in range(n)) for i in range(n)
-            )
-        return self._entries
 
 
 def build_similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
@@ -295,7 +248,7 @@ def build_similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMat
             high[i][j] = high[j][i] = estimate + radius
             if twins[j] == j and vectors[i] == vectors[j]:
                 twins[j] = i
-    return SimilarityMatrix._screened(low, high, tuple(vectors), tuple(twins))
+    return SimilarityMatrix(low, high, tuple(vectors), tuple(twins))
 
 
 def embed_batch(

@@ -69,8 +69,9 @@ STOP_BACKEND_ABORT = "backend_abort"
 # Exceptions that mean "this call failed", as opposed to caller bugs.
 _CALL_FAILURES = (BackendUnavailableError, ProtocolError, EmptyResponseError)
 
-# The text of transcript.json and ledger.json: stateless, so threads share it.
-_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+# The one text format of layers.jsonl, transcript.json and ledger.json:
+# compact, key-sorted JSON. Stateless, so threads share it.
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class _Abort(Exception):
@@ -117,13 +118,19 @@ class RunConfig:
 
 @dataclass
 class LayerState:
-    """Everything one layer produced."""
+    """Everything one layer produced.
+
+    The reference the layer handed to the next layer's proposers is not
+    kept: it follows from the persisted fields. In ``rmoa`` mode it is
+    ``build_reference_context`` of the previous layer's selected responses
+    (at layer 1, this layer's own) and this layer's residual; in ``moa``
+    mode it is ``render_numbered_responses`` of this layer's responses.
+    """
 
     layer: int
     responses: list[Response]
     selected: SelectionResult
     residual: Residual
-    reference_context: str
     terminated_here: bool
     snapshot_answer: str | None = None
 
@@ -136,7 +143,6 @@ class LayerState:
                 "k": self.selected.k,
             },
             "residual": {"kind": self.residual.kind, "text": self.residual.text},
-            "reference_context": self.reference_context,
             "terminated_here": self.terminated_here,
             "snapshot_answer": self.snapshot_answer,
         }
@@ -148,7 +154,9 @@ class Transcript:
 
     With a persist directory, each finished layer is appended to
     ``layers.jsonl``; ``transcript.json`` and ``ledger.json`` are written
-    once, atomically, when the run completes or aborts.
+    once, atomically, when the run completes or aborts. All three hold
+    compact, key-sorted JSON from one encoder, and ``to_json_bytes`` is
+    the bytes of ``transcript.json``.
     """
 
     config: RunConfig
@@ -217,7 +225,7 @@ def _append_layer(persist_dir: Path | None, state: LayerState) -> None:
         persist_dir.mkdir(parents=True, exist_ok=True)
         for name in ("transcript.json", "ledger.json"):
             (persist_dir / name).unlink(missing_ok=True)
-    line = json.dumps(state.to_json_dict(), sort_keys=True) + "\n"
+    line = _JSON_ENCODER.encode(state.to_json_dict()) + "\n"
     mode = "w" if first else "a"
     with (persist_dir / "layers.jsonl").open(mode, encoding="utf-8") as handle:
         handle.write(line)
@@ -235,7 +243,11 @@ def write_atomic(path: Path, chunks: Iterable[str]) -> None:
 
 
 def _json_chunks(payload: dict) -> Iterator[str]:
-    """``payload`` as indented, key-sorted JSON plus a final newline, in pieces."""
+    """``payload`` as compact, key-sorted JSON plus a final newline, in pieces.
+
+    ``iterencode`` yields the same text as the one-shot ``encode`` that
+    ``_append_layer`` uses, piece by piece.
+    """
     return chain(_JSON_ENCODER.iterencode(payload), "\n")
 
 
@@ -243,9 +255,10 @@ def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
     """Write the final ``transcript.json`` and ``ledger.json``, then drop the log.
 
     Each file is streamed from ``iterencode`` rather than built by one
-    ``json.dumps``: the whole indented text of a deep transcript never sits
-    in memory at once. One string per file cost ``http-fanout`` 2.6 MB of
-    peak RSS (41.4 to 44.0 MB in a 10 s run on a 2-vCPU VM) and saved no CPU.
+    ``encode``, so the whole text of a deep transcript never sits in memory
+    at once. On ``inproc-rmoa-deep`` (4 pairs of 15 s runs, 2-vCPU VM), one
+    string per file cut CPU per item by 14% but raised peak RSS by 9%
+    (38.5 to 42.1 MB).
     """
     if persist_dir is None:
         return
@@ -378,7 +391,7 @@ def run_pipeline(
                 aggregation_base = responses
                 reference = render_numbered_responses(responses)
 
-            state = LayerState(layer, responses, selection, residual, reference, terminated_here)
+            state = LayerState(layer, responses, selection, residual, terminated_here)
             transcript.layer_states.append(state)
             if config.capture_layer_answers:
                 stage = f"layer {layer} snapshot"

@@ -17,6 +17,8 @@ from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 from rmoa.pipeline import RunConfig
 from rmoa.termination import TerminationConfig
 
+from oracles import exact_matrix
+
 @pytest.fixture(autouse=True)
 def no_leaked_rmoa_threads():
     """Fail a test that leaves a pool thread of the package running.
@@ -47,7 +49,7 @@ ANGLE_FIXTURE_ENTRIES = (
 
 @pytest.fixture
 def angle_matrix() -> SimilarityMatrix:
-    return SimilarityMatrix(ANGLE_FIXTURE_ENTRIES)
+    return exact_matrix(ANGLE_FIXTURE_ENTRIES)
 
 
 def make_mock_bundle(

@@ -8,8 +8,14 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Iterable, Sequence
 
+from rmoa.accounting import UsageLedger
 from rmoa.embedding import EmbeddingVector, SimilarityMatrix, build_similarity_matrix
+
+# Slack for the invariants of an explicit matrix; fsum accumulation error
+# over realistic embedding dimensions is orders of magnitude below this.
+MATRIX_TOLERANCE = 1e-9
 
 
 def naive_greedy_select(rows: list[list[float]], k: int, total=sum) -> list[int]:
@@ -80,3 +86,59 @@ def random_vectors(
 def random_similarity_matrix(rng: random.Random, n: int) -> SimilarityMatrix:
     dim = rng.randint(2, 16)
     return build_similarity_matrix(random_vectors(rng, n, dim))
+
+
+def exact_matrix(entries: Sequence[Sequence[float]]) -> SimilarityMatrix:
+    """A matrix whose entries are given, each exact: its bounds meet.
+
+    The entries must form a square, symmetric matrix of finite values in
+    [-1, 1] with a unit diagonal, within ``MATRIX_TOLERANCE``. It has no
+    vectors, so each index is its own twin.
+    """
+    rows = [[float(x) for x in row] for row in entries]
+    n = len(rows)
+    if n == 0:
+        raise ValueError("similarity matrix must have at least one row")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+    tol = MATRIX_TOLERANCE
+    for i in range(n):
+        if abs(rows[i][i] - 1.0) > tol:
+            raise ValueError(f"diagonal entry ({i},{i}) is {rows[i][i]!r}, not 1")
+        for j in range(n):
+            value = rows[i][j]
+            if not math.isfinite(value) or not -1.0 - tol <= value <= 1.0 + tol:
+                raise ValueError(f"entry ({i},{j}) out of range: {value!r}")
+            if abs(value - rows[j][i]) > tol:
+                raise ValueError(f"matrix is not symmetric at ({i},{j})")
+    return SimilarityMatrix(rows, rows, (), tuple(range(n)))
+
+
+def exact_entries(matrix: SimilarityMatrix) -> tuple[tuple[float, ...], ...]:
+    """Every entry of ``matrix`` through ``exact``, refining whatever is not yet exact."""
+    n = matrix.n
+    return tuple(tuple(matrix.exact(i, j) for j in range(n)) for i in range(n))
+
+
+def scaled(vector: EmbeddingVector, factor: float) -> EmbeddingVector:
+    """``vector`` with every component multiplied by ``factor``."""
+    return EmbeddingVector(tuple(c * factor for c in vector.components))
+
+
+def concatenated(ledgers: Iterable[UsageLedger]) -> UsageLedger:
+    """One ledger holding the entries of ``ledgers`` in order.
+
+    The ledgers must share a price; their parameter tables are combined.
+    """
+    ledgers = list(ledgers)
+    if not ledgers:
+        return UsageLedger()
+    out = UsageLedger(ledgers[0].price_per_million_tokens, ledgers[0].params_per_model)
+    for ledger in ledgers:
+        if ledger.price_per_million_tokens != out.price_per_million_tokens:
+            raise ValueError("cannot concatenate ledgers with different prices")
+        out.params_per_model.update(ledger.params_per_model)
+        for entry in ledger.entries:
+            out.append(entry.kind, entry.model, entry.usage)
+    return out

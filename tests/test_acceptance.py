@@ -34,11 +34,14 @@ from rmoa.termination import (
 
 from conftest import ANGLE_FIXTURE_ENTRIES, make_config, make_mock_bundle
 from oracles import (
+    concatenated,
+    exact_entries,
+    exact_matrix,
     naive_greedy_select,
     random_similarity_matrix,
     random_vectors,
+    scaled,
 )
-from rmoa.embedding import SimilarityMatrix
 
 
 def passline(number: int, label: str) -> None:
@@ -106,7 +109,7 @@ def test_criterion_01_selection_matches_naive_oracle():
         # select before reading the entries, so selection decides on the
         # screened intervals rather than on the cached exact matrix
         chosen = [greedy_diverse_select(matrix, k).selected_indices for k in range(1, n + 1)]
-        rows = [list(row) for row in matrix.entries]
+        rows = [list(row) for row in exact_entries(matrix)]
         for k, selected in enumerate(chosen, start=1):
             assert selected == tuple(naive_greedy_select(rows, k))
         matrices += 1
@@ -116,7 +119,7 @@ def test_criterion_01_selection_matches_naive_oracle():
 
 
 def test_criterion_02_hand_traced_angle_fixture():
-    matrix = SimilarityMatrix(ANGLE_FIXTURE_ENTRIES)
+    matrix = exact_matrix(ANGLE_FIXTURE_ENTRIES)
     assert greedy_diverse_select(matrix, 2).selected_indices == (0, 3)
     passline(2, "angle fixture (0/10/90/100 degrees, k=2) selects [0, 3]")
 
@@ -128,14 +131,15 @@ def test_criterion_03_matrix_invariants_and_scale_invariance():
         vectors = random_vectors(rng, rng.randint(2, 6), dim)
         matrix = build_similarity_matrix(vectors)
         n = matrix.n
+        entries = exact_entries(matrix)
         for i in range(n):
-            assert abs(matrix.entries[i][i] - 1.0) <= 1e-9
+            assert abs(entries[i][i] - 1.0) <= 1e-9
             for j in range(n):
-                assert abs(matrix.entries[i][j] - matrix.entries[j][i]) <= 1e-9
-                assert -1.0 <= matrix.entries[i][j] <= 1.0
+                assert abs(entries[i][j] - entries[j][i]) <= 1e-9
+                assert -1.0 <= entries[i][j] <= 1.0
         a, b = vectors[0], vectors[1]
         alpha = rng.uniform(1e-3, 1e3)
-        assert abs(cosine(a.scaled(alpha), b) - cosine(a, b)) <= 1e-9
+        assert abs(cosine(scaled(a, alpha), b) - cosine(a, b)) <= 1e-9
     passline(3, "matrix invariants and cosine scale invariance on 1000 sets")
 
 
@@ -197,7 +201,7 @@ def test_criterion_06_cost_arithmetic():
     for _ in range(500):
         a = _random_ledger(rng)
         b = _random_ledger(rng)
-        assert dollar_cost(UsageLedger.merged([a, b])) == dollar_cost(a) + dollar_cost(b)
+        assert dollar_cost(concatenated([a, b])) == dollar_cost(a) + dollar_cost(b)
         factor = rng.randint(1, 7)
         scaled = UsageLedger("0.30")
         for entry in a.entries:
@@ -223,7 +227,7 @@ def test_criterion_07_tflops_formula():
     for _ in range(500):
         a = _random_ledger(rng, params)
         b = _random_ledger(rng, params)
-        merged = UsageLedger.merged([a, b])
+        merged = concatenated([a, b])
         assert tflops_estimate(merged) == pytest.approx(
             tflops_estimate(a) + tflops_estimate(b), rel=1e-12, abs=1e-12
         )

@@ -18,6 +18,8 @@ from rmoa.accounting import (
 )
 from rmoa.errors import ConfigError, UndefinedRateError
 
+from oracles import concatenated
+
 
 def ledger_with(entries, price="0.30", params=None):
     ledger = UsageLedger(price, params)
@@ -67,7 +69,7 @@ class TestDollarCost:
         for _ in range(200):
             a = random_ledger(rng)
             b = random_ledger(rng)
-            merged = UsageLedger.merged([a, b])
+            merged = concatenated([a, b])
             assert dollar_cost(merged) == dollar_cost(a) + dollar_cost(b)
 
     def test_homogeneous_in_token_counts(self):
@@ -124,7 +126,7 @@ class TestTflopsEstimate:
         for _ in range(200):
             a = random_ledger(rng, params=params)
             b = random_ledger(rng, params=params)
-            merged = UsageLedger.merged([a, b])
+            merged = concatenated([a, b])
             assert tflops_estimate(merged) == pytest.approx(
                 tflops_estimate(a) + tflops_estimate(b), rel=1e-12, abs=1e-12
             )

@@ -16,6 +16,9 @@ import rmoa
 from rmoa.backends import HttpChatBackend, HttpEmbeddingBackend, RetryPolicy
 from rmoa.embedding import embed_batch
 from rmoa.errors import BackendUnavailableError, ConfigError, ProtocolError
+from rmoa.harness import BenchmarkItem, run_benchmark
+
+from conftest import make_config
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.001)
 
@@ -247,6 +250,72 @@ class TestHttpEmbeddingBackend:
         http_stub.script.append((200, {"data": [{"index": 0}]}))
         with pytest.raises(ProtocolError):
             embedding_backend(http_stub).embed(["a"])
+
+
+# Replies that only a lenient JSON parser reads, or whose token count
+# overflows an int: (call kind, body, error message).
+NON_FINITE_REPLIES = {
+    "chat-usage-overflow": (
+        "chat",
+        b'{"choices": [{"message": {"content": "x"}}],'
+        b' "usage": {"prompt_tokens": 1e400, "completion_tokens": 3}}',
+        "malformed chat completion payload",
+    ),
+    "chat-usage-infinity": (
+        "chat",
+        b'{"choices": [{"message": {"content": "x"}}],'
+        b' "usage": {"prompt_tokens": Infinity, "completion_tokens": 3}}',
+        "invalid JSON: non-standard literal Infinity",
+    ),
+    "embedding-row-nan": (
+        "embedding",
+        b'{"data": [{"index": 0, "embedding": [NaN, 1.0]}]}',
+        "invalid JSON: non-standard literal NaN",
+    ),
+    "embedding-row-minus-infinity": (
+        "embedding",
+        b'{"data": [{"index": 0, "embedding": [1.0, -Infinity]}]}',
+        "invalid JSON: non-standard literal -Infinity",
+    ),
+}
+GOOD_REPLIES = {
+    "chat": chat_payload("fine"),
+    "embedding": {"data": [{"index": 0, "embedding": [1.0, 0.0]}]},
+}
+
+
+class TestNonFiniteReplies:
+    @pytest.mark.parametrize(
+        ("kind", "body", "message"), NON_FINITE_REPLIES.values(), ids=NON_FINITE_REPLIES
+    )
+    def test_reply_is_one_request_and_a_protocol_error(self, http_stub, kind, body, message):
+        http_stub.script.extend([(200, body), (200, GOOD_REPLIES[kind])])
+        with pytest.raises(ProtocolError, match=message):
+            if kind == "chat":
+                ask(chat_backend(http_stub))
+            else:
+                embedding_backend(http_stub).embed(["a"])
+        assert len(http_stub.requests) == 1
+
+    @pytest.mark.parametrize(
+        ("kind", "body", "message"), NON_FINITE_REPLIES.values(), ids=NON_FINITE_REPLIES
+    )
+    def test_reply_aborts_its_item_and_the_report_is_written(
+        self, http_stub, tmp_path, kind, body, message
+    ):
+        # One proposer, no pools: item a makes a proposer, an embedding and
+        # an aggregator call, in that order; item b's first call of ``kind``
+        # gets the reply.
+        items = [BenchmarkItem(item_id, f"Question {item_id}?", "", "none") for item_id in "ab"]
+        good = [GOOD_REPLIES["chat"], GOOD_REPLIES["embedding"], GOOD_REPLIES["chat"]]
+        bad = [GOOD_REPLIES["chat"], body] if kind == "embedding" else [body]
+        http_stub.script.extend((200, reply) for reply in good + bad)
+        backends = rmoa.Backends(chat_backend(http_stub), embedding_backend(http_stub))
+        config = make_config(layers=1, proposers=1, k=1)
+        report = run_benchmark(items, config, backends, out_dir=tmp_path, item_parallelism=1)
+        assert [item.stop_reason for item in report.items] == ["max_layers", "backend_abort"]
+        assert len(http_stub.requests) == len(good + bad)
+        assert (tmp_path / "report.json").is_file()
 
 
 class TestTransport:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from rmoa.accounting import TokenUsage
-from rmoa.agents import NO_RESIDUAL, Residual, Response
+from rmoa.agents import NO_RESIDUAL, Residual, Response, render_numbered_responses
 from rmoa.backends import Backends
 from rmoa.errors import BackendUnavailableError, ConfigError
 from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
@@ -22,6 +22,7 @@ from rmoa.pipeline import (
     ordered_map,
     run_pipeline,
 )
+from rmoa.prompts import load_prompt_set
 from rmoa.termination import TerminationConfig
 
 from conftest import FaultyEmbedding, ThreadRecordingChat, make_config, make_mock_bundle
@@ -29,6 +30,25 @@ from conftest import FaultyEmbedding, ThreadRecordingChat, make_config, make_moc
 
 def response(text: str) -> Response:
     return Response(text, 1, 0, "role", TokenUsage(1, 1))
+
+
+def proposer_prompts_by_layer(call_log, config) -> list[list[str]]:
+    """The prompts of a run's proposer calls, one list per layer.
+
+    A proposer prompt is the only kind that starts with a role persona.
+    Every proposer call of the run must have reached the log.
+    """
+    personas = tuple(f"{role.render()}\n" for role in load_prompt_set(config.benchmark).roles)
+    prompts = [entry["prompt"] for entry in call_log if entry["prompt"].startswith(personas)]
+    count = config.proposers_per_layer
+    return [prompts[i:i + count] for i in range(0, len(prompts), count)]
+
+
+def sent_reference(prompt: str, task: str) -> str:
+    """The reference block of a refinement prompt, whose task is ``task``."""
+    _, marker, rest = prompt.partition("\nReferences:\n")
+    assert marker and rest.endswith(f"\n\n{task}")
+    return rest.removesuffix(f"\n\n{task}")
 
 
 class FlakyChat:
@@ -114,14 +134,19 @@ class TestRunRmoa:
 
     def test_layers_are_monotone_and_selections_valid(self):
         config = make_config(layers=4, proposers=6, k=3, policy="none")
-        transcript = run_pipeline("Validate shape.", config, make_mock_bundle())
+        bundle = make_mock_bundle()
+        transcript = run_pipeline("Validate shape.", config, bundle)
         for position, state in enumerate(transcript.layer_states, start=1):
             assert state.layer == position
             assert len(state.selected.selected_indices) == 3
             assert all(
                 0 <= i < len(state.responses) for i in state.selected.selected_indices
             )
-            assert state.reference_context
+        # each layer's reference, as the next layer's proposers received it
+        later_layers = proposer_prompts_by_layer(bundle.chat.call_log, config)[1:]
+        assert len(later_layers) == 3
+        for prompts in later_layers:
+            assert all(sent_reference(prompt, "Validate shape.") for prompt in prompts)
 
     def test_layer_one_proposers_get_no_references(self):
         config = make_config(layers=2, proposers=3, k=2, policy="none")
@@ -403,7 +428,7 @@ class TestRunRmoa:
         transcript = run_pipeline("Bytes on disk.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == stop_reason
         assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
-        ledger_text = json.dumps(transcript.ledger.to_json_dict(), indent=2, sort_keys=True)
+        ledger_text = json.dumps(transcript.ledger.to_json_dict(), sort_keys=True)
         assert (tmp_path / "ledger.json").read_bytes() == (ledger_text + "\n").encode("utf-8")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
 
@@ -475,13 +500,19 @@ class TestRunMoa:
 
     def test_reference_contains_all_numbered_responses(self):
         config = make_config(layers=2, proposers=4, k=2, mode="moa")
-        transcript = run_pipeline("All blocks.", config, make_mock_bundle())
+        bundle = make_mock_bundle()
+        transcript = run_pipeline("All blocks.", config, bundle)
         for state in transcript.layer_states:
-            for index in range(1, 5):
-                assert f"Response {index}:" in state.reference_context
-            assert "Response 5:" not in state.reference_context
             assert state.residual == NO_RESIDUAL
             assert state.selected.selected_indices == (0, 1, 2, 3)
+        # layer 1's reference, as the layer 2 proposers received it
+        (layer_two,) = proposer_prompts_by_layer(bundle.chat.call_log, config)[1:]
+        assert len(layer_two) == 4
+        for prompt in layer_two:
+            reference = sent_reference(prompt, "All blocks.")
+            for index in range(1, 5):
+                assert f"Response {index}:" in reference
+            assert "Response 5:" not in reference
 
     def test_chat_call_total(self):
         config = make_config(layers=4, proposers=6, k=3, mode="moa")
@@ -621,31 +652,33 @@ class TestOrderedMap:
         assert a_started in ([0], [0, 1])
 
 
-# sha256 of the transcript bytes, measured before the two mode loops were merged
+# sha256 of the transcript bytes. These are the digests of the compact format
+# without a stored reference; parsed, each transcript equals the one measured
+# before the two mode loops were merged, less its layers' references.
 @pytest.mark.parametrize(
     ("config", "bundle_args", "digest"),
     [
         (
             make_config(layers=4, proposers=6, k=3),
             {},
-            "989d38f22480a6180e9d5f69e5255a562ff5b5b768748ef8d074d3723f8c0c1d",
+            "1621effdf356e2e338c51613c801a8537a9ecc287e2eec48a6d8e7f7a27da968",
         ),
         (
             make_config(
                 layers=4, proposers=6, k=3, policy="llm", m=1, capture_layer_answers=True
             ),
             {"behavior": "residual_script", "script": (False, False, False)},
-            "6911dab2ef12611d7ab9a8e33e1556ef2985643415446756bab01d033c2f8246",
+            "894ce52ec9a15d7fb33ad4d67a99dc516a6f4b0327e568b8f055488f8fe8bfbc",
         ),
         (
             make_config(layers=3, proposers=4, k=2, mode="moa"),
             {},
-            "760439299761f640db78209d872cc3b84c4be313064718baed0b23968eca7557",
+            "7e323465fa9cea8cdfe22a92424a19ecc47b0e808426065eb49712b76ba5b49a",
         ),
         (
             make_config(layers=3, proposers=4, k=2, mode="moa", capture_layer_answers=True),
             {},
-            "ba6755eae8d43c4b0ed47d17074d6f29e17b6ffea6642387b547faf62f9a4509",
+            "ebbee7443d599702227ed285696d2048fb66eddc80bbb2881c3aa6c974437b99",
         ),
     ],
     ids=["rmoa", "rmoa-adaptive-stop-snapshots", "moa", "moa-snapshots"],
@@ -654,6 +687,73 @@ def test_transcript_bytes_pinned(config, bundle_args, digest):
     bundle = make_mock_bundle(**bundle_args)
     payload = run_pipeline("Pin the transcript.", config, bundle).to_json_bytes()
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+def _persisted_response(payload: dict) -> Response:
+    usage = payload["usage"]
+    return Response(
+        payload["text"], payload["layer"], payload["agent_index"], payload["role_name"],
+        TokenUsage(usage["prompt_tokens"], usage["completion_tokens"]),
+    )
+
+
+def rebuilt_references(transcript: dict) -> list[str]:
+    """Each layer's reference, rebuilt from the fields of ``transcript.json``.
+
+    rmoa: the previous layer's selected responses (at layer 1, the layer's
+    own selection) and this layer's residual; moa: this layer's responses.
+    """
+    references = []
+    previous_selected = None
+    for state in transcript["layer_states"]:
+        responses = [_persisted_response(r) for r in state["responses"]]
+        if transcript["config"]["mode"] == "moa":
+            references.append(render_numbered_responses(responses))
+            continue
+        selected = [responses[i] for i in state["selected"]["selected_indices"]]
+        residual = Residual(state["residual"]["kind"], state["residual"]["text"])
+        references.append(build_reference_context(previous_selected or selected, residual))
+        previous_selected = selected
+    return references
+
+
+@pytest.mark.parametrize(
+    ("config", "chat", "stop_reason", "layers_kept", "referenced_layers"),
+    [
+        (make_config(layers=4, proposers=6, k=3), None, "max_layers", 4, 3),
+        (
+            make_config(
+                layers=4, proposers=6, k=3, policy="llm", m=1, capture_layer_answers=True
+            ),
+            lambda: MockChatBackend(MockRule(behavior="residual_script", script=(False,) * 3)),
+            "adaptive_stop", 2, 1,
+        ),
+        (make_config(layers=3, proposers=4, k=2, mode="moa"), None, "max_layers", 3, 2),
+        # layer 3: proposals are calls 6-7, the extractor is call 8 and fails
+        (make_config(layers=3, proposers=2, k=1), lambda: FlakyChat(fail_calls={8}),
+         "backend_abort", 2, 2),
+    ],
+    ids=["rmoa", "rmoa-adaptive-stop-snapshots", "moa", "rmoa-abort"],
+)
+def test_reference_is_rebuilt_from_persisted_fields(
+    tmp_path, config, chat, stop_reason, layers_kept, referenced_layers
+):
+    bundle = make_mock_bundle()
+    if chat is not None:
+        bundle = Backends(chat=chat(), embedding=bundle.embedding)
+    run_pipeline("Rebuild the reference.", config, bundle, persist_dir=tmp_path)
+    transcript = json.loads((tmp_path / "transcript.json").read_text(encoding="utf-8"))
+    assert transcript["stop_reason"] == stop_reason
+    assert len(transcript["layer_states"]) == layers_kept
+    # FlakyChat logs through the mock it wraps
+    call_log = getattr(bundle.chat, "inner", bundle.chat).call_log
+    later_layers = proposer_prompts_by_layer(call_log, config)[1:]
+    assert len(later_layers) == referenced_layers
+    refinement = load_prompt_set(config.benchmark).refinement
+    for reference, prompts in zip(rebuilt_references(transcript), later_layers):
+        sent = refinement.render(references=reference, task="Rebuild the reference.")
+        assert len(prompts) == config.proposers_per_layer
+        assert all(prompt.endswith(f"\n{sent}") for prompt in prompts)
 
 
 class TestRunConfigValidation:

@@ -19,7 +19,14 @@ from rmoa.embedding import (
 from rmoa.selection import greedy_diverse_select, initial_index
 from rmoa.termination import similarity_threshold_stop
 
-from oracles import naive_cosine, naive_entries, naive_greedy_select, random_vectors
+from oracles import (
+    exact_entries,
+    naive_cosine,
+    naive_entries,
+    naive_greedy_select,
+    random_vectors,
+    scaled,
+)
 
 U = 2.0**-53
 
@@ -56,7 +63,7 @@ def last_ulp(vector: EmbeddingVector, every: bool) -> EmbeddingVector:
 
 
 def to_size(vector: EmbeddingVector, size: float) -> EmbeddingVector:
-    return vector.scaled(size / vector.size)
+    return scaled(vector, size / vector.size)
 
 
 def mirrored_layer(rng: random.Random, dim: int) -> list[EmbeddingVector]:
@@ -89,7 +96,7 @@ def adversarial_layers(rng: random.Random) -> dict[str, list[EmbeddingVector]]:
     return {
         "duplicates": [v[0], v[1], copy(v[0]), v[2], copy(v[1]), v[0]],
         "last-ulp": [v[0], last_ulp(v[0], False), v[1], last_ulp(v[0], True), v[2], v[1]],
-        "size-ratio": [v[0], v[0].scaled(1e3), v[1], v[1].scaled(1e-3), v[2], v[3].scaled(1e3)],
+        "size-ratio": [v[0], scaled(v[0], 1e3), v[1], scaled(v[1], 1e-3), v[2], scaled(v[3], 1e3)],
         "safe-range-edges": [
             to_size(v[0], 1e-140),
             to_size(v[1], 0.5e-140),
@@ -137,7 +144,7 @@ class TestDecisionsMatchExactPath:
                     matrix = build_similarity_matrix(vectors)
                     chosen = greedy_diverse_select(matrix, k).selected_indices
                     assert chosen == tuple(naive_greedy_select(rows, k, total=math.fsum)), name
-                    assert [list(row) for row in matrix.entries] == rows, name
+                    assert [list(row) for row in exact_entries(matrix)] == rows, name
 
     def test_similarity_stop(self):
         rng = random.Random(89)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from rmoa.embedding import SimilarityMatrix, build_similarity_matrix
+from rmoa.embedding import build_similarity_matrix
 from rmoa.selection import (
     SelectionResult,
     greedy_diverse_select,
@@ -16,24 +16,27 @@ from rmoa.selection import (
 )
 
 from oracles import (
+    exact_entries,
+    exact_matrix,
     naive_entries,
     naive_greedy_select,
     random_similarity_matrix,
     random_vectors,
+    scaled,
 )
 
 
 class TestInitialIndex:
     def test_single_candidate(self):
-        assert initial_index(SimilarityMatrix(((1.0,),))) == 0
+        assert initial_index(exact_matrix(((1.0,),))) == 0
 
     def test_symmetric_tie_prefers_lowest(self):
-        matrix = SimilarityMatrix(((1.0, 0.5), (0.5, 1.0)))
+        matrix = exact_matrix(((1.0, 0.5), (0.5, 1.0)))
         assert initial_index(matrix) == 0
 
     def test_angle_fixture_row_means(self, angle_matrix):
         means = [
-            math.fsum(angle_matrix.entries[i]) / angle_matrix.n for i in range(4)
+            math.fsum(exact_entries(angle_matrix)[i]) / angle_matrix.n for i in range(4)
         ]
         assert means[0] == pytest.approx(0.4528, abs=5e-4)
         assert means[1] == pytest.approx(0.5396, abs=5e-4)
@@ -44,7 +47,7 @@ class TestInitialIndex:
 
 class TestNextIndex:
     def test_single_candidate(self):
-        matrix = SimilarityMatrix(((1.0, 0.2), (0.2, 1.0)))
+        matrix = exact_matrix(((1.0, 0.2), (0.2, 1.0)))
         assert next_index(matrix, {0}, {1}) == 1
 
     def test_angle_fixture_picks_least_similar(self, angle_matrix):
@@ -52,18 +55,18 @@ class TestNextIndex:
         assert next_index(angle_matrix, {0}, {1, 2, 3}) == 3
 
     def test_tie_prefers_lowest_index(self):
-        matrix = SimilarityMatrix(
+        matrix = exact_matrix(
             ((1.0, 0.5, 0.5), (0.5, 1.0, 0.0), (0.5, 0.0, 1.0))
         )
         assert next_index(matrix, {0}, {1, 2}) == 1
 
     def test_empty_candidates_rejected(self):
-        matrix = SimilarityMatrix(((1.0, 0.2), (0.2, 1.0)))
+        matrix = exact_matrix(((1.0, 0.2), (0.2, 1.0)))
         with pytest.raises(ValueError):
             next_index(matrix, {0}, set())
 
     def test_overlapping_sets_rejected(self):
-        matrix = SimilarityMatrix(((1.0, 0.2), (0.2, 1.0)))
+        matrix = exact_matrix(((1.0, 0.2), (0.2, 1.0)))
         with pytest.raises(ValueError):
             next_index(matrix, {0}, {0, 1})
 
@@ -78,7 +81,7 @@ class TestGreedyDiverseSelect:
         assert greedy_diverse_select(angle_matrix, 2).selected_indices == (0, 3)
 
     def test_k_below_one_rejected(self):
-        matrix = SimilarityMatrix(((1.0,),))
+        matrix = exact_matrix(((1.0,),))
         with pytest.raises(ValueError):
             greedy_diverse_select(matrix, 0)
 
@@ -107,7 +110,7 @@ class TestGreedyDiverseSelect:
                 assert greedy_diverse_select(matrix, k).selected_indices == tuple(
                     naive_greedy_select(rows, k)
                 )
-                assert [list(row) for row in matrix.entries] == rows
+                assert [list(row) for row in exact_entries(matrix)] == rows
 
     def test_permutation_consistency(self):
         # n = 2 is excluded: both row means are identical by construction,
@@ -118,9 +121,10 @@ class TestGreedyDiverseSelect:
             matrix = random_similarity_matrix(rng, n)
             perm = list(range(n))
             rng.shuffle(perm)
-            permuted = SimilarityMatrix(
+            entries = exact_entries(matrix)
+            permuted = exact_matrix(
                 tuple(
-                    tuple(matrix.entries[perm[i]][perm[j]] for j in range(n))
+                    tuple(entries[perm[i]][perm[j]] for j in range(n))
                     for i in range(n)
                 )
             )
@@ -136,9 +140,9 @@ class TestGreedyDiverseSelect:
         for _ in range(50):
             vectors = random_vectors(rng, 6, rng.randint(2, 16))
             alpha = rng.uniform(1e-2, 1e2)
-            scaled = [v.scaled(alpha) for v in vectors]
+            rescaled = [scaled(v, alpha) for v in vectors]
             base = greedy_diverse_select(build_similarity_matrix(vectors), 3)
-            scale = greedy_diverse_select(build_similarity_matrix(scaled), 3)
+            scale = greedy_diverse_select(build_similarity_matrix(rescaled), 3)
             assert base.selected_indices == scale.selected_indices
 
 
