@@ -67,9 +67,11 @@ class UsageLedger:
         price_per_million_tokens: Decimal | str | int = DEFAULT_PRICE_PER_MILLION,
         params_per_model: Mapping[str, int] | None = None,
     ) -> None:
-        self.price_per_million_tokens = Decimal(str(price_per_million_tokens))
-        if self.price_per_million_tokens < 0:
-            raise ValueError("price per million tokens must be nonnegative")
+        price = Decimal(str(price_per_million_tokens))
+        # NaN is checked first: ordering a NaN Decimal raises InvalidOperation.
+        if not price.is_finite() or price < 0:
+            raise ValueError("price per million tokens must be finite and nonnegative")
+        self.price_per_million_tokens = price
         self.params_per_model = dict(params_per_model or {})
         self._entries: list[LedgerEntry] = []
         self._lock = threading.Lock()

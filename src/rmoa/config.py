@@ -39,6 +39,11 @@ class AppConfig:
     proposer_parallelism: int | None = None
 
     def __post_init__(self) -> None:
+        price = self.price_per_million_tokens
+        if not price.is_finite() or price < 0:
+            raise ConfigError(
+                f"pricing.price_per_million_tokens: must be finite and nonnegative, got {price}"
+            )
         for name in ("item_parallelism", "proposer_parallelism"):
             value = getattr(self, name)
             if value is not None and value < 1:

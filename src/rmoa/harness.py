@@ -45,6 +45,9 @@ _SLUG = re.compile(r"[^A-Za-z0-9._-]+")
 
 REPORT_FILES = ("report.json", "report.csv", "report.txt")
 
+# The longest file name most file systems take (NAME_MAX), in bytes.
+_MAX_NAME_BYTES = 255
+
 DEFAULT_ITEM_PARALLELISM = 4
 
 _DEFAULT_MAX_PARALLEL_PROPOSERS = 8
@@ -309,13 +312,19 @@ def _fork(backend):
 def _check_item_dirs(items: list[BenchmarkItem], out_dir: Path) -> dict[str, Path]:
     """Each item's directory under ``out_dir``, by id.
 
-    Raise ``DatasetError`` if two items would share a directory, or one
-    would take the name of a report file or of its temp file.
+    Raise ``DatasetError`` if two items would share a directory, one would
+    take the name of a report file or of its temp file, or one's directory
+    name is longer than 255 bytes.
     """
     reserved = {name for report in REPORT_FILES for name in (report, report + ".tmp")}
     owners: dict[str, str] = {}
     for item in items:
         slug = slugify(item.id)
+        if len(slug) > _MAX_NAME_BYTES:  # a slug is ASCII: one byte a character
+            raise DatasetError(
+                f"item {item.id!r} would use a directory name of {len(slug)} bytes, "
+                f"more than {_MAX_NAME_BYTES}"
+            )
         if slug in reserved:
             raise DatasetError(
                 f"item {item.id!r} would use {out_dir / slug}, a name kept for the report files"
@@ -346,7 +355,7 @@ def run_benchmark(
     assembled in input order so reports do not depend on scheduling. An
     aborted item is reported ungraded and the run continues. Items whose
     ids slugify to one directory under ``out_dir``, or to a report file's
-    name, raise ``DatasetError``.
+    name, or to a name longer than 255 bytes, raise ``DatasetError``.
 
     Proposer calls of all items share one pool, opened once per run, of
     ``item_parallelism`` times each item's share of threads; the share is

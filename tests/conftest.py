@@ -10,9 +10,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from rmoa.backends import Backends, EmbeddingBatch
+from rmoa.backends import Backends
 from rmoa.embedding import SimilarityMatrix
-from rmoa.errors import BackendUnavailableError
 from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 from rmoa.pipeline import RunConfig
 from rmoa.termination import TerminationConfig
@@ -66,54 +65,13 @@ def make_mock_bundle(
     )
 
 
-class FaultyEmbedding:
-    """Mock embeddings, one call per layer, that go wrong from call ``from_call`` on.
-
-    ``fault`` is ``"unavailable"`` (the call raises ``BackendUnavailableError``),
-    ``"short"`` (one row too few), ``"dimension"`` (rows switch from 16 to
-    32 components), ``"overflow"`` (rows alternate ``(1e200, 1e200)`` and
-    ``(1e200, -1e200)``, finite rows whose norms overflow) or
-    ``"sum-overflow"`` (every row is ``(1e154, 1e154)``: each square is
-    finite, their sum is not). Each run gets a fresh call count through
-    ``fork_for_run``.
-    """
-
-    def __init__(self, fault: str, from_call: int = 2) -> None:
-        self.fault = fault
-        self.from_call = from_call
-        self.model = "faulty-embed"
-        self.max_input_chars = None
-        self.calls = 0
-
-    def embed(self, texts) -> EmbeddingBatch:
-        self.calls += 1
-        faulty = self.calls >= self.from_call
-        if faulty and self.fault == "unavailable":
-            raise BackendUnavailableError(f"scripted embedding failure on call {self.calls}")
-        dim = 32 if faulty and self.fault == "dimension" else 16
-        batch = MockEmbeddingBackend(dim=dim, model=self.model).embed(texts)
-        if faulty and self.fault == "short":
-            return EmbeddingBatch(batch.vectors[:-1], batch.usage, batch.model)
-        if faulty and self.fault == "overflow":
-            rows = tuple(((1e200, 1e200), (1e200, -1e200))[i % 2] for i in range(len(texts)))
-            return EmbeddingBatch(rows, batch.usage, batch.model)
-        if faulty and self.fault == "sum-overflow":
-            return EmbeddingBatch(((1e154, 1e154),) * len(texts), batch.usage, batch.model)
-        return batch
-
-    def fork_for_run(self) -> "FaultyEmbedding":
-        return FaultyEmbedding(self.fault, self.from_call)
-
-
 class ThreadRecordingChat:
     """Mock chat that notes the thread of every proposer call (the calls
-    with a system persona), and raises ``RuntimeError`` on proposer call
-    ``bug_at``, a caller bug rather than a failed call."""
+    with a system persona)."""
 
-    def __init__(self, bug_at: int | None = None):
+    def __init__(self):
         self.inner = MockChatBackend(MockRule())
         self.model = self.inner.model
-        self.bug_at = bug_at
         # Thread objects, not idents: an exited thread's ident can be reused.
         self.threads: list[threading.Thread] = []
         self._lock = threading.Lock()
@@ -122,9 +80,6 @@ class ThreadRecordingChat:
         if messages[0]["role"] == "system":
             with self._lock:
                 self.threads.append(threading.current_thread())
-                calls = len(self.threads)
-            if calls == self.bug_at:
-                raise RuntimeError("caller bug")
         return self.inner.chat(messages, temperature=temperature, max_tokens=max_tokens)
 
 
@@ -201,7 +156,10 @@ class HttpStub:
         self.server.script = []
         self.server.requests = []
         self.server.lock = threading.Lock()
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll interval, so that shutdown() need not wait out the 0.5 s default
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self.thread.start()
 
     @property

@@ -90,6 +90,11 @@ class TestDollarCost:
         with pytest.raises(ValueError):
             UsageLedger("-0.1")
 
+    @pytest.mark.parametrize("price", ["NaN", "sNaN", "Infinity", "-Infinity", float("inf")])
+    def test_price_that_is_not_finite_is_rejected(self, price):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            UsageLedger(price)
+
 
 class TestTflopsEstimate:
     def test_zero_tokens(self):

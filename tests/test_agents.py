@@ -20,10 +20,12 @@ from rmoa.agents import (
     propose,
     render_numbered_responses,
 )
-from rmoa.backends import ChatResult
 from rmoa.errors import EmptyResponseError
 from rmoa.mockbackend import MockChatBackend, MockRule
 from rmoa.prompts import load_prompt_set
+
+from conftest import make_mock_bundle
+from faults import FaultPlan
 
 
 def response(text: str, layer: int = 1, index: int = 0) -> Response:
@@ -127,14 +129,9 @@ class TestPropose:
             propose("", None, self.prompts.roles[0], self.backend, self.params)
 
     def test_empty_completion_is_error(self):
-        class BlankBackend:
-            model = "blank"
-
-            def chat(self, messages, *, temperature, max_tokens):
-                return ChatResult("   ", TokenUsage(1, 0), self.model)
-
+        blank = FaultPlan(make_mock_bundle(), {("proposer", 1, 0): "empty"}).chat
         with pytest.raises(EmptyResponseError):
-            propose("Q", None, self.prompts.roles[0], BlankBackend(), self.params)
+            propose("Q", None, self.prompts.roles[0], blank, self.params)
 
 
 class TestExtractResidual:

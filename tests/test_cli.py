@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import pytest
@@ -37,6 +38,11 @@ BAD_VALUES = [
     ("execution.item_parallelism", -3),
     ("execution.proposer_parallelism", 0),
     ("execution.proposer_parallelism", -3),
+    ("pricing.price_per_million_tokens", -1),
+    ("pricing.price_per_million_tokens", "NaN"),
+    # written as the bare JSON literals NaN and Infinity, which load_config accepts
+    ("pricing.price_per_million_tokens", math.nan),
+    ("pricing.price_per_million_tokens", math.inf),
 ]
 # A number or boolean shares its key path with a string case, so its id names the value.
 BAD_IDS = [
@@ -193,6 +199,28 @@ class TestRunCommand:
         assert err == (
             f"error: item {item_id!r} would use {out / item_id}, "
             "a name kept for the report files\n"
+        )
+        assert not out.exists()
+
+    def test_id_longer_than_a_file_name_exits_2(self, workspace, capsys):
+        tmp_path, _, config = workspace
+        item_id = "b" * 300
+        dataset = tmp_path / "long.jsonl"
+        write_jsonl(
+            dataset,
+            [
+                {"id": "a", "question": "Question a?", "grader": "none"},
+                {"id": item_id, "question": "Question b?", "grader": "none"},
+            ],
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: item {item_id!r} would use a directory name of 300 bytes, more than 255\n"
         )
         assert not out.exists()
 

@@ -22,6 +22,8 @@ from rmoa.errors import (
 )
 from rmoa.mockbackend import MockEmbeddingBackend, mock_embed
 
+from conftest import make_mock_bundle
+from faults import FaultPlan
 from oracles import (
     exact_entries,
     exact_matrix,
@@ -30,6 +32,11 @@ from oracles import (
     random_vectors,
     scaled,
 )
+
+
+def faulty_embedding(fault: str):
+    """Mock embeddings whose first call gets ``fault``."""
+    return FaultPlan(make_mock_bundle(), {("embedding", 1): fault}).embedding
 
 
 def vec(*components: float) -> EmbeddingVector:
@@ -240,32 +247,12 @@ class TestEmbedBatch:
         assert usage == TokenUsage(2, 0)  # ceil(1/4) + ceil(2/4)
 
     def test_wrong_count_is_protocol_error(self):
-        class ShortBackend:
-            model = "stub"
-            max_input_chars = None
-
-            def embed(self, texts):
-                return EmbeddingBatch(
-                    vectors=((1.0, 0.0),), usage=TokenUsage(0, 0), model=self.model
-                )
-
         with pytest.raises(ProtocolError):
-            embed_batch(["a", "b"], ShortBackend())
+            embed_batch(["a", "b"], faulty_embedding("short"))
 
     def test_inconsistent_dimensions_is_protocol_error(self):
-        class RaggedBackend:
-            model = "stub"
-            max_input_chars = None
-
-            def embed(self, texts):
-                return EmbeddingBatch(
-                    vectors=((1.0, 0.0), (1.0, 0.0, 0.0)),
-                    usage=TokenUsage(0, 0),
-                    model=self.model,
-                )
-
         with pytest.raises(ProtocolError, match="dimension"):
-            embed_batch(["a", "b"], RaggedBackend())
+            embed_batch(["a", "b"], faulty_embedding("ragged"))
 
     @pytest.mark.parametrize(
         ("rows", "expected"),
@@ -289,16 +276,5 @@ class TestEmbedBatch:
         assert [v.norm() for v in vectors] == [naive_norm(v) for v in vectors]
 
     def test_nan_row_is_value_error(self):
-        class NanBackend:
-            model = "stub"
-            max_input_chars = None
-
-            def embed(self, texts):
-                return EmbeddingBatch(
-                    vectors=((1.0, 0.0), (math.nan, 0.0)),
-                    usage=TokenUsage(0, 0),
-                    model=self.model,
-                )
-
         with pytest.raises(ValueError, match="finite"):
-            embed_batch(["a", "b"], NanBackend())
+            embed_batch(["a", "b"], faulty_embedding("nan"))

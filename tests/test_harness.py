@@ -12,7 +12,7 @@ import pytest
 
 from rmoa import harness
 from rmoa.backends import Backends
-from rmoa.errors import BackendUnavailableError, DatasetError
+from rmoa.errors import DatasetError
 from rmoa.harness import (
     BenchmarkItem,
     grade_answer,
@@ -22,9 +22,10 @@ from rmoa.harness import (
     run_benchmark,
     slugify,
 )
-from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
+from rmoa.mockbackend import MockEmbeddingBackend
 
-from conftest import FaultyEmbedding, ThreadRecordingChat, make_config, make_mock_bundle
+from conftest import ThreadRecordingChat, make_config, make_mock_bundle
+from faults import FaultPlan
 
 
 def write_jsonl(path, records):
@@ -242,13 +243,14 @@ class TestRunBenchmark:
         run_benchmark(items, config, bundle, item_parallelism=1, proposer_parallelism=1)
         assert set(chat.threads) == {threading.current_thread()}
 
-    @pytest.mark.parametrize("bug_at", [None, 8], ids=["clean", "caller-bug"])
-    def test_run_leaves_no_threads_behind(self, bug_at):
+    @pytest.mark.parametrize("bug", [False, True], ids=["clean", "caller-bug"])
+    def test_run_leaves_no_threads_behind(self, bug):
         items = exact_items(4)
         config = make_config(layers=2, proposers=3, k=2, policy="none")
-        bundle = Backends(chat=ThreadRecordingChat(bug_at), embedding=MockEmbeddingBackend())
+        faults = {("proposer", 2, 1, items[1].question): "bug"} if bug else {}
+        bundle = FaultPlan(make_mock_bundle(), faults)
         before = threading.active_count()
-        if bug_at is None:
+        if not bug:
             run_benchmark(items, config, bundle, item_parallelism=2)
         else:
             with pytest.raises(RuntimeError, match="caller bug"):
@@ -283,6 +285,27 @@ class TestRunBenchmark:
         # without an output directory the ids do not clash
         report = run_benchmark(items, config, bundle, item_parallelism=item_parallelism)
         assert [r.item_id for r in report.items] == ["q 1", "q_1", "q/1"]
+
+    @pytest.mark.parametrize("item_parallelism", [1, 4])
+    def test_id_longer_than_a_file_name_is_rejected_before_any_call(
+        self, tmp_path, item_parallelism
+    ):
+        items = [
+            BenchmarkItem("a", "Question a?", "", "none"),
+            BenchmarkItem("b" * 256, "Question b?", "", "none"),
+        ]
+        config = make_config(layers=1, proposers=2, k=1)
+        bundle = make_mock_bundle()
+        out = tmp_path / "out"
+        message = f"item {'b' * 256!r} would use a directory name of 256 bytes, more than 255"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            run_benchmark(items, config, bundle, out_dir=out, item_parallelism=item_parallelism)
+        assert bundle.chat.call_log == []
+        assert not out.exists()
+        # a name of exactly 255 bytes is still an item directory
+        items[1] = BenchmarkItem("b" * 255, "Question b?", "", "none")
+        run_benchmark(items, config, bundle, out_dir=out, item_parallelism=item_parallelism)
+        assert (out / ("b" * 255) / "transcript.json").is_file()
 
     @pytest.mark.parametrize(
         "item_id", ["report.json", "report.json.tmp", "report.csv", "report.txt.tmp"]
@@ -333,20 +356,8 @@ class TestRunBenchmark:
     def test_aborted_item_is_reported_and_run_continues(self):
         items = exact_items(3)
         poison = items[1].question
-
-        class PoisonChat:
-            def __init__(self):
-                self.inner = MockChatBackend(MockRule())
-                self.model = self.inner.model
-
-            def chat(self, messages, *, temperature, max_tokens):
-                if any(poison in m["content"] for m in messages):
-                    raise BackendUnavailableError("poisoned item")
-                return self.inner.chat(
-                    messages, temperature=temperature, max_tokens=max_tokens
-                )
-
-        bundle = Backends(chat=PoisonChat(), embedding=MockEmbeddingBackend())
+        faults = {("proposer", 1, agent, poison): "unavailable" for agent in range(2)}
+        bundle = FaultPlan(make_mock_bundle(), faults)
         config = make_config(layers=1, proposers=2, k=1)
         report = run_benchmark(items, config, bundle, item_parallelism=1)
         assert report.items[1].stop_reason == "backend_abort"
@@ -358,9 +369,7 @@ class TestRunBenchmark:
     ):
         items = exact_items(2)
         config = make_config(layers=2, proposers=2, k=1, policy="sim_threshold")
-        bundle = Backends(
-            chat=MockChatBackend(MockRule()), embedding=FaultyEmbedding("dimension")
-        )
+        bundle = FaultPlan(make_mock_bundle(embed_dim=16), {("embedding", 2): "dimension"})
         report = run_benchmark(items, config, bundle, out_dir=tmp_path)
         assert [item.stop_reason for item in report.items] == ["backend_abort"] * 2
         payload = json.loads((tmp_path / "report.json").read_text())
@@ -374,9 +383,7 @@ class TestRunBenchmark:
     ):
         items = exact_items(2)
         config = make_config(layers=2, proposers=2, k=1, policy="sim_threshold")
-        bundle = Backends(
-            chat=MockChatBackend(MockRule()), embedding=FaultyEmbedding("overflow")
-        )
+        bundle = FaultPlan(make_mock_bundle(), {("embedding", 2): "overflow"})
         report = run_benchmark(items, config, bundle, out_dir=tmp_path)
         assert [item.stop_reason for item in report.items] == ["backend_abort"] * 2
         payload = json.loads((tmp_path / "report.json").read_text())
@@ -390,9 +397,7 @@ class TestRunBenchmark:
     ):
         items = exact_items(2)
         config = make_config(layers=2, proposers=2, k=1)
-        bundle = Backends(
-            chat=MockChatBackend(MockRule()), embedding=FaultyEmbedding("sum-overflow")
-        )
+        bundle = FaultPlan(make_mock_bundle(), {("embedding", 2): "sum_overflow"})
         run_benchmark(items, config, bundle, out_dir=tmp_path)
         payload = json.loads((tmp_path / "report.json").read_text())
         assert [item["stop_reason"] for item in payload["items"]] == ["backend_abort"] * 2

@@ -14,7 +14,7 @@ import pytest
 from rmoa.accounting import TokenUsage
 from rmoa.agents import NO_RESIDUAL, Residual, Response, render_numbered_responses
 from rmoa.backends import Backends
-from rmoa.errors import BackendUnavailableError, ConfigError
+from rmoa.errors import ConfigError
 from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 from rmoa.pipeline import (
     RunConfig,
@@ -25,7 +25,8 @@ from rmoa.pipeline import (
 from rmoa.prompts import load_prompt_set
 from rmoa.termination import TerminationConfig
 
-from conftest import FaultyEmbedding, ThreadRecordingChat, make_config, make_mock_bundle
+from conftest import ThreadRecordingChat, make_config, make_mock_bundle
+from faults import FaultPlan
 
 
 def response(text: str) -> Response:
@@ -49,28 +50,6 @@ def sent_reference(prompt: str, task: str) -> str:
     _, marker, rest = prompt.partition("\nReferences:\n")
     assert marker and rest.endswith(f"\n\n{task}")
     return rest.removesuffix(f"\n\n{task}")
-
-
-class FlakyChat:
-    """Delegates to a mock but fails the configured call ordinals."""
-
-    def __init__(
-        self, fail_calls=(), fail_all=False, error=BackendUnavailableError, blank_calls=()
-    ):
-        self.inner = MockChatBackend(MockRule())
-        self.model = self.inner.model
-        self.fail_calls = set(fail_calls)
-        self.fail_all = fail_all
-        self.error = error
-        self.blank_calls = set(blank_calls)
-        self.calls = 0
-
-    def chat(self, messages, *, temperature, max_tokens):
-        self.calls += 1
-        if self.fail_all or self.calls in self.fail_calls:
-            raise self.error(f"scripted failure on call {self.calls}")
-        result = self.inner.chat(messages, temperature=temperature, max_tokens=max_tokens)
-        return replace(result, text=" \n") if self.calls in self.blank_calls else result
 
 
 class TestBuildReferenceContext:
@@ -213,7 +192,7 @@ class TestRunRmoa:
 
     def test_failed_proposer_is_dropped(self):
         config = make_config(layers=1, proposers=3, k=2)
-        bundle = Backends(chat=FlakyChat(fail_calls={2}), embedding=make_mock_bundle().embedding)
+        bundle = FaultPlan(make_mock_bundle(), {("proposer", 1, 1): "unavailable"})
         transcript = run_pipeline("Lose one proposer.", config, bundle)
         state = transcript.layer_states[0]
         assert len(state.responses) == 2
@@ -224,7 +203,7 @@ class TestRunRmoa:
     @pytest.mark.parametrize("mode", ["rmoa", "moa"])
     def test_all_proposers_failing_aborts_with_partial_transcript(self, tmp_path, mode):
         config = make_config(layers=3, proposers=2, k=1, mode=mode)
-        bundle = Backends(chat=FlakyChat(fail_all=True), embedding=make_mock_bundle().embedding)
+        bundle = FaultPlan(make_mock_bundle(), {("proposer", 1, a): "unavailable" for a in (0, 1)})
         transcript = run_pipeline("Nothing works.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
@@ -235,10 +214,8 @@ class TestRunRmoa:
         assert not (tmp_path / "layers.jsonl").exists()
 
     def test_extractor_failure_aborts_after_first_layer(self):
-        # layer 1: calls 1-2 succeed; layer 2: proposals 3-4 succeed, the
-        # extractor is call 5 and fails
         config = make_config(layers=3, proposers=2, k=1)
-        bundle = Backends(chat=FlakyChat(fail_calls={5}), embedding=make_mock_bundle().embedding)
+        bundle = FaultPlan(make_mock_bundle(), {("extractor", 2): "unavailable"})
         transcript = run_pipeline("Extractor dies.", config, bundle)
         assert transcript.stop_reason == "backend_abort"
         assert len(transcript.layer_states) == 1
@@ -246,7 +223,7 @@ class TestRunRmoa:
     @pytest.mark.parametrize("mode", ["rmoa", "moa"])
     def test_aggregator_failure_aborts(self, mode):
         config = make_config(layers=1, proposers=1, k=1, mode=mode)
-        bundle = Backends(chat=FlakyChat(fail_calls={2}), embedding=make_mock_bundle().embedding)
+        bundle = FaultPlan(make_mock_bundle(), {("aggregator", 1): "unavailable"})
         transcript = run_pipeline("Aggregator dies.", config, bundle)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
@@ -255,7 +232,7 @@ class TestRunRmoa:
     @pytest.mark.parametrize("mode", ["rmoa", "moa"])
     def test_blank_aggregation_aborts(self, mode):
         config = make_config(layers=1, proposers=1, k=1, mode=mode)
-        bundle = Backends(chat=FlakyChat(blank_calls={2}), embedding=make_mock_bundle().embedding)
+        bundle = FaultPlan(make_mock_bundle(), {("aggregator", 1): "empty"})
         transcript = run_pipeline("Aggregator goes blank.", config, bundle)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
@@ -266,11 +243,10 @@ class TestRunRmoa:
 
     @pytest.mark.parametrize("mode", ["rmoa", "moa"])
     def test_snapshot_failure_aborts(self, mode):
-        # layer 1: proposals are calls 1-2, the snapshot is call 3 and fails
         config = make_config(
             layers=2, proposers=2, k=1, mode=mode, capture_layer_answers=True
         )
-        bundle = Backends(chat=FlakyChat(fail_calls={3}), embedding=make_mock_bundle().embedding)
+        bundle = FaultPlan(make_mock_bundle(), {("aggregator", 1): "unavailable"})
         transcript = run_pipeline("Snapshot dies.", config, bundle)
         assert transcript.stop_reason == "backend_abort"
         assert len(transcript.layer_states) == 1
@@ -278,28 +254,28 @@ class TestRunRmoa:
         assert transcript.final_response is None
 
     @pytest.mark.parametrize(
-        ("mode", "shape", "flaky", "layers_kept", "events"),
+        ("mode", "shape", "faults", "layers_kept", "events"),
         [
             *(
-                (mode, {"layers": 3, "proposers": 2}, {"fail_all": True}, [], [
-                    "layer 1 proposer 0 failed: scripted failure on call 1",
-                    "layer 1 proposer 1 failed: scripted failure on call 2",
+                (mode, {"layers": 3, "proposers": 2},
+                 {("proposer", 1, 0): "unavailable", ("proposer", 1, 1): "unavailable"}, [], [
+                    "layer 1 proposer 0 failed: backend unavailable at layer 1 proposer 0",
+                    "layer 1 proposer 1 failed: backend unavailable at layer 1 proposer 1",
                     "aborted: layer 1: every proposer failed",
                 ])
                 for mode in ("rmoa", "moa")
             ),
-            # layer 2: proposals are calls 3-4, the extractor is call 5
-            ("rmoa", {"layers": 3, "proposers": 2}, {"fail_calls": {5}}, [1],
-             ["aborted: layer 2: scripted failure on call 5"]),
+            ("rmoa", {"layers": 3, "proposers": 2}, {("extractor", 2): "unavailable"}, [1],
+             ["aborted: layer 2: backend unavailable at layer 2 extractor"]),
             *(
                 (mode, {"layers": 2, "proposers": 2, "capture_layer_answers": True},
-                 {"fail_calls": {3}}, [1],
-                 ["aborted: layer 1 snapshot: scripted failure on call 3"])
+                 {("aggregator", 1): "unavailable"}, [1],
+                 ["aborted: layer 1 snapshot: backend unavailable at layer 1 aggregator"])
                 for mode in ("rmoa", "moa")
             ),
             *(
-                (mode, {"layers": 1, "proposers": 1}, {"fail_calls": {2}}, [1],
-                 ["aborted: final aggregation: scripted failure on call 2"])
+                (mode, {"layers": 1, "proposers": 1}, {("aggregator", 1): "unavailable"}, [1],
+                 ["aborted: final aggregation: backend unavailable at layer 1 aggregator"])
                 for mode in ("rmoa", "moa")
             ),
         ],
@@ -309,10 +285,10 @@ class TestRunRmoa:
         ],
     )
     def test_abort_stage_is_named_in_the_event_log(
-        self, tmp_path, mode, shape, flaky, layers_kept, events
+        self, tmp_path, mode, shape, faults, layers_kept, events
     ):
         config = make_config(k=1, mode=mode, **shape)
-        bundle = Backends(chat=FlakyChat(**flaky), embedding=make_mock_bundle().embedding)
+        bundle = FaultPlan(make_mock_bundle(), faults)
         transcript = run_pipeline("Abort somewhere.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
@@ -324,13 +300,13 @@ class TestRunRmoa:
     @pytest.mark.parametrize(
         ("fault", "reason"),
         [
-            ("unavailable", "scripted embedding failure on call 2"),
+            ("unavailable", "backend unavailable at layer 2 embedding"),
             ("short", "backend returned 1 embeddings for 2 texts"),
         ],
     )
     def test_embedding_failure_at_layer_two_aborts(self, tmp_path, fault, reason):
         config = make_config(layers=3, proposers=2, k=1)
-        bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding(fault))
+        bundle = FaultPlan(make_mock_bundle(embed_dim=16), {("embedding", 2): fault})
         transcript = run_pipeline("Embeddings die.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert [state.layer for state in transcript.layer_states] == [1]
@@ -344,7 +320,7 @@ class TestRunRmoa:
     @pytest.mark.parametrize("policy", ["sim_threshold", "variance"])
     def test_embedding_dimension_change_aborts_in_the_stop_check(self, tmp_path, policy):
         config = make_config(layers=3, proposers=2, k=1, policy=policy)
-        bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding("dimension"))
+        bundle = FaultPlan(make_mock_bundle(embed_dim=16), {("embedding", 2): "dimension"})
         transcript = run_pipeline("Dimensions drift.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert [state.layer for state in transcript.layer_states] == [1]
@@ -355,7 +331,7 @@ class TestRunRmoa:
 
     def test_embedding_rows_whose_norms_overflow_abort_the_item(self, tmp_path):
         config = make_config(layers=3, proposers=2, k=1)
-        bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding("overflow", from_call=1))
+        bundle = FaultPlan(make_mock_bundle(), {("embedding", 1): "overflow"})
         transcript = run_pipeline("Norms overflow.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.layer_states == []
@@ -366,9 +342,7 @@ class TestRunRmoa:
         self, tmp_path
     ):
         config = make_config(layers=3, proposers=2, k=1)
-        bundle = Backends(
-            chat=FlakyChat(), embedding=FaultyEmbedding("sum-overflow", from_call=1)
-        )
+        bundle = FaultPlan(make_mock_bundle(), {("embedding", 1): "sum_overflow"})
         transcript = run_pipeline("Squares overflow.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.layer_states == []
@@ -377,7 +351,8 @@ class TestRunRmoa:
 
     def test_embedding_dimension_change_is_harmless_under_llm_policy(self):
         config = make_config(layers=3, proposers=2, k=1, policy="llm")
-        bundle = Backends(chat=FlakyChat(), embedding=FaultyEmbedding("dimension"))
+        faults = {("embedding", layer): "dimension" for layer in (2, 3)}
+        bundle = FaultPlan(make_mock_bundle(embed_dim=16), faults)
         transcript = run_pipeline("Dimensions drift.", config, bundle)
         assert transcript.stop_reason == "max_layers"
         assert len(transcript.layer_states) == 3
@@ -391,18 +366,14 @@ class TestRunRmoa:
         assert payload["final_response"]["text"]
 
     def test_crash_leaves_layer_log_and_rerun_finishes_clean(self, tmp_path):
-        # layer 1: calls 1-2; layer 2: calls 3-4 plus the extractor (5);
-        # layer 3 starts at call 6, which raises like a crash would
+        # layer 3's first proposer call raises like a crash would
         config = make_config(layers=3, proposers=2, k=1)
-
-        def bundle(**flaky):
-            return Backends(chat=FlakyChat(**flaky), embedding=make_mock_bundle().embedding)
-
-        clean = run_pipeline("Crash midway.", config, bundle())
-        run_pipeline("Crash midway.", config, bundle(), persist_dir=tmp_path)
+        clean = run_pipeline("Crash midway.", config, make_mock_bundle())
+        run_pipeline("Crash midway.", config, make_mock_bundle(), persist_dir=tmp_path)
         with pytest.raises(RuntimeError):
             run_pipeline(
-                "Crash midway.", config, bundle(fail_calls={6}, error=RuntimeError),
+                "Crash midway.", config,
+                FaultPlan(make_mock_bundle(), {("proposer", 3, 0): "bug"}),
                 persist_dir=tmp_path,
             )
         lines = (tmp_path / "layers.jsonl").read_text(encoding="utf-8").splitlines()
@@ -412,19 +383,18 @@ class TestRunRmoa:
         assert not (tmp_path / "transcript.json").exists()
         assert not (tmp_path / "ledger.json").exists()
 
-        run_pipeline("Crash midway.", config, bundle(), persist_dir=tmp_path)
+        run_pipeline("Crash midway.", config, make_mock_bundle(), persist_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
 
     @pytest.mark.parametrize(
-        ("mode", "fail_calls", "stop_reason"),
-        [("rmoa", (), "max_layers"), ("moa", (), "max_layers"), ("rmoa", {5}, "backend_abort")],
+        ("mode", "faults", "stop_reason"),
+        [("rmoa", {}, "max_layers"), ("moa", {}, "max_layers"),
+         ("rmoa", {("extractor", 2): "unavailable"}, "backend_abort")],
         ids=["rmoa", "moa", "rmoa-abort"],
     )
-    def test_files_on_disk_match_in_memory_bytes(self, tmp_path, mode, fail_calls, stop_reason):
+    def test_files_on_disk_match_in_memory_bytes(self, tmp_path, mode, faults, stop_reason):
         config = make_config(layers=3, proposers=2, k=1, mode=mode)
-        bundle = Backends(
-            chat=FlakyChat(fail_calls=fail_calls), embedding=make_mock_bundle().embedding
-        )
+        bundle = FaultPlan(make_mock_bundle(), faults)
         transcript = run_pipeline("Bytes on disk.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == stop_reason
         assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
@@ -614,10 +584,10 @@ class TestOrderedMap:
             assert ordered_map(late_first, range(4), pool) == [0, 1, 4, 9]
 
     def test_failure_cancels_only_its_own_unstarted_calls(self):
-        # Calls 0 and 1 of map B hold two of three workers until ``release``.
-        # Map A's call 0 raises on the third worker, which may then start A's
-        # call 1 (it blocks too); A's calls 2-5 must never start, and B must
-        # still return every result.
+        # Map B's first two arguments hold two of three workers until
+        # ``release``. Map A's first argument raises on the third worker, which
+        # may then start A's second (it blocks too); A's last four must never
+        # start, and B must still return every result.
         release = threading.Event()
         b_started = [threading.Event(), threading.Event()]
         a_started: list[int] = []
@@ -718,36 +688,31 @@ def rebuilt_references(transcript: dict) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    ("config", "chat", "stop_reason", "layers_kept", "referenced_layers"),
+    ("config", "bundle_args", "faults", "stop_reason", "layers_kept", "referenced_layers"),
     [
-        (make_config(layers=4, proposers=6, k=3), None, "max_layers", 4, 3),
+        (make_config(layers=4, proposers=6, k=3), {}, {}, "max_layers", 4, 3),
         (
             make_config(
                 layers=4, proposers=6, k=3, policy="llm", m=1, capture_layer_answers=True
             ),
-            lambda: MockChatBackend(MockRule(behavior="residual_script", script=(False,) * 3)),
+            {"behavior": "residual_script", "script": (False,) * 3}, {},
             "adaptive_stop", 2, 1,
         ),
-        (make_config(layers=3, proposers=4, k=2, mode="moa"), None, "max_layers", 3, 2),
-        # layer 3: proposals are calls 6-7, the extractor is call 8 and fails
-        (make_config(layers=3, proposers=2, k=1), lambda: FlakyChat(fail_calls={8}),
+        (make_config(layers=3, proposers=4, k=2, mode="moa"), {}, {}, "max_layers", 3, 2),
+        (make_config(layers=3, proposers=2, k=1), {}, {("extractor", 3): "unavailable"},
          "backend_abort", 2, 2),
     ],
     ids=["rmoa", "rmoa-adaptive-stop-snapshots", "moa", "rmoa-abort"],
 )
 def test_reference_is_rebuilt_from_persisted_fields(
-    tmp_path, config, chat, stop_reason, layers_kept, referenced_layers
+    tmp_path, config, bundle_args, faults, stop_reason, layers_kept, referenced_layers
 ):
-    bundle = make_mock_bundle()
-    if chat is not None:
-        bundle = Backends(chat=chat(), embedding=bundle.embedding)
-    run_pipeline("Rebuild the reference.", config, bundle, persist_dir=tmp_path)
+    bundle = make_mock_bundle(**bundle_args)
+    run_pipeline("Rebuild the reference.", config, FaultPlan(bundle, faults), persist_dir=tmp_path)
     transcript = json.loads((tmp_path / "transcript.json").read_text(encoding="utf-8"))
     assert transcript["stop_reason"] == stop_reason
     assert len(transcript["layer_states"]) == layers_kept
-    # FlakyChat logs through the mock it wraps
-    call_log = getattr(bundle.chat, "inner", bundle.chat).call_log
-    later_layers = proposer_prompts_by_layer(call_log, config)[1:]
+    later_layers = proposer_prompts_by_layer(bundle.chat.call_log, config)[1:]
     assert len(later_layers) == referenced_layers
     refinement = load_prompt_set(config.benchmark).refinement
     for reference, prompts in zip(rebuilt_references(transcript), later_layers):
