@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from typing import Mapping
 
 from .errors import ConfigError, UndefinedRateError
@@ -57,9 +57,11 @@ class LedgerEntry:
 class UsageLedger:
     """Append-only record of per-call token usage for one run.
 
-    Appends are serialized by a lock so concurrent proposer fan-out cannot
-    interleave partial writes; totals are recomputed from the entries on
-    every read rather than cached.
+    ``run_pipeline`` appends every call's usage on the item's thread, the
+    proposers' after the layer's barrier, in agent-index order. The lock
+    serves a caller that shares one ledger across concurrent
+    ``run_pipeline`` calls. Totals are recomputed from the entries on every
+    read rather than cached.
     """
 
     def __init__(
@@ -132,8 +134,13 @@ def dollar_cost(ledger: UsageLedger) -> Decimal:
 
 
 def format_dollars(amount: Decimal) -> Decimal:
-    """Round to whole cents, ties to even."""
-    return amount.quantize(_CENTS, rounding=ROUND_HALF_EVEN)
+    """Round to whole cents, ties to even, at any magnitude.
+
+    The precision grows with the amount: the default 28 digits cannot hold
+    the cents of a huge but finite cost.
+    """
+    context = Context(prec=max(28, amount.adjusted() + 3))
+    return amount.quantize(_CENTS, rounding=ROUND_HALF_EVEN, context=context)
 
 
 def tflops_estimate(ledger: UsageLedger) -> float:

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 from .accounting import TokenUsage
 from .backends import ChatResult, EmbeddingBatch
-from .embedding import EmbeddingVector
 from .errors import ScriptExhaustedError
 
 MOCK_BEHAVIORS = ("echo", "template_answer", "residual_script")
@@ -88,8 +87,8 @@ def mock_chat(
     return text, usage
 
 
-def mock_embed(text: str, seed: int, dim: int) -> EmbeddingVector:
-    """Expand a seeded hash of ``text`` into a unit vector.
+def mock_embed(text: str, seed: int, dim: int) -> tuple[float, ...]:
+    """Expand a seeded hash of ``text`` into the components of a unit vector.
 
     Uses SHA-256 rather than ``hash()`` so vectors are identical across
     process runs and platforms.
@@ -110,7 +109,7 @@ def mock_embed(text: str, seed: int, dim: int) -> EmbeddingVector:
     if norm == 0.0:  # all-zero expansion is astronomically unlikely; keep nonzero anyway
         components[0] = 1.0
         norm = 1.0
-    return EmbeddingVector(tuple(c / norm for c in components))
+    return tuple(c / norm for c in components)
 
 
 class MockChatBackend:
@@ -173,9 +172,7 @@ class MockEmbeddingBackend:
         self.max_input_chars = max_input_chars
 
     def embed(self, texts: Sequence[str]) -> EmbeddingBatch:
-        vectors = tuple(
-            mock_embed(text, self.seed, self.dim).components for text in texts
-        )
+        vectors = tuple(mock_embed(text, self.seed, self.dim) for text in texts)
         prompt_tokens = sum(mock_token_count(text) for text in texts)
         return EmbeddingBatch(
             vectors=vectors,

@@ -11,7 +11,9 @@ import random
 from typing import Iterable, Sequence
 
 from rmoa.accounting import UsageLedger
+from rmoa.agents import Response
 from rmoa.embedding import EmbeddingVector, SimilarityMatrix, build_similarity_matrix
+from rmoa.pipeline import Transcript
 
 # Slack for the invariants of an explicit matrix; fsum accumulation error
 # over realistic embedding dimensions is orders of magnitude below this.
@@ -142,3 +144,34 @@ def concatenated(ledgers: Iterable[UsageLedger]) -> UsageLedger:
         for entry in ledger.entries:
             out.append(entry.kind, entry.model, entry.usage)
     return out
+
+
+def response_dict(response: Response) -> dict:
+    return {
+        "text": response.text,
+        "layer": response.layer,
+        "agent_index": response.agent_index,
+        "role_name": response.role_name,
+        "usage": {
+            "prompt_tokens": response.usage.prompt_tokens,
+            "completion_tokens": response.usage.completion_tokens,
+        },
+    }
+
+
+def transcript_dict(transcript: Transcript) -> dict:
+    """The whole transcript as one dict.
+
+    ``json.dumps(transcript_dict(t), sort_keys=True)`` plus a newline is the
+    text of ``transcript.json``.
+    """
+    final = transcript.final_response
+    return {
+        "config": transcript.config.to_json_dict(),
+        "query": transcript.query,
+        "layer_states": [state.to_json_dict() for state in transcript.layer_states],
+        "final_response": response_dict(final) if final else None,
+        "ledger": transcript.ledger.to_json_dict(),
+        "stop_reason": transcript.stop_reason,
+        "events": list(transcript.events),
+    }

@@ -64,6 +64,11 @@ class TestDollarCost:
         assert format_dollars(Decimal("0.015")) == Decimal("0.02")
         assert format_dollars(Decimal("0.025")) == Decimal("0.02")
 
+    def test_huge_amounts_keep_their_cents(self):
+        whole = "1" + "0" * 30
+        assert str(format_dollars(Decimal("1e30"))) == whole + ".00"
+        assert str(format_dollars(Decimal(whole + ".125"))) == whole + ".12"
+
     def test_additive_over_concatenation(self):
         rng = random.Random(31)
         for _ in range(200):

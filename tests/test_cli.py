@@ -148,6 +148,21 @@ class TestRunCommand:
         kinds = {entry["kind"] for entry in ledger["entries"]}
         assert "embedding" not in kinds
 
+    def test_huge_finite_price_finishes_every_item(self, workspace):
+        tmp_path, dataset, config = workspace
+        set_key(config, "pricing.price_per_million_tokens", "1e30")
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["aggregates"]["correct"] == 3
+        for item_id in ("ex0", "ex1", "ex2"):
+            ledger = json.loads((out / item_id / "ledger.json").read_text())
+            assert ledger["price_per_million_tokens"] == "1E+30"
+            assert ledger["totals"]["dollar_cost"].endswith(".00")
+
     def test_run_rejects_bad_dataset(self, workspace, capsys):
         tmp_path, _, config = workspace
         bad = tmp_path / "bad.jsonl"

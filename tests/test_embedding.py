@@ -226,8 +226,8 @@ class TestEmbedBatch:
         first, _ = embed_batch(["a", "b"], backend)
         second, _ = embed_batch(["a", "b"], backend)
         assert first == second
-        assert first[0] == mock_embed("a", 3, 16)
-        assert first[1] == mock_embed("b", 3, 16)
+        assert first[0] == EmbeddingVector(mock_embed("a", 3, 16))
+        assert first[1] == EmbeddingVector(mock_embed("b", 3, 16))
 
     def test_duplicates_embed_identically(self):
         backend = MockEmbeddingBackend()
@@ -239,7 +239,7 @@ class TestEmbedBatch:
         events: list[str] = []
         long_text = "y" * 50
         vectors, _ = embed_batch(["short", long_text], backend, on_event=events.append)
-        assert vectors[1] == mock_embed(long_text[:10], 1, 8)
+        assert vectors[1] == EmbeddingVector(mock_embed(long_text[:10], 1, 8))
         assert len(events) == 1 and "truncated" in events[0]
 
     def test_returns_the_backend_usage(self):

@@ -91,15 +91,15 @@ class TestMockEmbed:
 
     def test_unit_norm(self):
         for text in ("a", "b", "a much longer piece of text" * 10):
-            vector = mock_embed(text, 7, 64)
-            assert vector.norm() == pytest.approx(1.0, abs=1e-9)
+            components = mock_embed(text, 7, 64)
+            assert math.hypot(*components) == pytest.approx(1.0, abs=1e-9)
 
     def test_distinct_texts_do_not_collide(self):
         seen = set()
         for i in range(1000):
-            vector = mock_embed(f"corpus item {i}", 7, 32)
-            assert vector.components not in seen
-            seen.add(vector.components)
+            components = mock_embed(f"corpus item {i}", 7, 32)
+            assert components not in seen
+            seen.add(components)
 
     def test_seed_changes_vectors(self):
         assert mock_embed("t", 1, 16) != mock_embed("t", 2, 16)
@@ -111,7 +111,7 @@ class TestMockEmbed:
     def test_stable_across_processes(self):
         code = (
             "import json; from rmoa.mockbackend import mock_embed; "
-            "print(json.dumps(mock_embed('stability probe', 7, 16).components))"
+            "print(json.dumps(mock_embed('stability probe', 7, 16)))"
         )
         output = subprocess.run(
             [sys.executable, "-c", code],
@@ -120,7 +120,7 @@ class TestMockEmbed:
             check=True,
             env=os.environ.copy(),
         ).stdout
-        assert tuple(json.loads(output)) == mock_embed("stability probe", 7, 16).components
+        assert tuple(json.loads(output)) == mock_embed("stability probe", 7, 16)
 
 
 class TestMockEmbeddingBackend:

@@ -18,6 +18,7 @@ from rmoa.errors import ConfigError
 from rmoa.mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 from rmoa.pipeline import (
     RunConfig,
+    _transcript_pieces,
     build_reference_context,
     ordered_map,
     run_pipeline,
@@ -27,6 +28,7 @@ from rmoa.termination import TerminationConfig
 
 from conftest import ThreadRecordingChat, make_config, make_mock_bundle
 from faults import FaultPlan
+from oracles import transcript_dict
 
 
 def response(text: str) -> Response:
@@ -657,6 +659,39 @@ def test_transcript_bytes_pinned(config, bundle_args, digest):
     bundle = make_mock_bundle(**bundle_args)
     payload = run_pipeline("Pin the transcript.", config, bundle).to_json_bytes()
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    ("query", "config", "faults", "layers_kept"),
+    [
+        *(
+            ("Nothing works.", make_config(layers=3, proposers=2, k=1, mode=mode),
+             {("proposer", 1, 0): "unavailable", ("proposer", 1, 1): "unavailable"}, 0)
+            for mode in ("rmoa", "moa")
+        ),
+        ("Snapshot dies.", make_config(layers=3, proposers=2, k=1, capture_layer_answers=True),
+         {("aggregator", 2): "unavailable"}, 2),
+        ('Ünïcode — 中文 "layer_states": [ ], "ledger": {', make_config(layers=3, proposers=3, k=2),
+         {}, 3),
+    ],
+    ids=["zero-layers-rmoa", "zero-layers-moa", "snapshot-abort", "non-ascii-query"],
+)
+def test_transcript_bytes_match_the_whole_dict_encoding(query, config, faults, layers_kept):
+    transcript = run_pipeline(query, config, FaultPlan(make_mock_bundle(), faults))
+    states = transcript.layer_states
+    assert len(states) == layers_kept
+    if config.capture_layer_answers:
+        assert states[-1].snapshot_answer is None and states[0].snapshot_answer
+    text = json.dumps(transcript_dict(transcript), sort_keys=True) + "\n"
+    assert transcript.to_json_bytes() == text.encode("utf-8")
+
+    # head, one piece per layer, tail: no piece holds more than one layer
+    ledger = json.dumps(transcript.ledger.to_json_dict(), sort_keys=True)
+    pieces = list(_transcript_pieces(transcript, ledger))
+    layers = [json.dumps(state.to_json_dict(), sort_keys=True) for state in states]
+    assert pieces[1:-1] == [(", " if i else "") + layer for i, layer in enumerate(layers)]
+    assert pieces[0].endswith('"layer_states": [') and pieces[-1].startswith("], ")
+    assert "".join(pieces) == text
 
 
 def _persisted_response(payload: dict) -> Response:
