@@ -9,6 +9,9 @@ caller builds to use them; every other helper is imported from its
 submodule (``rmoa.agents``, ``rmoa.embedding``, ...).
 """
 
+# Set before the submodules load: the HTTP clients name it in their User-Agent.
+__version__ = "0.1.0"
+
 from .accounting import (
     GradedRound,
     UsageLedger,
@@ -36,8 +39,6 @@ from .termination import (
     similarity_threshold_stop,
     variance_stop,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Backends",

@@ -10,19 +10,31 @@ protocol error and fails immediately. That includes a reply holding the
 non-standard literals ``NaN``, ``Infinity`` or ``-Infinity``, which the
 clients never send either.
 
-Each client holds one urllib3 pool of up to 10 keep-alive connections,
-built with the client. The proxy for the base URL is read from the
+Each client holds its own pool of keep-alive ``http.client`` connections:
+up to 10 idle ones are kept for reuse, and a call finding none idle opens
+another, which is closed after use if the pool is full. A pooled connection
+the server has closed is dropped before it is used. Requests carry
+``User-Agent: rmoa/<version>``. The proxy for the base URL is read from the
 environment (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``)
-at that point, not on every call. HTTPS certificates are verified against
-certifi's bundle. Redirects are not followed: a 3xx reply is a protocol
-error. ``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE`` and ``~/.netrc`` are not
-read.
+when the client is built, not on every call: an ``http://`` target is sent
+to the proxy with its absolute URL, an ``https://`` target through a
+CONNECT tunnel. An ``https://`` proxy serves only ``http://`` targets,
+because TLS cannot run inside its TLS here. HTTPS certificates are verified
+against certifi's bundle, in a TLS context built once per client when it
+first connects over HTTPS. Redirects are not followed: a 3xx reply is a
+protocol error. ``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE`` and
+``~/.netrc`` are not read.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import logging
+import select
+import ssl
+import threading
 import time
 import urllib.request
 from dataclasses import dataclass, field
@@ -30,8 +42,8 @@ from typing import Protocol, Sequence, runtime_checkable
 from urllib.parse import unquote, urlsplit
 
 import certifi
-import urllib3
 
+from . import __version__
 from .accounting import TokenUsage
 from .errors import BackendUnavailableError, ConfigError, ProtocolError
 
@@ -40,6 +52,7 @@ logger = logging.getLogger(__name__)
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 # Idle keep-alive connections each client's pool holds for reuse.
 _POOL_MAXSIZE = 10
+_USER_AGENT = f"rmoa/{__version__}"
 
 
 @dataclass(frozen=True)
@@ -105,8 +118,7 @@ class _HttpClient:
     def __post_init__(self) -> None:
         if not self.timeout_s > 0:
             raise ValueError("timeout_s must be positive")
-        self._timeout = urllib3.Timeout(connect=self.timeout_s, read=self.timeout_s)
-        self._pool = _pool_for(self.base_url)
+        self._pool = _pool_for(self.base_url, self.timeout_s)
 
     def close(self) -> None:
         """Close the pool's idle connections; a later call opens new ones."""
@@ -115,7 +127,7 @@ class _HttpClient:
     def _post(self, path: str, payload: dict) -> dict:
         """POST ``payload`` to ``path`` under the base URL, retrying transient failures."""
         url = self.base_url.rstrip("/") + path
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
@@ -123,28 +135,20 @@ class _HttpClient:
         last_error: Exception | None = None
         for attempt in range(attempts):
             try:
-                response = self._pool.urlopen(
-                    "POST",
-                    url,
-                    body=body,
-                    headers=headers,
-                    retries=False,
-                    redirect=False,
-                    timeout=self._timeout,
-                )
-            except urllib3.exceptions.HTTPError as exc:
+                status, data = self._pool.post(path, body, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 failure = type(exc).__name__
             else:
-                if response.status == 200:
+                if status == 200:
                     try:
-                        return json.loads(response.data, parse_constant=_refuse_constant)
+                        return json.loads(data, parse_constant=_refuse_constant)
                     except ValueError as exc:
                         raise ProtocolError(f"{url} returned invalid JSON: {exc}") from exc
-                if response.status not in _RETRYABLE_STATUS:
-                    text = response.data[:200].decode("utf-8", "replace")
-                    raise ProtocolError(f"{url} returned HTTP {response.status}: {text}")
-                failure = f"HTTP {response.status}"
+                if status not in _RETRYABLE_STATUS:
+                    text = data[:200].decode("utf-8", "replace")
+                    raise ProtocolError(f"{url} returned HTTP {status}: {text}")
+                failure = f"HTTP {status}"
                 last_error = ProtocolError(f"{url} returned {failure}")
             delay = self.retry.delay(attempt) if attempt + 1 < attempts else None
             logger.warning(
@@ -166,23 +170,139 @@ def _refuse_constant(name: str) -> float:
     raise ValueError(f"non-standard literal {name}")
 
 
-def _pool_for(base_url: str) -> urllib3.PoolManager:
+class _Pool:
+    """Keep-alive connections to one origin, most recently returned first.
+
+    ``post`` takes an idle connection or opens one, sends one request on it,
+    reads the whole reply and puts the connection back unless the reply
+    closes it or ``_POOL_MAXSIZE`` connections are already idle.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int | None,
+        timeout_s: float,
+        *,
+        tls: bool,
+        prefix: str,
+        headers: dict[str, str],
+        tunnel: tuple[str, int | None, dict[str, str]] | None = None,
+    ) -> None:
+        self._host = host
+        self._port = port
+        self._timeout_s = timeout_s
+        self._tls = tls
+        # prepended to each path: the base URL's path, or the whole base URL
+        # when a proxy forwards the request
+        self._prefix = prefix
+        self._headers = headers
+        self._tunnel = tunnel
+        self._context: ssl.SSLContext | None = None
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def post(self, path: str, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """Send one POST; return the reply's status and body."""
+        conn = self._take()
+        try:
+            conn.request("POST", self._prefix + path, body, self._headers | headers)
+            try:
+                response = conn.getresponse()
+                data = response.read()
+            except TimeoutError as exc:
+                raise TimeoutError(f"Read timed out after {self._timeout_s:g} s") from exc
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            self._give_back(conn)
+        return response.status, data
+
+    def clear(self) -> None:
+        """Close every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _take(self) -> http.client.HTTPConnection:
+        with self._lock:
+            while self._idle:
+                conn = self._idle.pop()
+                if not _closed_by_server(conn):
+                    return conn
+                conn.close()
+        # http.client sets TCP_NODELAY when it connects
+        if not self._tls:
+            conn = http.client.HTTPConnection(self._host, self._port, timeout=self._timeout_s)
+        else:
+            conn = http.client.HTTPSConnection(
+                self._host, self._port, timeout=self._timeout_s, context=self._tls_context()
+            )
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _give_back(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if len(self._idle) < _POOL_MAXSIZE:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def _tls_context(self) -> ssl.SSLContext:
+        # built on first use: an http:// client never pays for loading the CA bundle
+        with self._lock:
+            if self._context is None:
+                self._context = ssl.create_default_context(cafile=certifi.where())
+            return self._context
+
+
+def _closed_by_server(conn: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection's socket is readable, meaning its server closed it.
+
+    ``poll`` where the platform has one, as all but Windows do: ``select``
+    fails there on descriptors of 1024 and up.
+    """
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(conn.sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([conn.sock], [], [], 0)[0])
+
+
+def _pool_for(base_url: str, timeout_s: float) -> _Pool:
     """A keep-alive pool for ``base_url``, through the proxy the environment names for it."""
     parts = urlsplit(base_url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"base URL {base_url!r} is not an http:// or https:// URL")
+    host, port, tls = parts.hostname, parts.port, parts.scheme == "https"
+    prefix, headers, tunnel = parts.path.rstrip("/"), {}, None
     proxies = urllib.request.getproxies()
     proxy = proxies.get(parts.scheme) or proxies.get("all")
-    settings = {"maxsize": _POOL_MAXSIZE, "ca_certs": certifi.where()}
-    if not proxy or urllib.request.proxy_bypass(parts.hostname or ""):
-        return urllib3.PoolManager(**settings)
-    if "://" not in proxy:
-        proxy = "http://" + proxy
-    auth = urllib3.util.parse_url(proxy).auth
-    if auth:
-        settings["proxy_headers"] = urllib3.make_headers(proxy_basic_auth=unquote(auth))
-    try:
-        return urllib3.ProxyManager(proxy, **settings)
-    except urllib3.exceptions.ProxySchemeUnknown as exc:
-        raise ConfigError(f"proxy for {base_url}: {exc}") from exc
+    if proxy and not urllib.request.proxy_bypass(host):
+        via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        if via.scheme not in ("http", "https") or not via.hostname:
+            raise ConfigError(f"proxy for {base_url}: {via.scheme}:// is not an http(s):// proxy")
+        auth = via.netloc.rpartition("@")[0]
+        if auth:
+            basic = base64.b64encode(unquote(auth).encode()).decode()
+            headers = {"Proxy-Authorization": "Basic " + basic}
+        if not tls:
+            # the proxy forwards the request, whose request line names the absolute URL
+            prefix, tls = base_url.rstrip("/"), via.scheme == "https"
+        elif via.scheme == "https":
+            raise ConfigError(
+                f"proxy for {base_url}: an https:// proxy cannot tunnel to an https:// URL"
+            )
+        else:
+            # the CONNECT request alone carries the credentials
+            tunnel, headers = (host, port, headers), {}
+        host, port = via.hostname, via.port
+    return _Pool(host, port, timeout_s, tls=tls, prefix=prefix, headers=headers, tunnel=tunnel)
 
 
 @dataclass

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import select
+import socket
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,7 @@ class _StubHandler(BaseHTTPRequestHandler):
                     "body": body,
                     "authorization": self.headers.get("Authorization"),
                     "proxy_authorization": self.headers.get("Proxy-Authorization"),
+                    "user_agent": self.headers.get("User-Agent"),
                     "client": self.client_address,
                 }
             )
@@ -130,6 +135,12 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+        if options.get("drop"):
+            # close without a Connection: close header, as a server whose
+            # keep-alive timer ran out does
+            self.connection.shutdown(socket.SHUT_RDWR)
+            self.close_connection = True
+            server.dropped.set()
 
     def log_message(self, *args) -> None:
         pass
@@ -139,23 +150,65 @@ class _KeepAliveStubHandler(_StubHandler):
     protocol_version = "HTTP/1.1"
 
 
+class _TunnelHandler(BaseHTTPRequestHandler):
+    """A CONNECT proxy: records each CONNECT, then relays bytes both ways."""
+
+    def do_CONNECT(self) -> None:  # noqa: N802 (http.server API)
+        with self.server.lock:
+            self.server.requests.append(
+                {
+                    "path": self.path,
+                    "proxy_authorization": self.headers.get("Proxy-Authorization"),
+                    "client": self.client_address,
+                }
+            )
+        host, _, port = self.path.rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=5) as upstream:
+            self.send_response(200)
+            self.end_headers()
+            ends = [self.connection, upstream]
+            while True:
+                readable, _, _ = select.select(ends, [], [], 5)
+                chunks = [(end, end.recv(65536)) for end in readable]
+                if not readable or not all(chunk for _, chunk in chunks):
+                    break
+                for end, chunk in chunks:
+                    (upstream if end is self.connection else self.connection).sendall(chunk)
+        self.close_connection = True
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+# A self-signed certificate for the IP address 127.0.0.1, valid 2000-2100.
+TLS_CERT = Path(__file__).with_name("tls_cert.pem")
+TLS_KEY = Path(__file__).with_name("tls_key.pem")
+
+
 class HttpStub:
     """Scripted local HTTP endpoint: pop one (status, payload) per request.
 
     A ``bytes`` payload is sent as the body unchanged; anything else as JSON.
     An optional third element, ``{"delay_s": ..., "headers": {...}}``, delays
-    the reply or adds headers to it. The default stub speaks HTTP/1.0 and
-    closes each connection after one reply; ``keep_alive=True`` speaks
-    HTTP/1.1 and keeps connections open. Each recorded request names the
-    client address it came from.
+    the reply or adds headers to it; with ``"drop": True`` the stub closes
+    the connection after the reply without saying so, and sets ``dropped``.
+    The default handler speaks HTTP/1.0 and closes each connection after
+    one reply; ``_KeepAliveStubHandler`` speaks HTTP/1.1 and keeps
+    connections open. ``tls=True`` serves HTTPS with ``TLS_CERT``. Each
+    recorded request names the client address it came from.
     """
 
-    def __init__(self, keep_alive: bool = False) -> None:
-        handler = _KeepAliveStubHandler if keep_alive else _StubHandler
+    def __init__(self, handler: type = _StubHandler, tls: bool = False) -> None:
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        self.scheme = "https" if tls else "http"
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, TLS_KEY)
+            self.server.socket = context.wrap_socket(self.server.socket, server_side=True)
         self.server.script = []
         self.server.requests = []
         self.server.lock = threading.Lock()
+        self.server.dropped = threading.Event()
         # a short poll interval, so that shutdown() need not wait out the 0.5 s default
         self.thread = threading.Thread(
             target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
@@ -165,7 +218,11 @@ class HttpStub:
     @property
     def base_url(self) -> str:
         host, port = self.server.server_address
-        return f"http://{host}:{port}/v1"
+        return f"{self.scheme}://{host}:{port}/v1"
+
+    @property
+    def dropped(self) -> threading.Event:
+        return self.server.dropped
 
     @property
     def script(self) -> list:
@@ -189,6 +246,21 @@ def http_stub():
 
 @pytest.fixture
 def keep_alive_stub():
-    stub = HttpStub(keep_alive=True)
+    stub = HttpStub(_KeepAliveStubHandler)
     yield stub
     stub.close()
+
+
+@pytest.fixture
+def tls_stub():
+    stub = HttpStub(_KeepAliveStubHandler, tls=True)
+    yield stub
+    stub.close()
+
+
+@pytest.fixture
+def tunnel_proxy():
+    """A CONNECT proxy; its ``requests`` are the CONNECT requests it served."""
+    proxy = HttpStub(_TunnelHandler)
+    yield proxy
+    proxy.close()

@@ -5,11 +5,15 @@ from __future__ import annotations
 import base64
 import logging
 import os
+import select
 import socket
+import ssl
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import certifi
 import pytest
 
 import rmoa
@@ -18,7 +22,7 @@ from rmoa.embedding import embed_batch
 from rmoa.errors import BackendUnavailableError, ConfigError, ProtocolError
 from rmoa.harness import BenchmarkItem, run_benchmark
 
-from conftest import make_config
+from conftest import TLS_CERT, make_config
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.001)
 
@@ -372,6 +376,39 @@ class TestTransport:
             backend.close()
         assert keep_alive_stub.requests[0]["path"] == "/v1/chat/completions"
 
+    def test_https_target_tunnels_through_the_proxy(
+        self, tls_stub, tunnel_proxy, proxy_env, trust_test_cert
+    ):
+        proxy = tunnel_proxy.base_url.removesuffix("/v1").replace("//", "//us%40r:pw@")
+        proxy_env.setenv("HTTPS_PROXY", proxy)
+        tls_stub.script.extend([(200, chat_payload("tunneled"))] * 2)
+        backend = chat_backend(tls_stub)
+        try:
+            assert [ask(backend).text for _ in range(2)] == ["tunneled"] * 2
+        finally:
+            backend.close()
+        [connect] = tunnel_proxy.requests
+        host, port = tls_stub.server.server_address
+        assert connect["path"] == f"{host}:{port}"
+        assert connect["proxy_authorization"] == "Basic " + base64.b64encode(b"us@r:pw").decode()
+        assert [r["path"] for r in tls_stub.requests] == ["/v1/chat/completions"] * 2
+        assert [r["proxy_authorization"] for r in tls_stub.requests] == [None, None]
+
+    def test_https_proxy_forwards_an_http_target(self, tls_stub, proxy_env, trust_test_cert):
+        proxy_env.setenv("HTTP_PROXY", tls_stub.base_url.removesuffix("/v1"))
+        tls_stub.script.append((200, chat_payload("via https proxy")))
+        backend = HttpChatBackend(base_url="http://backend.invalid/v1", model="m", retry=FAST_RETRY)
+        try:
+            assert ask(backend).text == "via https proxy"
+        finally:
+            backend.close()
+        assert tls_stub.requests[0]["path"] == "http://backend.invalid/v1/chat/completions"
+
+    def test_https_proxy_for_an_https_target_is_a_config_error(self, proxy_env):
+        proxy_env.setenv("HTTPS_PROXY", "https://127.0.0.1:9")
+        with pytest.raises(ConfigError, match="https:// proxy"):
+            HttpChatBackend(base_url="https://backend.invalid/v1", model="m")
+
     def test_unsupported_proxy_scheme_is_a_config_error(self, proxy_env):
         proxy_env.setenv("HTTP_PROXY", "socks5://127.0.0.1:9")
         with pytest.raises(ConfigError, match="socks5"):
@@ -380,5 +417,93 @@ class TestTransport:
     def test_importing_rmoa_leaves_requests_out(self):
         src = str(Path(rmoa.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, rmoa; sys.exit('requests' in sys.modules)"
+        code = "import sys, rmoa; sys.exit('requests' in sys.modules or 'urllib3' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+    def test_requests_name_rmoa_as_user_agent(self, http_stub):
+        http_stub.script.append((200, chat_payload()))
+        ask(chat_backend(http_stub))
+        assert http_stub.requests[0]["user_agent"] == f"rmoa/{rmoa.__version__}"
+
+    @pytest.mark.parametrize("check", ["poll", "select"])
+    def test_connection_the_server_dropped_is_not_reused(
+        self, keep_alive_stub, caplog, monkeypatch, check
+    ):
+        if check == "select":
+            # the check a platform without poll(), such as Windows, makes
+            monkeypatch.delattr(select, "poll")
+        keep_alive_stub.script.extend(
+            [(200, chat_payload("first"), {"drop": True}), (200, chat_payload("second"))]
+        )
+        backend = chat_backend(keep_alive_stub)
+        try:
+            assert ask(backend).text == "first"
+            assert keep_alive_stub.dropped.wait(5)
+            with caplog.at_level(logging.WARNING, logger="rmoa.backends"):
+                assert ask(backend).text == "second"
+        finally:
+            backend.close()
+        assert caplog.records == []
+        first, second = keep_alive_stub.requests
+        assert first["client"] != second["client"]
+
+    def test_reply_with_connection_close_is_not_pooled(self, keep_alive_stub):
+        keep_alive_stub.script.append((200, chat_payload(), {"headers": {"Connection": "close"}}))
+        backend = chat_backend(keep_alive_stub)
+        ask(backend)
+        assert idle_connections(backend) == []
+
+    def test_burst_keeps_at_most_the_pool_size_idle(self, keep_alive_stub):
+        keep_alive_stub.script.extend([(200, chat_payload(), {"delay_s": 0.2})] * 16)
+        backend = chat_backend(keep_alive_stub)
+        try:
+            with ThreadPoolExecutor(16) as calls:
+                replies = list(calls.map(lambda _: ask(backend).text, range(16)))
+            assert replies == ["hello"] * 16
+            idle = idle_connections(backend)
+            assert len(idle) == 10
+            assert all(
+                conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) for conn in idle
+            )
+            burst = {request["client"] for request in keep_alive_stub.requests}
+            keep_alive_stub.script.append((200, chat_payload()))
+            ask(backend)
+        finally:
+            backend.close()
+        assert len(burst) == 16
+        assert keep_alive_stub.requests[-1]["client"] in burst
+
+
+def idle_connections(backend):
+    """The idle connections the client's pool holds for reuse."""
+    return backend._pool._idle
+
+
+@pytest.fixture
+def trust_test_cert(monkeypatch):
+    """certifi's bundle is the tests' self-signed certificate."""
+    monkeypatch.setattr(certifi, "where", lambda: str(TLS_CERT))
+
+
+class TestTls:
+    def test_calls_share_one_verified_connection(self, tls_stub, trust_test_cert):
+        tls_stub.script.extend([(200, chat_payload("secure"))] * 2)
+        backend = chat_backend(tls_stub)
+        try:
+            assert [ask(backend).text for _ in range(2)] == ["secure"] * 2
+        finally:
+            backend.close()
+        assert len({request["client"] for request in tls_stub.requests}) == 1
+
+    def test_untrusted_certificate_is_unavailable(self, tls_stub):
+        with pytest.raises(BackendUnavailableError, match="certificate verify failed"):
+            ask(chat_backend(tls_stub))
+        assert tls_stub.requests == []
+
+    def test_http_client_builds_no_tls_context(self, http_stub, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an http:// client built a TLS context")
+
+        monkeypatch.setattr(ssl, "create_default_context", refuse)
+        http_stub.script.append((200, chat_payload()))
+        assert ask(chat_backend(http_stub)).text == "hello"
