@@ -13,7 +13,6 @@ submodule (``rmoa.agents``, ``rmoa.embedding``, ...).
 __version__ = "0.1.0"
 
 from .accounting import (
-    GradedRound,
     UsageLedger,
     dollar_cost,
     hallucination_rate,
@@ -33,7 +32,6 @@ from .mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 from .pipeline import RunConfig, Transcript, run_pipeline
 from .selection import greedy_diverse_select
 from .termination import (
-    ResidualWindow,
     TerminationConfig,
     adaptive_should_stop,
     similarity_threshold_stop,
@@ -45,13 +43,11 @@ __all__ = [
     "BenchmarkItem",
     "BenchmarkReport",
     "EmbeddingVector",
-    "GradedRound",
     "HttpChatBackend",
     "HttpEmbeddingBackend",
     "MockChatBackend",
     "MockEmbeddingBackend",
     "MockRule",
-    "ResidualWindow",
     "RetryPolicy",
     "RunConfig",
     "SamplingParams",

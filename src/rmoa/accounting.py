@@ -10,9 +10,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .errors import ConfigError, UndefinedRateError
+from .errors import ConfigError
 
 CALL_KINDS = ("proposer", "extractor", "aggregator", "embedding")
 
@@ -170,28 +170,16 @@ def tflops_or_none(ledger: UsageLedger) -> float | None:
         return None
 
 
-@dataclass(frozen=True)
-class GradedRound:
-    """Per-item correctness for one refinement round, index-aligned."""
-
-    round: int
-    correctness: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if self.round < 1:
-            raise ValueError("round numbers start at 1")
-
-
-def hallucination_rate(prev: GradedRound, curr: GradedRound) -> float:
+def hallucination_rate(prev: Sequence[bool], curr: Sequence[bool]) -> float | None:
     """Fraction of items correct in the earlier round that flipped wrong.
 
-    Undefined (raises) when the earlier round has no correct items.
+    ``prev`` and ``curr`` grade the same items, index-aligned. None when the
+    earlier round has no correct item.
     """
-    if len(prev.correctness) != len(curr.correctness):
+    if len(prev) != len(curr):
         raise ValueError("rounds must grade the same number of items")
-    previously_correct = [i for i, ok in enumerate(prev.correctness) if ok]
+    previously_correct = [i for i, ok in enumerate(prev) if ok]
     if not previously_correct:
-        raise UndefinedRateError("no correct items in the earlier round")
-    flipped = sum(1 for i in previously_correct if not curr.correctness[i])
+        return None
+    flipped = sum(1 for i in previously_correct if not curr[i])
     return flipped / len(previously_correct)
-

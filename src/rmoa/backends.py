@@ -37,6 +37,7 @@ import ssl
 import threading
 import time
 import urllib.request
+import weakref
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 from urllib.parse import unquote, urlsplit
@@ -175,7 +176,8 @@ class _Pool:
 
     ``post`` takes an idle connection or opens one, sends one request on it,
     reads the whole reply and puts the connection back unless the reply
-    closes it or ``_POOL_MAXSIZE`` connections are already idle.
+    closes it or ``_POOL_MAXSIZE`` connections are already idle. The idle
+    connections are closed when the pool is garbage-collected.
     """
 
     def __init__(
@@ -201,6 +203,8 @@ class _Pool:
         self._context: ssl.SSLContext | None = None
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
+        # holds the list, not the pool, so the pool can still be collected
+        weakref.finalize(self, _close_all, self._idle)
 
     def post(self, path: str, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
         """Send one POST; return the reply's status and body."""
@@ -224,9 +228,7 @@ class _Pool:
     def clear(self) -> None:
         """Close every idle connection."""
         with self._lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+            _close_all(self._idle)
 
     def _take(self) -> http.client.HTTPConnection:
         with self._lock:
@@ -259,6 +261,12 @@ class _Pool:
             if self._context is None:
                 self._context = ssl.create_default_context(cafile=certifi.where())
             return self._context
+
+
+def _close_all(idle: list[http.client.HTTPConnection]) -> None:
+    """Close and remove every connection in ``idle``, in place."""
+    while idle:
+        idle.pop().close()
 
 
 def _closed_by_server(conn: http.client.HTTPConnection) -> bool:

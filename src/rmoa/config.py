@@ -24,6 +24,8 @@ from .harness import DEFAULT_ITEM_PARALLELISM
 from .mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
 from .pipeline import RunConfig
 
+_TOP_LEVEL_KEYS = ("run", "backends", "pricing", "execution", "prompts", "params_per_model")
+
 
 @dataclass
 class AppConfig:
@@ -56,6 +58,23 @@ def _expect_mapping(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be an object")
     return value
+
+
+def _check_keys(raw: dict, known, path: str) -> dict:
+    """``raw``, once each of its keys is one of ``known``.
+
+    ``path`` prefixes the keys an error names; it is empty at the top level.
+    """
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        prefix = f"{path}." if path else ""
+        raise ConfigError(f"{', '.join(prefix + key for key in unknown)}: unknown key")
+    return raw
+
+
+def _section(raw: dict, name: str, known) -> dict:
+    """The object under ``name`` ({} when absent or null), with only ``known`` keys."""
+    return _check_keys(_expect_mapping(raw.get(name), name), known, name)
 
 
 def _hints(target) -> dict:
@@ -125,9 +144,7 @@ def _read(target, raw: dict, path: str, **given):
 
 def _read_section(cls, raw: dict, path: str):
     """``cls`` from a section in which every key must name one of its fields."""
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"{', '.join(f'{path}.{key}' for key in unknown)}: unknown key")
+    _check_keys(raw, [f.name for f in fields(cls)], path)
     return _read(cls, raw, path)
 
 
@@ -142,11 +159,13 @@ def load_config(path: str | Path) -> AppConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must contain a JSON object")
 
+    _check_keys(raw, _TOP_LEVEL_KEYS, "")
     hints = _hints(AppConfig)
-    backends = _expect_mapping(raw.get("backends"), "backends")
-    pricing = _expect_mapping(raw.get("pricing"), "pricing")
-    execution = _expect_mapping(raw.get("execution"), "execution")
-    directory = _expect_mapping(raw.get("prompts"), "prompts").get("directory")
+    # Backend specs themselves stay free-form: each kind reads the keys it uses.
+    backends = _section(raw, "backends", ["chat", "embedding"])
+    pricing = _section(raw, "pricing", ["price_per_million_tokens"])
+    execution = _section(raw, "execution", ["item_parallelism", "proposer_parallelism"])
+    directory = _section(raw, "prompts", ["directory"]).get("directory")
     params = raw.get("params_per_model")
     return AppConfig(
         run=_read_section(RunConfig, _expect_mapping(raw.get("run"), "run"), "run"),
@@ -155,8 +174,8 @@ def load_config(path: str | Path) -> AppConfig:
         params_per_model=_convert(params, hints["params_per_model"], "params_per_model"),
         # An empty directory string means unset, like null.
         prompt_dir=_convert(directory or None, hints["prompt_dir"], "prompts.directory"),
-        **_settings(hints, pricing, "pricing", ["price_per_million_tokens"]),
-        **_settings(hints, execution, "execution", ["item_parallelism", "proposer_parallelism"]),
+        **_settings(hints, pricing, "pricing", pricing),
+        **_settings(hints, execution, "execution", execution),
     )
 
 

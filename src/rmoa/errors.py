@@ -35,7 +35,3 @@ class ConfigError(RmoaError, ValueError):
 
 class DatasetError(RmoaError, ValueError):
     """A benchmark dataset file failed to parse or validate."""
-
-
-class UndefinedRateError(RmoaError, ValueError):
-    """A rate was requested whose denominator is empty."""

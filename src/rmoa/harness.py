@@ -20,7 +20,6 @@ from typing import Iterator
 
 from .accounting import (
     DEFAULT_PRICE_PER_MILLION,
-    GradedRound,
     UsageLedger,
     dollar_cost,
     format_dollars,
@@ -28,7 +27,7 @@ from .accounting import (
     tflops_or_none,
 )
 from .backends import Backends
-from .errors import DatasetError, UndefinedRateError
+from .errors import DatasetError
 from .pipeline import (
     STOP_BACKEND_ABORT,
     RunConfig,
@@ -244,11 +243,12 @@ class BenchmarkReport:
             return None
         return sum(item.layers_used for item in self.items) / len(self.items)
 
-    def rounds(self) -> list[GradedRound]:
+    def rounds(self) -> list[tuple[bool, ...]]:
         """Per-round correctness over gradable items, for flip-rate analysis.
 
-        Items that stopped early keep their last grade for later rounds.
-        Empty unless the run captured per-layer answers.
+        Round n is at index n - 1, one grade per tracked item. Items that
+        stopped early keep their last grade for later rounds. Empty unless
+        the run captured per-layer answers.
         """
         tracked = [
             result.layer_correct
@@ -260,22 +260,18 @@ class BenchmarkReport:
         if not tracked:
             return []
         depth = max(len(grades) for grades in tracked)
-        rounds: list[GradedRound] = []
-        for round_index in range(depth):
-            graded = [bool(grades[min(round_index, len(grades) - 1)]) for grades in tracked]
-            rounds.append(GradedRound(round_index + 1, tuple(graded)))
-        return rounds
+        return [
+            tuple(bool(grades[min(index, len(grades) - 1)]) for grades in tracked)
+            for index in range(depth)
+        ]
 
     def hallucination_rates(self) -> dict[int, float | None]:
         """Flip rate between consecutive rounds; None where undefined."""
         rounds = self.rounds()
-        rates: dict[int, float | None] = {}
-        for prev, curr in zip(rounds, rounds[1:]):
-            try:
-                rates[curr.round] = hallucination_rate(prev, curr)
-            except UndefinedRateError:
-                rates[curr.round] = None
-        return rates
+        return {
+            number: hallucination_rate(prev, curr)
+            for number, (prev, curr) in enumerate(zip(rounds, rounds[1:]), start=2)
+        }
 
     def to_json_dict(self) -> dict:
         rates = None

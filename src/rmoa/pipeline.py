@@ -53,7 +53,6 @@ from .errors import (
 from .prompts import PromptSet, load_prompt_set
 from .selection import SelectionResult, greedy_diverse_select
 from .termination import (
-    ResidualWindow,
     TerminationConfig,
     adaptive_should_stop,
     layer_converged,
@@ -153,8 +152,9 @@ class Transcript:
     """Full record of one run.
 
     With a persist directory, each finished layer is appended to
-    ``layers.jsonl``; ``transcript.json`` and ``ledger.json`` are written
-    once, atomically, when the run completes or aborts. All three hold
+    ``layers.jsonl``; ``ledger.json`` and then ``transcript.json`` are
+    written once, atomically, when the run completes or aborts, so
+    ``transcript.json`` exists only for a finished item. All three hold
     compact, key-sorted JSON encoded one layer at a time, and
     ``to_json_bytes`` is the bytes of ``transcript.json``.
     """
@@ -251,9 +251,10 @@ def _transcript_pieces(transcript: Transcript, ledger: str) -> Iterator[str]:
 
 
 def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
-    """Write the final ``transcript.json`` and ``ledger.json``, then drop the log.
+    """Write the final ``ledger.json`` and ``transcript.json``, then drop the log.
 
-    ``transcript.json`` is written one layer at a time, so its whole text
+    ``transcript.json`` is renamed into place last, so its presence means
+    the item finished. It is written one layer at a time, so its whole text
     never sits in memory at once.
     """
     if persist_dir is None:
@@ -261,8 +262,8 @@ def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
     persist_dir = Path(persist_dir)
     persist_dir.mkdir(parents=True, exist_ok=True)
     ledger = _JSON_ENCODER.encode(transcript.ledger.to_json_dict())
-    write_atomic(persist_dir / "transcript.json", _transcript_pieces(transcript, ledger))
     write_atomic(persist_dir / "ledger.json", (ledger, "\n"))
+    write_atomic(persist_dir / "transcript.json", _transcript_pieces(transcript, ledger))
     (persist_dir / "layers.jsonl").unlink(missing_ok=True)
 
 
@@ -341,7 +342,7 @@ def run_pipeline(
         ledger.append("aggregator", backends.chat.model, response.usage)
         return response
 
-    window = ResidualWindow((), config.termination.m)
+    not_converged: list[bool] = []
     previous_selected: list[Response] = []
     previous_vectors: list[EmbeddingVector] = []
     reference: str | None = None
@@ -376,8 +377,10 @@ def run_pipeline(
                     converged = layer_converged(
                         config.termination, residual.detected, previous_vectors, selected_vectors
                     )
-                    window = window.extended(not converged)
-                    terminated_here = layer < config.layers and adaptive_should_stop(window)
+                    not_converged.append(not converged)
+                    terminated_here = layer < config.layers and adaptive_should_stop(
+                        not_converged, config.termination.m
+                    )
                 aggregation_base = previous_selected or selected
                 reference = build_reference_context(aggregation_base, residual)
                 previous_selected = selected

@@ -17,26 +17,14 @@ from .errors import ConfigError
 TERMINATION_POLICIES = ("llm", "sim_threshold", "variance", "none")
 
 
-@dataclass(frozen=True)
-class ResidualWindow:
-    """Residual-detected flags per completed layer, most recent last."""
+def adaptive_should_stop(history: Sequence[bool], m: int) -> bool:
+    """True once the last ``m`` completed layers all looked converged.
 
-    history: tuple[bool, ...]
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("window size m must be at least 1")
-        object.__setattr__(self, "history", tuple(bool(x) for x in self.history))
-
-    def extended(self, detected: bool) -> "ResidualWindow":
-        return ResidualWindow(self.history + (bool(detected),), self.m)
-
-
-def adaptive_should_stop(window: ResidualWindow) -> bool:
-    """True once the trailing ``m`` layers all reported no residual."""
-    history = window.history
-    m = window.m
+    ``history`` holds one not-converged flag per completed layer, most
+    recent last.
+    """
+    if m < 1:
+        raise ValueError("window size m must be at least 1")
     return len(history) >= m and not any(history[-m:])
 
 

@@ -128,13 +128,18 @@ class _StubHandler(BaseHTTPRequestHandler):
         options = extra[0] if extra else {}
         time.sleep(options.get("delay_s", 0.0))
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in options.get("headers", {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            for name, value in options.get("headers", {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            # the client gave up on this reply (a read timeout) and closed
+            self.close_connection = True
+            return
         if options.get("drop"):
             # close without a Connection: close header, as a server whose
             # keep-alive timer ran out does

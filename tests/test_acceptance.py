@@ -24,7 +24,6 @@ from rmoa.harness import BenchmarkItem, grade_boxed, run_benchmark
 from rmoa.pipeline import run_pipeline
 from rmoa.selection import greedy_diverse_select
 from rmoa.termination import (
-    ResidualWindow,
     adaptive_should_stop,
     pairwise_similarities,
     similarity_threshold_stop,
@@ -149,7 +148,7 @@ def test_criterion_04_termination_truth_tables_and_monotonicity():
             for bits in range(2**length):
                 history = tuple(bool((bits >> i) & 1) for i in range(length))
                 expected = length >= m and not any(history[-m:])
-                assert adaptive_should_stop(ResidualWindow(history, m)) == expected
+                assert adaptive_should_stop(history, m) == expected
     rng = random.Random(1004)
     for _ in range(200):
         dim = rng.randint(2, 8)

@@ -8,7 +8,6 @@ from decimal import Decimal
 import pytest
 
 from rmoa.accounting import (
-    GradedRound,
     TokenUsage,
     UsageLedger,
     dollar_cost,
@@ -16,7 +15,7 @@ from rmoa.accounting import (
     hallucination_rate,
     tflops_estimate,
 )
-from rmoa.errors import ConfigError, UndefinedRateError
+from rmoa.errors import ConfigError
 
 from oracles import concatenated
 
@@ -178,27 +177,23 @@ class TestUsageLedger:
 
 class TestHallucinationRate:
     def test_no_flips(self):
-        prev = GradedRound(1, tuple([True] * 50))
-        curr = GradedRound(2, tuple([True] * 50))
+        prev = [True] * 50
+        curr = [True] * 50
         assert hallucination_rate(prev, curr) == 0.0
 
     def test_three_flips_of_forty(self):
-        prev = GradedRound(1, tuple([True] * 40 + [False] * 10))
+        prev = [True] * 40 + [False] * 10
         curr_flags = [True] * 40 + [False] * 10
         for i in (0, 5, 11):
             curr_flags[i] = False
-        curr = GradedRound(2, tuple(curr_flags))
-        assert hallucination_rate(prev, curr) == 0.075
+        assert hallucination_rate(prev, curr_flags) == 0.075
 
     def test_undefined_without_previously_correct(self):
-        prev = GradedRound(1, (False, False))
-        curr = GradedRound(2, (True, False))
-        with pytest.raises(UndefinedRateError):
-            hallucination_rate(prev, curr)
+        assert hallucination_rate((False, False), (True, False)) is None
 
     def test_mismatched_item_counts_rejected(self):
         with pytest.raises(ValueError):
-            hallucination_rate(GradedRound(1, (True,)), GradedRound(2, (True, False)))
+            hallucination_rate((True,), (True, False))
 
     def test_permutation_invariant(self):
         rng = random.Random(47)
@@ -210,11 +205,8 @@ class TestHallucinationRate:
                 prev[0] = True
             order = list(range(n))
             rng.shuffle(order)
-            base = hallucination_rate(
-                GradedRound(1, tuple(prev)), GradedRound(2, tuple(curr))
-            )
+            base = hallucination_rate(prev, curr)
             shuffled = hallucination_rate(
-                GradedRound(1, tuple(prev[i] for i in order)),
-                GradedRound(2, tuple(curr[i] for i in order)),
+                [prev[i] for i in order], [curr[i] for i in order]
             )
             assert base == shuffled

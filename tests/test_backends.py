@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import gc
 import logging
 import os
 import select
@@ -334,6 +335,15 @@ class TestTransport:
         clients = {request["client"] for request in keep_alive_stub.requests}
         assert len(keep_alive_stub.requests) == 5
         assert len(clients) == 1
+
+    def test_collected_client_closes_its_idle_connections(self, keep_alive_stub):
+        keep_alive_stub.script.append((200, chat_payload()))
+        backend = chat_backend(keep_alive_stub)
+        ask(backend)
+        [conn] = backend._pool._idle
+        del backend
+        gc.collect()
+        assert conn.sock is None
 
     @pytest.fixture
     def proxy_env(self, monkeypatch):

@@ -559,7 +559,10 @@ class TestConfigLoading:
             build_backends(load_config(config_path))
 
     @pytest.mark.parametrize(
-        "key_path", ["run.layer", "run.termination.window", "run.sampling.top_p"]
+        "key_path",
+        ["run.layer", "run.termination.window", "run.sampling.top_p", "runn",
+         "backends.chatt", "pricing.price_per_milion_tokens", "execution.item_paralelism",
+         "prompts.dir"],
     )
     def test_unknown_run_key_rejected(self, workspace, key_path):
         _, _, config_path = workspace

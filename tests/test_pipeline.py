@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -11,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from rmoa import pipeline
 from rmoa.accounting import TokenUsage
 from rmoa.agents import NO_RESIDUAL, Residual, Response, render_numbered_responses
 from rmoa.backends import Backends
@@ -180,6 +183,32 @@ class TestRunRmoa:
         assert transcript.stop_reason == "max_layers"
         assert len(transcript.layer_states) == 2
         assert not transcript.layer_states[-1].terminated_here
+
+    @pytest.mark.parametrize(
+        "length, m", [(n, m) for n in range(6) for m in (1, 2, 3) if m <= n + 1]
+    )
+    def test_every_verdict_script_stops_where_the_rule_says(self, length, m):
+        # layers 2.. get one verdict each (True: residual, so not converged);
+        # the run stops after the first layer before the last whose trailing
+        # m verdicts are all quiet
+        layers = length + 1
+        config = make_config(layers=layers, proposers=2, k=1, policy="llm", m=m)
+        for script in itertools.product((False, True), repeat=length):
+            stop_layer = next(
+                (layer for layer in range(2, layers)
+                 if layer - 1 >= m and not any(script[layer - 1 - m:layer - 1])),
+                layers,
+            )
+            bundle = make_mock_bundle(behavior="residual_script", script=script)
+            transcript = run_pipeline("Follow the script.", config, bundle)
+            assert len(transcript.layer_states) == stop_layer, script
+            assert transcript.stop_reason == (
+                "adaptive_stop" if stop_layer < layers else "max_layers"
+            ), script
+            assert [s.terminated_here for s in transcript.layer_states] == (
+                [False] * (stop_layer - 1) + [stop_layer < layers]
+            ), script
+            assert transcript.ledger.count("extractor") == stop_layer - 1, script
 
     def test_quantitative_policy_stops_without_residual_signal(self):
         config = RunConfig(
@@ -386,6 +415,28 @@ class TestRunRmoa:
         assert not (tmp_path / "ledger.json").exists()
 
         run_pipeline("Crash midway.", config, make_mock_bundle(), persist_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
+
+    def test_transcript_is_the_last_rename(self, tmp_path, monkeypatch):
+        # a crash between the two renames leaves no transcript.json behind
+        config = make_config(layers=2, proposers=2, k=1)
+        replace_file = os.replace
+        calls = []
+
+        def crash_on_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("killed between renames")
+            replace_file(src, dst)
+
+        monkeypatch.setattr(pipeline.os, "replace", crash_on_second)
+        with pytest.raises(OSError):
+            run_pipeline("Crash on rename.", config, make_mock_bundle(), persist_dir=tmp_path)
+        assert not (tmp_path / "transcript.json").exists()
+        assert (tmp_path / "layers.jsonl").exists()
+
+        monkeypatch.setattr(pipeline.os, "replace", replace_file)
+        run_pipeline("Crash on rename.", config, make_mock_bundle(), persist_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
 
     @pytest.mark.parametrize(

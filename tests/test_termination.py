@@ -11,7 +11,6 @@ from rmoa import termination
 from rmoa.embedding import EmbeddingVector, cosine, screened_cosine
 from rmoa.errors import ConfigError, DegenerateEmbeddingError
 from rmoa.termination import (
-    ResidualWindow,
     TerminationConfig,
     adaptive_should_stop,
     layer_converged,
@@ -24,23 +23,19 @@ from rmoa.termination import (
 from oracles import random_vectors
 
 
-def window(history, m):
-    return ResidualWindow(tuple(history), m)
-
-
 class TestAdaptiveShouldStop:
     def test_single_quiet_layer_with_m1(self):
-        assert adaptive_should_stop(window([False], 1)) is True
+        assert adaptive_should_stop([False], 1) is True
 
     def test_one_trailing_quiet_layer_is_not_enough_for_m2(self):
-        assert adaptive_should_stop(window([True, False], 2)) is False
+        assert adaptive_should_stop([True, False], 2) is False
 
     def test_two_trailing_quiet_layers_stop_with_m2(self):
-        assert adaptive_should_stop(window([True, False, False], 2)) is True
+        assert adaptive_should_stop([True, False, False], 2) is True
 
     def test_short_history_never_stops(self):
-        assert adaptive_should_stop(window([], 1)) is False
-        assert adaptive_should_stop(window([False], 2)) is False
+        assert adaptive_should_stop([], 1) is False
+        assert adaptive_should_stop([False], 2) is False
 
     def test_exhaustive_against_restated_rule(self):
         for m in (1, 2, 3):
@@ -48,20 +43,19 @@ class TestAdaptiveShouldStop:
                 for bits in range(2**length):
                     history = [bool((bits >> i) & 1) for i in range(length)]
                     expected = length >= m and not any(history[-m:])
-                    assert adaptive_should_stop(window(history, m)) == expected
+                    assert adaptive_should_stop(history, m) == expected
 
     def test_appending_quiet_layer_never_revokes_a_stop(self):
         rng = random.Random(3)
         for _ in range(200):
             history = [rng.random() < 0.5 for _ in range(rng.randint(1, 6))]
             m = rng.randint(1, 3)
-            w = window(history, m)
-            if adaptive_should_stop(w):
-                assert adaptive_should_stop(w.extended(False))
+            if adaptive_should_stop(history, m):
+                assert adaptive_should_stop(history + [False], m)
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
-            window([], 0)
+            adaptive_should_stop([], 0)
 
 
 def unit(x: float, y: float) -> EmbeddingVector:
