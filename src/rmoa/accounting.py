@@ -75,6 +75,9 @@ class UsageLedger:
             raise ValueError("price per million tokens must be finite and nonnegative")
         self.price_per_million_tokens = price
         self.params_per_model = dict(params_per_model or {})
+        for model, params in self.params_per_model.items():
+            if params < 1:
+                raise ValueError(f"parameter count of {model!r} must be at least 1, got {params}")
         self._entries: list[LedgerEntry] = []
         self._lock = threading.Lock()
 

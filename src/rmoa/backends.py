@@ -350,6 +350,12 @@ class HttpEmbeddingBackend(_HttpClient):
 
     max_input_chars: int | None = None
 
+    def __post_init__(self) -> None:
+        limit = self.max_input_chars
+        if limit is not None and limit < 1:
+            raise ValueError(f"max_input_chars must be at least 1, got {limit}")
+        super().__post_init__()
+
     def embed(self, texts: Sequence[str]) -> EmbeddingBatch:
         data = self._post("/embeddings", {"model": self.model, "input": list(texts)})
         try:

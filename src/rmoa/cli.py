@@ -1,4 +1,4 @@
-"""Command-line interface: run, grade, report, selftest."""
+"""Command-line interface: run, grade, report, check, selftest."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .agents import parse_residual_flag
 from .backends import Backends
+from .check import UNCHECKED_NOTE, check_run, check_transcript
 from .config import build_backends, load_config
 from .errors import RmoaError
 from .harness import (
@@ -65,6 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     report = commands.add_parser("report", help="re-render tables from a run directory")
     report.add_argument("--run-dir", required=True, type=Path)
     report.set_defaults(handler=_cmd_report)
+
+    check = commands.add_parser(
+        "check", help="check every item of a run directory against the paper's laws"
+    )
+    check.add_argument("--run-dir", required=True, type=Path)
+    check.set_defaults(handler=_cmd_check)
 
     selftest = commands.add_parser(
         "selftest", help="run the mock-backend determinism suite"
@@ -122,10 +129,15 @@ def _cmd_grade(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    report_path = Path(args.run_dir) / "report.json"
+def _report_path(run_dir: Path) -> Path:
+    report_path = Path(run_dir) / "report.json"
     if not report_path.is_file():
         raise RmoaError(f"{report_path} not found (run `rmoa run` first)")
+    return report_path
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    report_path = _report_path(args.run_dir)
     try:
         report_dict = json.loads(report_path.read_text(encoding="utf-8"))
         # Renders all three reports before writing any, so a bad dict writes nothing.
@@ -136,6 +148,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
         ) from exc
     print(render_report_text(report_dict), end="")
     return 0
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    _report_path(args.run_dir)
+    try:
+        problems = check_run(args.run_dir)
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise RmoaError(
+            f"{args.run_dir} holds a file the checker cannot read: {type(exc).__name__}: {exc}"
+        ) from exc
+    for problem in problems:
+        print(problem)
+    print(f"check: {len(problems) or 'no'} problems")
+    print(f"check: {UNCHECKED_NOTE}")
+    return 1 if problems else 0
 
 
 def _selftest_items(count: int) -> list[BenchmarkItem]:
@@ -186,39 +213,26 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     ]
     check("transcripts are byte-identical across runs", transcripts[0] == transcripts[1])
 
-    count_config = RunConfig(
+    base = RunConfig(
         layers=4, proposers_per_layer=6, select_k=3,
         termination=TerminationConfig(policy="none"),
     )
-    ledger = run_pipeline("Count the calls.", count_config, _mock_bundle()).ledger
-    check(
-        "call counts: 24 proposer / 3 extractor / 1 aggregator",
-        (ledger.count("proposer"), ledger.count("extractor"), ledger.count("aggregator"))
-        == (24, 3, 1),
-    )
-    moa_config = RunConfig(
-        layers=4, proposers_per_layer=6, select_k=3, mode="moa",
-        termination=TerminationConfig(policy="none"),
-    )
-    moa_ledger = run_pipeline("Count the calls.", moa_config, _mock_bundle()).ledger
-    check(
-        "baseline issues 25 chat calls",
-        moa_ledger.count("proposer") + moa_ledger.count("aggregator") == 25
-        and moa_ledger.count("extractor") == 0,
-    )
-
-    stop_config = RunConfig(
-        layers=4, proposers_per_layer=6, select_k=3,
-        termination=TerminationConfig(policy="llm", m=1),
-    )
-    bundle = _mock_bundle(behavior="residual_script", script=(False, False, False))
-    stopped = run_pipeline("Stop early please.", stop_config, bundle)
-    check(
-        "scripted no-residual stops after layer 2",
-        len(stopped.layer_states) == 2
-        and stopped.stop_reason == "adaptive_stop"
-        and stopped.ledger.count("proposer") == 12,
-    )
+    law_runs = {
+        "rmoa": (base, _mock_bundle()),
+        "moa": (dataclasses.replace(base, mode="moa"), _mock_bundle()),
+        "scripted no-residual": (
+            dataclasses.replace(base, termination=TerminationConfig(policy="llm", m=1)),
+            _mock_bundle(behavior="residual_script", script=(False, False, False)),
+        ),
+    }
+    for name, (law_config, bundle) in law_runs.items():
+        transcript = run_pipeline("Count the calls.", law_config, bundle)
+        problems = check_transcript(json.loads(transcript.to_json_bytes()))
+        for problem in problems:
+            print(f"selftest: {name}: {problem}")
+        check(f"{name} run keeps the call-count and early-stop laws", not problems)
+    # the checker cannot know the script, which stops after layer 2
+    check("scripted no-residual stops after layer 2", len(transcript.layer_states) == 2)
 
     check(
         "residual flag parsing",

@@ -46,6 +46,9 @@ class AppConfig:
             raise ConfigError(
                 f"pricing.price_per_million_tokens: must be finite and nonnegative, got {price}"
             )
+        for model, params in self.params_per_model.items():
+            if params < 1:
+                raise ConfigError(f"params_per_model.{model}: must be at least 1, got {params}")
         for name in ("item_parallelism", "proposer_parallelism"):
             value = getattr(self, name)
             if value is not None and value < 1:

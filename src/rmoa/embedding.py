@@ -18,7 +18,6 @@ the screen and the non-finite check.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from operator import mul
@@ -27,8 +26,6 @@ from typing import Callable, Iterable, Sequence
 from .accounting import TokenUsage
 from .backends import EmbeddingBackend
 from .errors import DegenerateEmbeddingError, DimensionMismatchError, ProtocolError
-
-logger = logging.getLogger(__name__)
 
 # Sizes for which the exact norm is provably positive and finite and the
 # screen's error bound holds: no square overflows, and what underflows is
@@ -255,22 +252,21 @@ def embed_batch(
     texts: Sequence[str],
     backend: EmbeddingBackend,
     *,
-    on_event: Callable[[str], None] | None = None,
+    on_event: Callable[[str], None],
 ) -> tuple[list[EmbeddingVector], TokenUsage]:
     """Embed ``texts`` in order through ``backend``; return the vectors and the usage.
 
     Texts beyond the backend's declared input limit are truncated first and
-    the truncation is reported through ``on_event`` (default: module log).
-    The backend must return one row per text, all of one dimension.
+    the truncation is reported through ``on_event``. The backend must
+    return one row per text, all of one dimension.
     """
     if not texts:
         raise ValueError("texts must be nonempty")
-    report = on_event if on_event is not None else logger.info
     limit = getattr(backend, "max_input_chars", None)
     prepared = []
     for index, text in enumerate(texts):
         if limit is not None and len(text) > limit:
-            report(
+            on_event(
                 f"embedding input {index} truncated from {len(text)} to {limit} chars"
             )
             text = text[:limit]

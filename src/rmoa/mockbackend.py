@@ -166,6 +166,8 @@ class MockEmbeddingBackend:
     ) -> None:
         if dim < 2:
             raise ValueError("embedding dimension must be at least 2")
+        if max_input_chars is not None and max_input_chars < 1:
+            raise ValueError(f"max_input_chars must be at least 1, got {max_input_chars}")
         self.seed = seed
         self.dim = dim
         self.model = model

@@ -239,6 +239,7 @@ def test_criterion_08_call_count_law():
     assert ledger.count("proposer") == 24
     assert ledger.count("extractor") == 3
     assert ledger.count("aggregator") == 1
+    assert ledger.count("embedding") == 4
 
     moa_config = make_config(layers=4, proposers=6, k=3, mode="moa")
     bundle = make_mock_bundle()

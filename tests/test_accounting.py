@@ -94,6 +94,11 @@ class TestDollarCost:
         with pytest.raises(ValueError):
             UsageLedger("-0.1")
 
+    @pytest.mark.parametrize("params", [0, -7_000_000_000])
+    def test_parameter_count_below_one_rejected(self, params):
+        with pytest.raises(ValueError, match="parameter count of 'm' must be at least 1"):
+            UsageLedger("0.30", {"m": params})
+
     @pytest.mark.parametrize("price", ["NaN", "sNaN", "Infinity", "-Infinity", float("inf")])
     def test_price_that_is_not_finite_is_rejected(self, price):
         with pytest.raises(ValueError, match="finite and nonnegative"):

@@ -236,7 +236,7 @@ class TestHttpEmbeddingBackend:
             )
         )
         with pytest.raises(ProtocolError, match="dimension"):
-            embed_batch(["a", "b"], embedding_backend(http_stub))
+            embed_batch(["a", "b"], embedding_backend(http_stub), on_event=pytest.fail)
 
     def test_embed_batch_truncates_to_declared_limit(self, http_stub):
         http_stub.script.append(

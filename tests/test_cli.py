@@ -26,6 +26,8 @@ BAD_VALUES = [
     ("backends.embedding.dim", "big"),
     ("run.sampling.max_tokens", "lots"),
     ("params_per_model.m", "7B"),
+    ("params_per_model.m", 0),
+    ("params_per_model.m", -7000000000),
     ("run.layers", "x"),
     ("run.capture_layer_answers", "false"),
     ("backends.chat.timeout_s", "slow"),
@@ -556,6 +558,19 @@ class TestConfigLoading:
         _, _, config_path = workspace
         set_key(config_path, f"backends.chat.{key}", value)
         with pytest.raises(ConfigError, match=f"backends.chat: {key}"):
+            build_backends(load_config(config_path))
+
+    @pytest.mark.parametrize("kind", ["mock", "http"])
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_embedding_input_limit_below_one_is_config_error(self, workspace, kind, limit):
+        _, _, config_path = workspace
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["backends"]["embedding"] = {
+            "kind": kind, "base_url": "http://127.0.0.1:1/v1", "model": "m",
+            "max_input_chars": limit,
+        }
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        with pytest.raises(ConfigError, match="backends.embedding: max_input_chars must be"):
             build_backends(load_config(config_path))
 
     @pytest.mark.parametrize(

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 import pytest
 
 from rmoa.accounting import TokenUsage
-from rmoa.backends import EmbeddingBatch
+from rmoa.backends import EmbeddingBatch, HttpEmbeddingBackend
 from rmoa.embedding import (
     EmbeddingVector,
     build_similarity_matrix,
@@ -219,19 +220,19 @@ class TestSimilarityMatrix:
 class TestEmbedBatch:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            embed_batch([], MockEmbeddingBackend())
+            embed_batch([], MockEmbeddingBackend(), on_event=pytest.fail)
 
     def test_deterministic_and_order_preserving(self):
         backend = MockEmbeddingBackend(seed=3, dim=16)
-        first, _ = embed_batch(["a", "b"], backend)
-        second, _ = embed_batch(["a", "b"], backend)
+        first, _ = embed_batch(["a", "b"], backend, on_event=pytest.fail)
+        second, _ = embed_batch(["a", "b"], backend, on_event=pytest.fail)
         assert first == second
         assert first[0] == EmbeddingVector(mock_embed("a", 3, 16))
         assert first[1] == EmbeddingVector(mock_embed("b", 3, 16))
 
     def test_duplicates_embed_identically(self):
         backend = MockEmbeddingBackend()
-        vectors, _ = embed_batch(["x", "x"], backend)
+        vectors, _ = embed_batch(["x", "x"], backend, on_event=pytest.fail)
         assert vectors[0] == vectors[1]
 
     def test_truncation_is_reported(self):
@@ -242,17 +243,31 @@ class TestEmbedBatch:
         assert vectors[1] == EmbeddingVector(mock_embed(long_text[:10], 1, 8))
         assert len(events) == 1 and "truncated" in events[0]
 
+    def test_event_sink_is_required(self):
+        with pytest.raises(TypeError, match="on_event"):
+            embed_batch(["a"], MockEmbeddingBackend())
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    @pytest.mark.parametrize(
+        "make",
+        [MockEmbeddingBackend, partial(HttpEmbeddingBackend, "http://127.0.0.1:1/v1", "m")],
+        ids=["mock", "http"],
+    )
+    def test_input_limit_below_one_is_refused(self, make, limit):
+        with pytest.raises(ValueError, match="max_input_chars must be at least 1"):
+            make(max_input_chars=limit)
+
     def test_returns_the_backend_usage(self):
-        _, usage = embed_batch(["a", "bb"], MockEmbeddingBackend())
+        _, usage = embed_batch(["a", "bb"], MockEmbeddingBackend(), on_event=pytest.fail)
         assert usage == TokenUsage(2, 0)  # ceil(1/4) + ceil(2/4)
 
     def test_wrong_count_is_protocol_error(self):
         with pytest.raises(ProtocolError):
-            embed_batch(["a", "b"], faulty_embedding("short"))
+            embed_batch(["a", "b"], faulty_embedding("short"), on_event=pytest.fail)
 
     def test_inconsistent_dimensions_is_protocol_error(self):
         with pytest.raises(ProtocolError, match="dimension"):
-            embed_batch(["a", "b"], faulty_embedding("ragged"))
+            embed_batch(["a", "b"], faulty_embedding("ragged"), on_event=pytest.fail)
 
     @pytest.mark.parametrize(
         ("rows", "expected"),
@@ -270,11 +285,11 @@ class TestEmbedBatch:
             def embed(self, texts):
                 return EmbeddingBatch(vectors=rows, usage=TokenUsage(0, 0), model=self.model)
 
-        vectors, _ = embed_batch(["a", "b"], RowBackend())
+        vectors, _ = embed_batch(["a", "b"], RowBackend(), on_event=pytest.fail)
         assert tuple(v.components for v in vectors) == expected
         assert all(type(c) is float for v in vectors for c in v.components)
         assert [v.norm() for v in vectors] == [naive_norm(v) for v in vectors]
 
     def test_nan_row_is_value_error(self):
         with pytest.raises(ValueError, match="finite"):
-            embed_batch(["a", "b"], faulty_embedding("nan"))
+            embed_batch(["a", "b"], faulty_embedding("nan"), on_event=pytest.fail)

@@ -1,7 +1,7 @@
 """Seeded fault plans run through ``run_benchmark`` in both modes, at four
 parallelism settings each: every run writes its report, completed items
-keep the call-count law, aborted items end once, and a plan gives the same
-results and transcripts at any parallelism."""
+keep the paper's laws (``rmoa.check``), aborted items end once, and a plan
+gives the same results and transcripts at any parallelism."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from itertools import product
 import pytest
 
 from rmoa.agents import SamplingParams
+from rmoa.check import FAILED_PROPOSER, check_transcript
 from rmoa.harness import BenchmarkItem, run_benchmark
 from rmoa.prompts import load_prompt_set
 
@@ -30,7 +31,6 @@ QUESTIONS = (None, *(item.question for item in ITEMS))
 CONTAINED_CHAT = tuple(fault for fault in CHAT_FAULTS if fault != "bug")
 CONTAINED_EMBEDDING = tuple(f for f in EMBEDDING_FAULTS if f not in ("bug", "nan", "empty"))
 KINDS = ("proposer", "proposer", "extractor", "aggregator", "embedding")
-ABORT = re.compile(r"aborted: (layer \d( snapshot)?|final aggregation): ")
 
 
 def draw_plan(rng: random.Random) -> dict:
@@ -50,29 +50,26 @@ def draw_plan(rng: random.Random) -> dict:
     return faults
 
 
-def check_item(item, result, out, faults, config) -> tuple[str, bytes]:
+def check_item(item, result, out, faults) -> tuple[str, bytes]:
     """Check one item's files against the laws; return what happened to it
     and the bytes of its transcript."""
     data = (out / item.id / "transcript.json").read_bytes()
     transcript = json.loads(data)
+    assert check_transcript(transcript) == [], transcript["events"]
     hit = [key for key in faults if key[3] in (None, item.question)]
     if transcript["stop_reason"] == "backend_abort":
-        aborts = [event for event in transcript["events"] if event.startswith("aborted: ")]
-        assert len(aborts) == 1 and ABORT.match(aborts[0]), transcript["events"]
         assert not (out / item.id / "layers.jsonl").exists()
         assert hit, f"{item.id} aborted with no fault planned for it"
-        if aborts[0].endswith("every proposer failed"):
+        (abort,) = [event for event in transcript["events"] if event.startswith("aborted: ")]
+        if abort.endswith("every proposer failed"):
             return "every proposer failed", data
-        return re.sub(r"\d", "N", ABORT.match(aborts[0]).group(1)), data
+        return re.sub(r"\d", "N", abort.split(": ")[1]), data
     layers = len(transcript["layer_states"])
     dropped = {key[1:3] for key in hit if key[0] == "proposer" and key[1] <= layers}
-    refine = config.mode == "rmoa"
-    assert Counter(entry["kind"] for entry in transcript["ledger"]["entries"]) == +Counter({
-        "proposer": PROPOSERS * layers - len(dropped),
-        "embedding": layers if refine else 0,
-        "extractor": layers - 1 if refine else 0,
-        "aggregator": layers if config.capture_layer_answers else 1,
-    })
+    # the checker reads failures from the events: they must name the planned ones
+    matches = (FAILED_PROPOSER.match(event) for event in transcript["events"])
+    failed = {(int(match[1]), int(match[2])) for match in matches if match}
+    assert failed == dropped, transcript["events"]
     assert result.layers_used == layers
     return "dropped proposer" if dropped else "completed", data
 
@@ -100,7 +97,7 @@ def test_seeded_fault_plans_mean_the_same_at_any_parallelism(tmp_path):
                 )
                 assert (out / "report.json").is_file()
                 checked = [
-                    check_item(item, result, out, faults, config)
+                    check_item(item, result, out, faults)
                     for item, result in zip(ITEMS, report.items)
                 ]
                 seen.update(outcome for outcome, _ in checked)
