@@ -17,12 +17,13 @@ is ``layer N``, ``layer N snapshot`` or ``final aggregation``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .accounting import UsageLedger
 from .agents import (
@@ -69,7 +70,9 @@ _CALL_FAILURES = (BackendUnavailableError, ProtocolError, EmptyResponseError)
 
 # The one text format of layers.jsonl, transcript.json and ledger.json:
 # compact, key-sorted JSON from one encoder's one-shot ``encode`` (the C
-# encoder), one layer at a time. Stateless, so threads share it.
+# encoder). A persisted layer is encoded once, for its log line, and
+# transcript.json splices those lines. ASCII-only output, so a line never
+# holds a raw newline. Stateless, so threads share it.
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
@@ -151,12 +154,14 @@ class LayerState:
 class Transcript:
     """Full record of one run.
 
-    With a persist directory, each finished layer is appended to
-    ``layers.jsonl``; ``ledger.json`` and then ``transcript.json`` are
-    written once, atomically, when the run completes or aborts, so
-    ``transcript.json`` exists only for a finished item. All three hold
-    compact, key-sorted JSON encoded one layer at a time, and
-    ``to_json_bytes`` is the bytes of ``transcript.json``.
+    With a persist directory, ``layers.jsonl`` is created empty when the
+    run starts and each finished layer is appended to it as one line;
+    ``ledger.json`` and then ``transcript.json`` are written once,
+    atomically, when the run completes or aborts, so ``transcript.json``
+    exists only for a finished item. ``transcript.json`` splices the log's
+    lines in, so each persisted layer is encoded once. All three hold
+    compact, key-sorted JSON, and ``to_json_bytes``, which encodes in
+    memory, is the bytes of ``transcript.json``.
     """
 
     config: RunConfig
@@ -198,25 +203,36 @@ def build_reference_context(
     )
 
 
-def _append_layer(persist_dir: Path | None, state: LayerState) -> None:
-    """Append one compact line for ``state`` to the item's layer log.
+@contextlib.contextmanager
+def _layer_log(persist_dir: Path | None) -> Iterator[TextIO | None]:
+    """The item's layer log, open for writing from the item's start to its end.
 
-    Layer 1 starts a fresh log and removes the final files of an earlier
-    run in the same directory, so a log without ``transcript.json`` always
-    means an interrupted run.
+    Opening it makes the directory, removes the final files of an earlier
+    run in it and empties the log, so a log without ``transcript.json``
+    always means an interrupted run. The handle is closed on every exit.
+    Without a persist directory there is no log.
     """
     if persist_dir is None:
+        yield None
         return
     persist_dir = Path(persist_dir)
-    first = state.layer == 1
-    if first:
-        persist_dir.mkdir(parents=True, exist_ok=True)
-        for name in ("transcript.json", "ledger.json"):
-            (persist_dir / name).unlink(missing_ok=True)
-    line = _layer_json(state) + "\n"
-    mode = "w" if first else "a"
-    with (persist_dir / "layers.jsonl").open(mode, encoding="utf-8") as handle:
-        handle.write(line)
+    persist_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("transcript.json", "ledger.json"):
+        (persist_dir / name).unlink(missing_ok=True)
+    with (persist_dir / "layers.jsonl").open("w", encoding="utf-8") as log:
+        yield log
+
+
+def _append_layer(log: TextIO | None, state: LayerState) -> None:
+    """Write one compact line for ``state`` to the layer log and hand it to the OS.
+
+    The flush means a crash in a later layer leaves every finished layer's
+    line complete in the file.
+    """
+    if log is None:
+        return
+    log.write(_layer_json(state) + "\n")
+    log.flush()
 
 
 def write_atomic(path: Path, chunks: Iterable[str]) -> None:
@@ -234,37 +250,59 @@ def _layer_json(state: LayerState) -> str:
     return _JSON_ENCODER.encode(state.to_json_dict())
 
 
-def _transcript_pieces(transcript: Transcript, ledger: str) -> Iterator[str]:
+def _transcript_pieces(
+    transcript: Transcript, ledger: str, layers: Iterable[str] | None = None
+) -> Iterator[str]:
     """The text of ``transcript.json``: a head, one piece per layer, a tail.
 
     The head holds the keys that sort before ``layer_states``; the tail holds
-    ``ledger`` (the ledger's text) and the keys after it.
+    ``ledger`` (the ledger's text) and the keys after it. ``layers`` is the
+    text of each layer state, encoded here when not given.
     """
+    if layers is None:
+        layers = map(_layer_json, transcript.layer_states)
     final = transcript.final_response
     head = {"config": transcript.config.to_json_dict(), "events": transcript.events,
             "final_response": _response_dict(final) if final else None}
     yield _JSON_ENCODER.encode(head)[:-1] + ', "layer_states": ['
-    for i, state in enumerate(transcript.layer_states):
-        yield (", " if i else "") + _layer_json(state)
+    for i, layer in enumerate(layers):
+        yield (", " if i else "") + layer
     tail = {"query": transcript.query, "stop_reason": transcript.stop_reason}
     yield '], "ledger": ' + ledger + ", " + _JSON_ENCODER.encode(tail)[1:] + "\n"
+
+
+def _logged_layers(log: TextIO, states: Sequence[LayerState]) -> Iterator[str]:
+    """Each layer's text: the log's lines, then any state the log does not hold.
+
+    Only the last layer of a snapshot abort is kept in memory but never
+    reaches the log.
+    """
+    logged = 0
+    for line in log:
+        yield line[:-1]
+        logged += 1
+    yield from map(_layer_json, states[logged:])
 
 
 def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
     """Write the final ``ledger.json`` and ``transcript.json``, then drop the log.
 
     ``transcript.json`` is renamed into place last, so its presence means
-    the item finished. It is written one layer at a time, so its whole text
-    never sits in memory at once.
+    the item finished. It is streamed from the layer log one line at a time
+    between its head and its tail, so no layer is encoded a second time and
+    its whole text never sits in memory at once.
     """
     if persist_dir is None:
         return
     persist_dir = Path(persist_dir)
-    persist_dir.mkdir(parents=True, exist_ok=True)
     ledger = _JSON_ENCODER.encode(transcript.ledger.to_json_dict())
     write_atomic(persist_dir / "ledger.json", (ledger, "\n"))
-    write_atomic(persist_dir / "transcript.json", _transcript_pieces(transcript, ledger))
-    (persist_dir / "layers.jsonl").unlink(missing_ok=True)
+    log_path = persist_dir / "layers.jsonl"
+    with log_path.open(encoding="utf-8") as log:
+        layers = _logged_layers(log, transcript.layer_states)
+        pieces = _transcript_pieces(transcript, ledger, layers)
+        write_atomic(persist_dir / "transcript.json", pieces)
+    log_path.unlink()
 
 
 def ordered_map(fn: Callable, args: Sequence, pool: Executor | None) -> list:
@@ -350,61 +388,63 @@ def run_pipeline(
     residual: Residual = NO_RESIDUAL
     snapshot: Response | None = None
 
-    try:
-        for layer in range(1, config.layers + 1):
-            stage = f"layer {layer}"
-            responses = propose_layer(layer, reference)
-            if not responses:
-                raise _Abort("every proposer failed")
+    with _layer_log(persist_dir) as log:
+        try:
+            for layer in range(1, config.layers + 1):
+                stage = f"layer {layer}"
+                responses = propose_layer(layer, reference)
+                if not responses:
+                    raise _Abort("every proposer failed")
 
-            terminated_here = False
-            if refine:
-                vectors, usage = embed_batch(
-                    [r.text for r in responses], backends.embedding, on_event=events.append
-                )
-                ledger.append("embedding", backends.embedding.model, usage)
-                matrix = build_similarity_matrix(vectors)
-                selection = greedy_diverse_select(matrix, config.select_k)
-                selected = [responses[i] for i in selection.selected_indices]
-                selected_vectors = [vectors[i] for i in selection.selected_indices]
-                if previous_selected:
-                    reply = extract_residual(
-                        selected, previous_selected, backends.chat,
-                        template=prompts.extraction, params=config.sampling,
+                terminated_here = False
+                if refine:
+                    vectors, usage = embed_batch(
+                        [r.text for r in responses], backends.embedding, on_event=events.append
                     )
-                    ledger.append("extractor", backends.chat.model, reply.usage)
-                    residual = parse_residual_flag(reply.text)
-                    converged = layer_converged(
-                        config.termination, residual.detected, previous_vectors, selected_vectors
-                    )
-                    not_converged.append(not converged)
-                    terminated_here = layer < config.layers and adaptive_should_stop(
-                        not_converged, config.termination.m
-                    )
-                aggregation_base = previous_selected or selected
-                reference = build_reference_context(aggregation_base, residual)
-                previous_selected = selected
-                previous_vectors = selected_vectors
-            else:
-                selection = SelectionResult(tuple(range(len(responses))))
-                aggregation_base = responses
-                reference = render_numbered_responses(responses)
+                    ledger.append("embedding", backends.embedding.model, usage)
+                    matrix = build_similarity_matrix(vectors)
+                    selection = greedy_diverse_select(matrix, config.select_k)
+                    selected = [responses[i] for i in selection.selected_indices]
+                    selected_vectors = [vectors[i] for i in selection.selected_indices]
+                    if previous_selected:
+                        reply = extract_residual(
+                            selected, previous_selected, backends.chat,
+                            template=prompts.extraction, params=config.sampling,
+                        )
+                        ledger.append("extractor", backends.chat.model, reply.usage)
+                        residual = parse_residual_flag(reply.text)
+                        converged = layer_converged(
+                            config.termination, residual.detected,
+                            previous_vectors, selected_vectors,
+                        )
+                        not_converged.append(not converged)
+                        terminated_here = layer < config.layers and adaptive_should_stop(
+                            not_converged, config.termination.m
+                        )
+                    aggregation_base = previous_selected or selected
+                    reference = build_reference_context(aggregation_base, residual)
+                    previous_selected = selected
+                    previous_vectors = selected_vectors
+                else:
+                    selection = SelectionResult(tuple(range(len(responses))))
+                    aggregation_base = responses
+                    reference = render_numbered_responses(responses)
 
-            state = LayerState(layer, responses, selection, residual, terminated_here)
-            transcript.layer_states.append(state)
-            if config.capture_layer_answers:
-                stage = f"layer {layer} snapshot"
-                snapshot = fuse(layer)
-                state.snapshot_answer = snapshot.text
-            _append_layer(persist_dir, state)
-            if terminated_here:
-                break
+                state = LayerState(layer, responses, selection, residual, terminated_here)
+                transcript.layer_states.append(state)
+                if config.capture_layer_answers:
+                    stage = f"layer {layer} snapshot"
+                    snapshot = fuse(layer)
+                    state.snapshot_answer = snapshot.text
+                _append_layer(log, state)
+                if terminated_here:
+                    break
 
-        stage = "final aggregation"
-        transcript.final_response = snapshot if snapshot is not None else fuse(layer)
-        transcript.stop_reason = STOP_ADAPTIVE if terminated_here else STOP_MAX_LAYERS
-    except _ABORTS as exc:
-        events.append(f"aborted: {stage}: {exc}")
-        transcript.stop_reason = STOP_BACKEND_ABORT
+            stage = "final aggregation"
+            transcript.final_response = snapshot if snapshot is not None else fuse(layer)
+            transcript.stop_reason = STOP_ADAPTIVE if terminated_here else STOP_MAX_LAYERS
+        except _ABORTS as exc:
+            events.append(f"aborted: {stage}: {exc}")
+            transcript.stop_reason = STOP_BACKEND_ABORT
     _flush(persist_dir, transcript)
     return transcript

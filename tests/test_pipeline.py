@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import builtins
+import gc
 import hashlib
 import itertools
 import json
 import os
+import pathlib
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -438,6 +442,63 @@ class TestRunRmoa:
         assert (tmp_path / "ledger.json").read_bytes() == (ledger_text + "\n").encode("utf-8")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
 
+    @pytest.mark.parametrize("mode", ["rmoa", "moa"])
+    def test_snapshot_abort_splices_the_layer_the_log_never_got(self, tmp_path, mode):
+        # layer 2 joins the transcript, then its snapshot fails before its log line
+        config = make_config(layers=3, proposers=2, k=1, mode=mode, capture_layer_answers=True)
+        bundle = FaultPlan(make_mock_bundle(), {("aggregator", 2): "unavailable"})
+        transcript = run_pipeline("Snapshot dies late.", config, bundle, persist_dir=tmp_path)
+        assert transcript.events == [
+            "aborted: layer 2 snapshot: backend unavailable at layer 2 aggregator"
+        ]
+        assert [state.layer for state in transcript.layer_states] == [1, 2]
+        assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
+
+    def test_stale_log_of_a_crashed_run_is_emptied_before_a_layer_one_abort(self, tmp_path):
+        (tmp_path / "layers.jsonl").write_text('{"bogus": 1}\n{"layer": 7}\n{"torn', "utf-8")
+        config = make_config(layers=3, proposers=2, k=1)
+        faults = {("proposer", 1, a): "unavailable" for a in (0, 1)}
+        bundle = FaultPlan(make_mock_bundle(), faults)
+        transcript = run_pipeline("Stale log.", config, bundle, persist_dir=tmp_path)
+        assert transcript.layer_states == []
+        assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
+
+    @pytest.mark.parametrize("layer", [1, 3])
+    def test_caller_bug_leaves_complete_lines_and_no_open_log(
+        self, tmp_path, monkeypatch, layer
+    ):
+        # what the disk holds when the failing layer starts is what a hard crash leaves
+        config = make_config(layers=3, proposers=2, k=1)
+        clean = run_pipeline("Bug midway.", config, make_mock_bundle())
+        bundle = FaultPlan(make_mock_bundle(), {("proposer", layer, 0): "bug"})
+        log = tmp_path / "layers.jsonl"
+        on_disk = []
+        propose = pipeline.propose
+
+        def reading_propose(*args, **kwargs):
+            if kwargs["layer"] == layer and not on_disk:
+                on_disk.append(log.read_text(encoding="utf-8"))
+            return propose(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "propose", reading_propose)
+        unraisable = []
+        monkeypatch.setattr("sys.unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(RuntimeError):
+                run_pipeline("Bug midway.", config, bundle, persist_dir=tmp_path)
+            gc.collect()
+        assert unraisable == []
+        lines = "".join(
+            json.dumps(state.to_json_dict(), sort_keys=True) + "\n"
+            for state in clean.layer_states[:layer - 1]
+        )
+        assert on_disk == [lines]
+        assert log.read_text(encoding="utf-8") == lines
+        assert not (tmp_path / "transcript.json").exists()
+
     def test_capture_layer_answers_snapshots_each_layer(self):
         config = make_config(
             layers=3, proposers=3, k=2, policy="none", capture_layer_answers=True
@@ -720,6 +781,48 @@ def test_transcript_bytes_match_the_whole_dict_encoding(query, config, faults, l
     assert pieces[1:-1] == [(", " if i else "") + layer for i, layer in enumerate(layers)]
     assert pieces[0].endswith('"layer_states": [') and pieces[-1].startswith("], ")
     assert "".join(pieces) == text
+
+
+@pytest.mark.parametrize(
+    ("config", "faults", "layers_kept"),
+    [
+        (make_config(layers=3, proposers=2, k=1), {}, 3),
+        (make_config(layers=3, proposers=2, k=1, mode="moa"), {}, 3),
+        (make_config(layers=3, proposers=2, k=1, capture_layer_answers=True), {}, 3),
+        (make_config(layers=3, proposers=2, k=1, mode="moa", capture_layer_answers=True),
+         {("aggregator", 2): "unavailable"}, 2),
+    ],
+    ids=["rmoa", "moa", "rmoa-snapshots", "moa-snapshot-abort"],
+)
+def test_each_persisted_layer_is_encoded_once_into_one_log_handle(
+    tmp_path, monkeypatch, config, faults, layers_kept
+):
+    encoded = []
+    encode = pipeline._layer_json
+
+    def counting_encode(state):
+        encoded.append(state.layer)
+        return encode(state)
+
+    log_opens = []
+
+    def counting(open_file):
+        def wrapper(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.path.basename(file) == "layers.jsonl":
+                if set(mode) & set("wax+"):
+                    log_opens.append(mode)
+            return open_file(file, mode, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "_layer_json", counting_encode)
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
+    monkeypatch.setattr(pathlib.Path, "open", counting(pathlib.Path.open))
+    bundle = FaultPlan(make_mock_bundle(), faults)
+    transcript = run_pipeline("Encode once.", config, bundle, persist_dir=tmp_path)
+    assert len(transcript.layer_states) == layers_kept
+    assert encoded == list(range(1, layers_kept + 1))
+    assert len(log_opens) == 1
+    assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
 
 
 def _persisted_response(payload: dict) -> Response:
