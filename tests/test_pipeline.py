@@ -296,10 +296,18 @@ class TestRunRmoa:
                  ["aborted: final aggregation: backend unavailable at layer 1 aggregator"])
                 for mode in ("rmoa", "moa")
             ),
+            # layer 2 joins the transcript, but its snapshot fails before its log line
+            *(
+                (mode, {"layers": 3, "proposers": 2, "capture_layer_answers": True},
+                 {("aggregator", 2): "unavailable"}, [1, 2],
+                 ["aborted: layer 2 snapshot: backend unavailable at layer 2 aggregator"])
+                for mode in ("rmoa", "moa")
+            ),
         ],
         ids=[
             "proposers-rmoa", "proposers-moa", "extractor",
             "snapshot-rmoa", "snapshot-moa", "final-rmoa", "final-moa",
+            "late-snapshot-rmoa", "late-snapshot-moa",
         ],
     )
     def test_abort_stage_is_named_in_the_event_log(
@@ -440,19 +448,6 @@ class TestRunRmoa:
         assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
         ledger_text = json.dumps(transcript.ledger.to_json_dict(), sort_keys=True)
         assert (tmp_path / "ledger.json").read_bytes() == (ledger_text + "\n").encode("utf-8")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
-
-    @pytest.mark.parametrize("mode", ["rmoa", "moa"])
-    def test_snapshot_abort_splices_the_layer_the_log_never_got(self, tmp_path, mode):
-        # layer 2 joins the transcript, then its snapshot fails before its log line
-        config = make_config(layers=3, proposers=2, k=1, mode=mode, capture_layer_answers=True)
-        bundle = FaultPlan(make_mock_bundle(), {("aggregator", 2): "unavailable"})
-        transcript = run_pipeline("Snapshot dies late.", config, bundle, persist_dir=tmp_path)
-        assert transcript.events == [
-            "aborted: layer 2 snapshot: backend unavailable at layer 2 aggregator"
-        ]
-        assert [state.layer for state in transcript.layer_states] == [1, 2]
-        assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
 
     def test_stale_log_of_a_crashed_run_is_emptied_before_a_layer_one_abort(self, tmp_path):
