@@ -13,7 +13,9 @@ screened cosines (``screened_cosine``), each built from C-loop norms and
 carrying a proven error radius, and ask for an exact value only when an
 interval is too close to call. A vector's exact norm is computed on first
 use; its ``size`` (``math.hypot``) is computed when it is built and serves
-the screen and the non-finite check.
+the screen and the checks that the vector can be compared at all: its
+components are finite and its size lies in ``[1e-140, 1e140]``, where the
+exact norm is positive and finite and the screen's error bound holds.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from .accounting import TokenUsage
 from .backends import EmbeddingBackend
 from .errors import DegenerateEmbeddingError, DimensionMismatchError, ProtocolError
 
-# Sizes for which the exact norm is provably positive and finite and the
-# screen's error bound holds: no square overflows, and what underflows is
-# negligible against the bound.
-_SCREENABLE_SIZES = (1e-140, 1e140)
+# The sizes a vector may have: in this range the exact norm is provably
+# positive and finite and the screen's error bound holds, since no square
+# overflows and what underflows is negligible against the bound.
+_MIN_SIZE, _MAX_SIZE = 1e-140, 1e140
 
 # The screen's error unit, 64u with u = 2**-53; see ``screened_cosine``.
 _SCREEN_UNIT = 64 * 2.0**-53
@@ -38,11 +40,13 @@ _SCREEN_UNIT = 64 * 2.0**-53
 
 @dataclass(frozen=True)
 class EmbeddingVector:
-    """An immutable real vector with finite components.
+    """An immutable real vector with finite components and a size in
+    ``[1e-140, 1e140]``.
 
     ``size`` is ``math.hypot`` of the components, within 1 ulp of the
     Euclidean norm; ``norm()`` is the exact ``fsum`` norm, computed once on
-    first call.
+    first call. A NaN, infinite or empty row raises ``ValueError``; a finite
+    row of any other size raises ``DegenerateEmbeddingError``.
     """
 
     components: tuple[float, ...]
@@ -59,6 +63,10 @@ class EmbeddingVector:
         size = math.hypot(*components)
         if not math.isfinite(size):
             _require_finite(components)
+        if not _MIN_SIZE <= size <= _MAX_SIZE:
+            raise DegenerateEmbeddingError(
+                f"embedding size {size:.3g} is outside [1e-140, 1e140]"
+            )
         object.__setattr__(self, "size", size)
 
     @property
@@ -66,14 +74,10 @@ class EmbeddingVector:
         return len(self.components)
 
     def norm(self) -> float:
-        """The ``fsum`` norm; finite components whose sum of squares
-        overflows get ``inf``, as a square would."""
+        """The ``fsum`` norm."""
         norm = self._norm
         if norm is None:
-            try:
-                norm = math.sqrt(math.fsum(map(mul, self.components, self.components)))
-            except OverflowError:
-                norm = math.inf
+            norm = math.sqrt(math.fsum(map(mul, self.components, self.components)))
             object.__setattr__(self, "_norm", norm)
         return norm
 
@@ -83,39 +87,22 @@ def _require_finite(components: tuple[float, ...]) -> None:
         raise ValueError("embedding components must be finite")
 
 
-def screenable(vector: EmbeddingVector) -> bool:
-    """Is ``vector.size`` in the range where the screen's bound holds?
-
-    There the exact norm is also positive and finite, so a cosine against
-    a vector of the same dimension cannot raise.
-    """
-    low, high = _SCREENABLE_SIZES
-    return low <= vector.size <= high
-
-
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine similarity of two vectors with nonzero finite norms, clamped to [-1, 1]."""
+    """Cosine similarity of two vectors, clamped to [-1, 1]."""
     if a.dimension != b.dimension:
         raise DimensionMismatchError(
             f"dimension mismatch: {a.dimension} vs {b.dimension}"
         )
-    norm_a = a.norm()
-    norm_b = b.norm()
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise DegenerateEmbeddingError("cosine is undefined for zero-norm vectors")
-    if norm_a == math.inf or norm_b == math.inf:
-        raise DegenerateEmbeddingError("cosine is undefined for vectors whose norm overflows")
     dot = math.fsum(map(mul, a.components, b.components))
-    return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
+    return max(-1.0, min(1.0, dot / (a.norm() * b.norm())))
 
 
 def screened_cosine(a: EmbeddingVector, b: EmbeddingVector) -> tuple[float, float]:
     """An estimate of ``cosine(a, b)`` and a radius its error cannot exceed.
 
-    ``a`` and ``b`` must have equal dimensions. When both are
-    ``screenable``, the estimate is ``(A² + B² − D²) / (2AB)`` clamped to
-    [-1, 1], with ``A``, ``B`` their sizes and ``D = math.dist(a, b)``: no
-    ``fsum`` runs. Otherwise it is ``cosine(a, b)`` with radius 0.
+    ``a`` and ``b`` must have equal dimensions. The estimate is
+    ``(A² + B² − D²) / (2AB)`` clamped to [-1, 1], with ``A``, ``B`` their
+    sizes and ``D = math.dist(a, b)``: no ``fsum`` runs.
 
     The radius is ``64u·(A/B + B/A + 1)`` with ``u = 2**-53``. Let ``a``,
     ``b``, ``d`` be the true norms of the two vectors and of their
@@ -138,17 +125,16 @@ def screened_cosine(a: EmbeddingVector, b: EmbeddingVector) -> tuple[float, floa
     So the two values differ by at most ``16u·(A/B + B/A + 1)``, since
     ``A/B + B/A ≥ 2`` and ``A/B`` is within ``1 + 5u`` of ``a/b``. The
     factor 4 left over covers the rounding of the radius and of the bounds
-    ``estimate ± radius`` that callers form. Inside the screenable range no
-    square overflows, and a product that underflows errs by under
-    ``2**-1074``, which is negligible against ``u·ab ≥ 1e-296``.
+    ``estimate ± radius`` that callers form. Every size lies in
+    ``[1e-140, 1e140]`` (``EmbeddingVector``), so no square overflows, and a
+    product that underflows errs by under ``2**-1074``, which is negligible
+    against ``u·ab ≥ 1e-296``.
 
     On the 10k seeded pairs of ``tests/test_screen.py`` (dimensions 2 to
     1024, scales 1e±100, size ratios up to 1e3, near-parallel and
     near-antiparallel pairs) the largest error is 2.8 units of
     ``u·(A/B + B/A + 1)``.
     """
-    if not (screenable(a) and screenable(b)):
-        return cosine(a, b), 0.0
     size_a = a.size
     size_b = b.size
     gap = math.dist(a.components, b.components)
@@ -163,8 +149,8 @@ class SimilarityMatrix:
     ``build_similarity_matrix`` builds it. Each entry is kept as an
     interval around its screened cosine (``low`` and ``high``), together
     with the vectors: ``exact(i, j)`` refines one entry with ``cosine`` and
-    caches it. An entry whose bounds meet is exact: the diagonal, a refined
-    entry, or one whose vectors lie outside the screenable range.
+    caches it. An entry whose bounds meet is exact: the diagonal or a
+    refined entry.
 
     The caches are idempotent: a refinement computes the same value
     whichever thread runs it first, and the bounds hold the entry at every
@@ -228,12 +214,6 @@ def build_similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMat
             raise DimensionMismatchError(
                 f"vector {index} has dimension {vector.dimension}, expected {dimension}"
             )
-        if screenable(vector):
-            continue
-        if vector.norm() == 0.0:
-            raise DegenerateEmbeddingError(f"vector {index} has zero norm")
-        if vector.norm() == math.inf:
-            raise DegenerateEmbeddingError(f"vector {index} has a norm that overflows")
     n = len(vectors)
     low = [[1.0] * n for _ in range(n)]
     high = [[1.0] * n for _ in range(n)]
@@ -258,7 +238,9 @@ def embed_batch(
 
     Texts beyond the backend's declared input limit are truncated first and
     the truncation is reported through ``on_event``. The backend must
-    return one row per text, all of one dimension.
+    return one row per text, all of one dimension; a row that cannot become
+    an ``EmbeddingVector`` because of its size raises
+    ``DegenerateEmbeddingError`` naming the row (``vector i: ...``).
     """
     if not texts:
         raise ValueError("texts must be nonempty")
@@ -285,5 +267,8 @@ def embed_batch(
             raise ProtocolError(
                 f"embedding {index} has dimension {len(row)}, expected {dimension}"
             )
-        vectors.append(EmbeddingVector(row))
+        try:
+            vectors.append(EmbeddingVector(row))
+        except DegenerateEmbeddingError as exc:
+            raise DegenerateEmbeddingError(f"vector {index}: {exc}") from None
     return vectors, batch.usage

@@ -10,7 +10,8 @@ class DimensionMismatchError(RmoaError, ValueError):
 
 
 class DegenerateEmbeddingError(RmoaError, ValueError):
-    """An embedding whose norm is zero or overflows cannot take part in cosine similarity."""
+    """An embedding row's size lies outside ``[1e-140, 1e140]``, where its norm
+    may be zero or overflow, so ``EmbeddingVector`` refuses it."""
 
 
 class BackendUnavailableError(RmoaError, RuntimeError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .embedding import EmbeddingVector, cosine, screenable, screened_cosine
+from .embedding import EmbeddingVector, cosine, screened_cosine
 from .errors import ConfigError
 
 TERMINATION_POLICIES = ("llm", "sim_threshold", "variance", "none")
@@ -67,14 +67,13 @@ def similarity_threshold_stop(
     checking them all. Each pair is decided on its screened cosine
     (``screened_cosine``) when the interval it spans lies on one side of
     ``theta``, and on the exact ``cosine`` only when it contains ``theta``.
-    First, every pair whose cosine could raise (unequal dimensions, or a
-    size outside the screenable range, where the norm may be zero or
-    infinite) has that cosine computed, so a bad vector anywhere in either
-    list raises the error the full list of similarities would.
+    Before that, the first pair of unequal dimensions, the only pair whose
+    cosine can raise, has its cosine computed, so a mismatch anywhere in
+    either list raises the error the full list of similarities would.
     """
     pairs = _cross_pairs(prev_selected_vecs, curr_selected_vecs)
     for p, c in pairs:
-        if p.dimension != c.dimension or not (screenable(p) and screenable(c)):
+        if p.dimension != c.dimension:
             cosine(p, c)
     return all(_exceeds(p, c, theta) for p, c in pairs)
 

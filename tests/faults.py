@@ -37,6 +37,7 @@ ROW_FAULTS = {
     "dimension": lambda rows: tuple(row + row for row in rows),
     "overflow": lambda rows: tuple((1e200, 1e200 * (-1) ** i) for i in range(len(rows))),
     "sum_overflow": lambda rows: ((1e154, 1e154),) * len(rows),
+    "tiny": lambda rows: ((1e-150, 1e-150),) * len(rows),
     "nan": lambda rows: tuple((math.nan, *row[1:]) for row in rows),
     "empty": lambda rows: ((),) * len(rows),
 }

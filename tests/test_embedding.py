@@ -44,6 +44,23 @@ def vec(*components: float) -> EmbeddingVector:
     return EmbeddingVector(tuple(components))
 
 
+def refused(size: str) -> str:
+    return f"embedding size {size} is outside [1e-140, 1e140]"
+
+
+class RowBackend:
+    """Returns ``rows`` as the batch, whatever the texts."""
+
+    model = "stub"
+    max_input_chars = None
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+
+    def embed(self, texts):
+        return EmbeddingBatch(vectors=self.rows, usage=TokenUsage(0, 0), model=self.model)
+
+
 class TestEmbeddingVector:
     @pytest.mark.parametrize(
         ("components", "error", "message"),
@@ -51,26 +68,41 @@ class TestEmbeddingVector:
             ((math.nan, 1.0), ValueError, "embedding components must be finite"),
             ((math.inf, 1.0), ValueError, "embedding components must be finite"),
             ((math.inf, 1e154, 1e154), ValueError, "embedding components must be finite"),
-            ((1e154, 1e154), DegenerateEmbeddingError, "vector 0 has a norm that overflows"),
-            ((1e-170, 1e-170), DegenerateEmbeddingError, "vector 0 has zero norm"),
+            ((1e200, 1.0), DegenerateEmbeddingError, refused("1e+200")),
+            # each square is finite, but their sum would overflow inside fsum
+            ((1e154, 1e154), DegenerateEmbeddingError, refused("1.41e+154")),
+            ((1e-170, 1e-170), DegenerateEmbeddingError, refused("1.41e-170")),
+            ((0.5e-140,), DegenerateEmbeddingError, refused("5e-141")),
+            ((2e140,), DegenerateEmbeddingError, refused("2e+140")),
+            ((math.nextafter(1e-140, 0.0),), DegenerateEmbeddingError, refused("1e-140")),
+            ((math.nextafter(-1e140, -math.inf),), DegenerateEmbeddingError, refused("1e+140")),
+            ((0.0, 0.0), DegenerateEmbeddingError, refused("0")),
+            ((1.5e308, 1.5e308), DegenerateEmbeddingError, refused("inf")),
             ((), ValueError, "an embedding vector needs at least one component"),
         ],
-        ids=["nan", "inf", "inf-and-overflow", "overflow", "underflow", "empty"],
+        ids=[
+            "nan", "inf", "inf-and-overflow", "huge", "overflow", "underflow", "below-range",
+            "above-range", "just-below", "just-above", "zero", "size-overflows", "empty",
+        ],
     )
     def test_rejected_inputs(self, components, error, message):
-        # Non-finite and empty rows are refused when the vector is built; a
-        # finite row whose squares sum past the float range (or all underflow
-        # to zero, though its hypot size is positive) is built with the norm
-        # inf (or 0) and refused where the layer compares it.
+        # Non-finite and empty rows raise plain ValueError. A finite row whose
+        # size lies outside [1e-140, 1e140], where its squares could sum past
+        # the float range or all underflow to zero, raises the subclass.
         with pytest.raises(error) as caught:
-            build_similarity_matrix([EmbeddingVector(components)])
+            EmbeddingVector(components)
         assert type(caught.value) is error
         assert str(caught.value) == message
 
-    def test_huge_finite_components_give_an_infinite_norm(self):
-        assert vec(1e200, 1.0).norm() == math.inf
-        # each square is finite, but their sum overflows inside fsum
-        assert vec(1e154, 1e154).norm() == math.inf
+    @pytest.mark.parametrize(
+        "components",
+        [(1e-140,), (-1e140,), (math.nextafter(1e-140, 1.0),), (math.nextafter(1e140, 0.0),)],
+        ids=["low-edge", "high-edge", "just-above-low", "just-below-high"],
+    )
+    def test_sizes_at_and_just_inside_the_edges_are_built(self, components):
+        v = EmbeddingVector(components)
+        assert v.size == abs(components[0]) == v.norm()
+        assert cosine(v, v) == 1.0
 
     def test_components_are_converted_to_floats(self):
         v = EmbeddingVector(("1.5", 2))
@@ -128,9 +160,10 @@ class TestCosine:
         ids=["inf-minus-inf-dot", "nan-ratio", "one-overflowing-norm"],
     )
     def test_overflowing_norm_rejected(self, a, b):
-        with pytest.raises(DegenerateEmbeddingError, match="norm overflows"):
+        # refused when the vector is built, before any cosine
+        with pytest.raises(DegenerateEmbeddingError, match="outside"):
             cosine(vec(*a), vec(*b))
-        with pytest.raises(DegenerateEmbeddingError, match="norm overflows"):
+        with pytest.raises(DegenerateEmbeddingError, match="outside"):
             cosine(vec(*b), vec(*a))
 
     def test_nonfinite_components_rejected(self):
@@ -163,14 +196,6 @@ class TestSimilarityMatrix:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             build_similarity_matrix([])
-
-    def test_degenerate_vector_named(self):
-        with pytest.raises(DegenerateEmbeddingError, match="1"):
-            build_similarity_matrix([vec(1.0, 0.0), vec(0.0, 0.0)])
-
-    def test_overflowing_norm_named(self):
-        with pytest.raises(DegenerateEmbeddingError, match="^vector 1 has a norm that overflows$"):
-            build_similarity_matrix([vec(1.0, 0.0), vec(1e200, 1e200), vec(1e200, -1e200)])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -278,18 +303,26 @@ class TestEmbedBatch:
         ids=["lists", "tuples"],
     )
     def test_rows_become_float_tuples(self, rows, expected):
-        class RowBackend:
-            model = "stub"
-            max_input_chars = None
-
-            def embed(self, texts):
-                return EmbeddingBatch(vectors=rows, usage=TokenUsage(0, 0), model=self.model)
-
-        vectors, _ = embed_batch(["a", "b"], RowBackend(), on_event=pytest.fail)
+        vectors, _ = embed_batch(["a", "b"], RowBackend(rows), on_event=pytest.fail)
         assert tuple(v.components for v in vectors) == expected
         assert all(type(c) is float for v in vectors for c in v.components)
         assert [v.norm() for v in vectors] == [naive_norm(v) for v in vectors]
 
     def test_nan_row_is_value_error(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite") as caught:
             embed_batch(["a", "b"], faulty_embedding("nan"), on_event=pytest.fail)
+        assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            ([(1.0, 0.0), (0.0, 0.0)], "vector 1: " + refused("0")),
+            ([(1.0, 0.0), (1e200, 1e200), (1e200, -1e200)], "vector 1: " + refused("1.41e+200")),
+        ],
+        ids=["zero", "overflow"],
+    )
+    def test_refused_row_is_named(self, rows, message):
+        texts = ["t"] * len(rows)
+        with pytest.raises(DegenerateEmbeddingError) as caught:
+            embed_batch(texts, RowBackend(rows), on_event=pytest.fail)
+        assert str(caught.value) == message

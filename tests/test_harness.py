@@ -390,7 +390,9 @@ class TestRunBenchmark:
         assert [item["stop_reason"] for item in payload["items"]] == ["backend_abort"] * 2
         for item in items:
             transcript = json.loads((tmp_path / item.id / "transcript.json").read_text())
-            assert transcript["events"] == ["aborted: layer 2: vector 0 has a norm that overflows"]
+            assert transcript["events"] == [
+                "aborted: layer 2: vector 0: embedding size 1.41e+200 is outside [1e-140, 1e140]"
+            ]
 
     def test_embedding_rows_whose_squares_sum_past_the_float_range_still_write_the_report(
         self, tmp_path
@@ -403,7 +405,9 @@ class TestRunBenchmark:
         assert [item["stop_reason"] for item in payload["items"]] == ["backend_abort"] * 2
         for item in items:
             transcript = json.loads((tmp_path / item.id / "transcript.json").read_text())
-            assert transcript["events"] == ["aborted: layer 2: vector 0 has a norm that overflows"]
+            assert transcript["events"] == [
+                "aborted: layer 2: vector 0: embedding size 1.41e+154 is outside [1e-140, 1e140]"
+            ]
 
     def test_run_dir_layout(self, tmp_path):
         items = exact_items(2)

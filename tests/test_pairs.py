@@ -1,9 +1,15 @@
-"""The verdict and quartile code of ``tools/pairs.py`` on fixed numbers."""
+"""The verdict and quartile code of ``tools/pairs.py`` on fixed numbers, and
+what a ``SIGTERM`` to it leaves behind."""
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import signal
 import statistics
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -97,3 +103,79 @@ def test_report_judges_the_claimed_metric_over_every_end_to_end_metric():
     assert (rate["unit"], rate["better"], rate["gain"]) == ("items/s", "higher", False)
     assert result["metrics"]["item_tail_ms"]["change"] == [p - 10 for p in PARENT]
     assert pairs.report(spec, runs, None)["claim"] is None
+
+
+# A parent tree whose run.py starts a grandchild, records both PIDs and hangs.
+HANGING_RUN = """
+import os, subprocess, sys, time
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+pids = os.environ["PAIRS_TEST_PIDS"]
+with open(pids + ".part", "w") as out:
+    out.write(f"{os.getpid()} {child.pid}")
+os.replace(pids + ".part", pids)
+time.sleep(60)
+"""
+
+DRIVER = """
+import importlib.util, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("pairs", sys.argv[1])
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+
+def unpack(rev, into):
+    (into / "perfbench").mkdir()
+    (into / "perfbench" / "run.py").write_text(sys.argv[2])
+
+pairs._unpack = unpack
+pairs._git = lambda *args: "0" * 40
+sys.exit(pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "1",
+                     "--seconds", "1", "--seed", "1"]))
+"""
+
+
+def alive(pid: int) -> bool:
+    """Is ``pid`` running? A zombie left to an init that does not reap counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    try:
+        return stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return not Path("/proc").is_dir()
+
+
+def wait_until(condition, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_sigterm_removes_the_temp_dir_and_the_running_run_with_its_children(tmp_path):
+    temp, pid_file = tmp_path / "tmp", tmp_path / "pids"
+    temp.mkdir()
+    env = {**os.environ, "TMPDIR": str(temp), "PAIRS_TEST_PIDS": str(pid_file)}
+    driver = subprocess.Popen(
+        [sys.executable, "-c", DRIVER, _SPEC.origin, HANGING_RUN], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    pids: list[int] = []
+    try:
+        assert wait_until(pid_file.exists), "the run never started"
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        assert [path.name.startswith("rmoa-pairs-") for path in temp.iterdir()] == [True]
+        driver.send_signal(signal.SIGTERM)
+        assert driver.wait(timeout=10) == 128 + signal.SIGTERM
+        assert list(temp.iterdir()) == []
+        assert wait_until(lambda: not any(map(alive, pids))), "a run process outlived pairs.py"
+    finally:
+        for pid in [driver.pid, *pids]:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        driver.wait()

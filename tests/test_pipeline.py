@@ -355,24 +355,23 @@ class TestRunRmoa:
         assert transcript.ledger.count("extractor") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
 
-    def test_embedding_rows_whose_norms_overflow_abort_the_item(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("fault", "size"),
+        # norms that overflow, squares that sum past the float range, and
+        # a nonzero size below the range
+        [("overflow", "1.41e+200"), ("sum_overflow", "1.41e+154"), ("tiny", "1.41e-150")],
+        ids=["overflow", "sum_overflow", "tiny"],
+    )
+    def test_embedding_rows_outside_the_size_range_abort_the_item(self, tmp_path, fault, size):
         config = make_config(layers=3, proposers=2, k=1)
-        bundle = FaultPlan(make_mock_bundle(), {("embedding", 1): "overflow"})
-        transcript = run_pipeline("Norms overflow.", config, bundle, persist_dir=tmp_path)
+        bundle = FaultPlan(make_mock_bundle(), {("embedding", 1): fault})
+        transcript = run_pipeline("Sizes out of range.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.layer_states == []
-        assert transcript.events == ["aborted: layer 1: vector 0 has a norm that overflows"]
+        assert transcript.events == [
+            f"aborted: layer 1: vector 0: embedding size {size} is outside [1e-140, 1e140]"
+        ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
-
-    def test_embedding_rows_whose_squares_sum_past_the_float_range_abort_the_item(
-        self, tmp_path
-    ):
-        config = make_config(layers=3, proposers=2, k=1)
-        bundle = FaultPlan(make_mock_bundle(), {("embedding", 1): "sum_overflow"})
-        transcript = run_pipeline("Squares overflow.", config, bundle, persist_dir=tmp_path)
-        assert transcript.stop_reason == "backend_abort"
-        assert transcript.layer_states == []
-        assert transcript.events == ["aborted: layer 1: vector 0 has a norm that overflows"]
         assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
 
     def test_embedding_dimension_change_is_harmless_under_llm_policy(self):

@@ -171,17 +171,13 @@ class TestSimilarityThresholdStopShortCircuit:
     @pytest.mark.parametrize(
         ("prev_last", "curr_last"),
         [
-            ((0.0, 0.0), (1.0, 0.0)),
-            ((1.0, 0.0), (0.0, 0.0)),
             ((1.0, 0.0, 0.0), (1.0, 0.0)),
             ((1.0, 0.0), (1.0, 0.0, 0.0)),
-            ((0.0, 0.0), (1.0, 0.0, 0.0)),
-            ((1e200, -1e200), (1e200, 1e200)),  # norms overflow to inf
+            ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
         ],
-        ids=[
-            "prev-zero", "curr-zero", "prev-dimension", "curr-dimension", "both",
-            "infinite-norms",
-        ],
+        # a zero or overflowing vector cannot be built, so only a dimension
+        # mismatch is left to raise here
+        ids=["prev-dimension", "curr-dimension", "both"],
     )
     def test_bad_vector_late_in_either_list_still_raises(self, prev_last, curr_last):
         # the first pair is orthogonal, so the decision is known after one cosine

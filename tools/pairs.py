@@ -9,8 +9,10 @@ The parent side is ``git archive`` of REV unpacked into a temporary
 directory, with this checkout's ``perfbench/`` copied over its own, so the
 two sides differ only in ``src``; ``perfbench/run.py`` imports the ``src``
 of its own checkout. Pair i runs the parent first when i is even and this
-checkout first when it is odd, so run order favours neither side. The
-temporary directory is removed on every exit.
+checkout first when it is odd, so run order favours neither side. Each run
+gets a session of its own, whose processes (the run's HTTP stub too) are
+killed when the run ends, and ``SIGTERM`` exits like an exception, so the
+temporary directory is removed and no run is left behind on every exit.
 
 It writes ``BENCH_<workload>.json`` at the repository root: both commits,
 the seed, the run length and the host's CPU count; for every end-to-end
@@ -31,6 +33,7 @@ import math
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import tarfile
@@ -122,12 +125,25 @@ def _unpack(rev: str, into: Path) -> None:
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     command = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode or not lines:
-        raise RuntimeError(f"{' '.join(command)} exited {done.returncode}:\n"
-                           f"{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    process = subprocess.Popen(command, cwd=checkout, stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = process.communicate()
+    finally:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+    lines = stdout.strip().splitlines()
+    if process.returncode or not lines:
+        raise RuntimeError(f"{' '.join(command)} exited {process.returncode}:\n"
+                           f"{stdout[-2000:]}{stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def _exit_on_signal(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--claim", help="the end-to-end metric the change claims to improve")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
