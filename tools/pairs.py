@@ -10,9 +10,9 @@ directory, with this checkout's ``perfbench/`` copied over its own, so the
 two sides differ only in ``src``; ``perfbench/run.py`` imports the ``src``
 of its own checkout. Pair i runs the parent first when i is even and this
 checkout first when it is odd, so run order favours neither side. Each run
-gets a session of its own, whose processes (the run's HTTP stub too) are
-killed when the run ends, and ``SIGTERM`` exits like an exception, so the
-temporary directory is removed and no run is left behind on every exit.
+starts in a session of its own, and its process group, the run's HTTP stub
+included, is killed when the run ends. ``SIGTERM`` exits like an error, so
+on every exit the temporary directory is removed and no run is left behind.
 
 It writes ``BENCH_<workload>.json`` at the repository root: both commits,
 the seed, the run length and the host's CPU count; for every end-to-end
