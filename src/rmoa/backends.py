@@ -32,6 +32,7 @@ import base64
 import http.client
 import json
 import logging
+import math
 import select
 import ssl
 import threading
@@ -99,8 +100,10 @@ class RetryPolicy:
     base_delay_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1 or self.base_delay_s < 0:
-            raise ValueError("max_attempts must be at least 1 and base_delay_s nonnegative")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
+        if not 0 <= self.base_delay_s < math.inf:
+            raise ValueError("base_delay_s must be finite and nonnegative")
 
     def delay(self, attempt: int) -> float:
         return self.base_delay_s * (2**attempt)
@@ -117,8 +120,8 @@ class _HttpClient:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
-        if not self.timeout_s > 0:
-            raise ValueError("timeout_s must be positive")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError("timeout_s must be finite and positive")
         self._pool = _pool_for(self.base_url, self.timeout_s)
 
     def close(self) -> None:

@@ -5,13 +5,11 @@ The call-count law: each layer makes one call per live proposer, then in
 with ``capture_layer_answers`` each layer then makes its snapshot
 aggregator call, and otherwise one aggregator call ends the item.
 
-The early-stop law: an item that completes stops early (``adaptive_stop``)
-exactly when fewer than the configured layers ran, and only the layer it
-stopped at is marked ``terminated_here``. Under the ``llm`` policy that is
-the first layer, before the last, whose last ``m`` residuals (from layer 2
-on) say "no residual"; under ``none``, and in ``moa`` mode, no item stops
-early. The ``sim_threshold`` and ``variance`` policies decide on cosines,
-which are not persisted, so their stop layer is not rechecked.
+The early-stop law, one window rule for every policy: an item stops at the
+first layer, before the last, whose last ``m`` stored verdicts (``converged``)
+are all true, and a completed item stops early (``adaptive_stop``) exactly
+there. A verdict is null at layer 1 and in ``moa`` mode, false under ``none``,
+and under ``llm`` says the layer's residual is ``no_residual``.
 
 Everything is read from ``transcript.json`` alone, so the checker serves a
 run made with real backends as well as one made with mocks.
@@ -20,19 +18,10 @@ run made with real backends as well as one made with mocks.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 from .harness import slugify
 from .pipeline import STOP_ADAPTIVE, STOP_BACKEND_ABORT, STOP_MAX_LAYERS
-
-ABORT_EVENT = re.compile(r"aborted: (?:layer (\d+)( snapshot)?|final aggregation): ")
-FAILED_PROPOSER = re.compile(r"layer (\d+) proposer (\d+) failed: ")
-
-UNCHECKED_NOTE = (
-    "the sim_threshold and variance policies stop on cosines, which are not "
-    "persisted: their stop layer is not rechecked"
-)
 
 
 def _layer_calls(layer: int, proposers: int, refine: bool) -> list[str]:
@@ -47,6 +36,7 @@ def check_transcript(data: dict) -> list[str]:
     config = data["config"]
     depth = config["layers"]
     refine = config["mode"] == "rmoa"
+    policy, m = config["termination"]["policy"], config["termination"]["m"]
     states = data["layer_states"]
     stop = data["stop_reason"]
     ran = len(states)
@@ -54,8 +44,8 @@ def check_transcript(data: dict) -> list[str]:
 
     failed: dict[int, set[int]] = {}
     for event in data["events"]:
-        if match := FAILED_PROPOSER.match(event):
-            failed.setdefault(int(match[1]), set()).add(int(match[2]))
+        if event["kind"] == "proposer_failed":
+            failed.setdefault(event["layer"], set()).add(event["agent"])
 
     def live(layer: int) -> list[int]:
         return [i for i in range(config["proposers_per_layer"]) if i not in failed.get(layer, ())]
@@ -71,23 +61,27 @@ def check_transcript(data: dict) -> list[str]:
             )
         expected += _layer_calls(number, len(agents), refine)
         expected += ["aggregator"] * config["capture_layer_answers"]
+        verdict = state["converged"]
+        allowed = [None] if number == 1 or not refine else {
+            "llm": [state["residual"]["kind"] == "no_residual"], "none": [False],
+        }.get(policy, [False, True])
+        if not any(verdict is value for value in allowed):  # so 0 and 1 are no verdicts
+            problems.append(f"layer {number} has converged={verdict!r}, the law allows {allowed}")
 
-    # An aborted item ends at one stage: "layer" (a call of layer ran + 1),
-    # "snapshot" (the last layer's snapshot) or "final" (the final aggregation).
+    # An aborted item ends in a call of layer ran + 1, its last snapshot or the final aggregation.
     kinds = [entry["kind"] for entry in data["ledger"]["entries"]]
-    aborts = [event for event in data["events"] if event.startswith("aborted: ")]
-    stage = None
+    aborts = [event for event in data["events"] if event["kind"] == "aborted"]
+    stage = aborts[0]["stage"] if stop == STOP_BACKEND_ABORT and len(aborts) == 1 else None
     if stop != STOP_BACKEND_ABORT:
         if aborts:
             problems.append(f"a {stop!r} item has abort events {aborts}")
         if not config["capture_layer_answers"]:
             expected.append("aggregator")
-    elif len(aborts) != 1 or not (match := ABORT_EVENT.match(aborts[0])):
-        problems.append(f"an aborted item needs one 'aborted: <stage>: ' event, has {aborts}")
+    elif stage not in ("layer", "snapshot", "final"):
+        problems.append(f"an aborted item needs one 'aborted' event with a stage, has {aborts}")
     else:
-        stage = "snapshot" if match[2] else "layer" if match[1] else "final"
-        if stage != "final" and int(match[1]) != ran + (stage == "layer"):
-            problems.append(f"{aborts[0]!r} after {ran} layers")
+        if aborts[0]["layer"] != ran + (stage == "layer"):
+            problems.append(f"a {stage!r} abort at layer {aborts[0]['layer']} after {ran} layers")
         if stage == "snapshot":
             del expected[-1:]
         elif stage == "layer":
@@ -107,21 +101,14 @@ def check_transcript(data: dict) -> list[str]:
             problems.append(f"stop reason {stop!r} after {ran} of {depth} layers")
     elif stop != STOP_BACKEND_ABORT:
         problems.append(f"unknown stop reason {stop!r}")
-    # Only the last layer may be marked, and only where the item may have stopped there.
-    marked = [state["layer"] for state in states if state["terminated_here"]]
-    may_stop = ran < depth and (stop == STOP_ADAPTIVE or stage in ("snapshot", "final"))
-    shapes = ([[ran]] if stop == STOP_ADAPTIVE else [[], [ran]]) if may_stop else [[]]
-    if marked not in shapes:
-        problems.append(f"layers {marked} are marked terminated_here after {ran} layers")
-    policy = config["termination"]["policy"] if refine else "none"
-    if policy == "none" and marked:
-        problems.append(f"layers {marked} are marked terminated_here, but nothing stops early")
-    elif policy == "llm":
-        m = config["termination"]["m"]
-        quiet = [state["residual"]["kind"] == "no_residual" for state in states]
-        rule = [n for n in range(m + 1, min(ran, depth - 1) + 1) if all(quiet[n - m:n])][:1]
-        if marked != rule:
-            problems.append(f"the llm rule with m={m} stops at {rule}, the item at {marked}")
+    # One window rule for every policy. An item that reached its final aggregation
+    # early stopped at its last layer; one whose last snapshot failed may have.
+    quiet = [state["converged"] is True for state in states]
+    rule = [n for n in range(m + 1, min(ran, depth - 1) + 1) if all(quiet[n - m:n])][:1]
+    stopped = ran < depth and (stop == STOP_ADAPTIVE or stage == "final")
+    shapes = [[ran]] if stopped else [[], [ran]] if stage == "snapshot" else [[]]
+    if rule not in shapes:
+        problems.append(f"the window rule with m={m} stops at {rule}, the item ran {ran} layers")
     return problems
 
 

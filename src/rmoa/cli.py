@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .agents import parse_residual_flag
 from .backends import Backends
-from .check import UNCHECKED_NOTE, check_run, check_transcript
+from .check import check_run, check_transcript
 from .config import build_backends, load_config
 from .errors import RmoaError
 from .harness import (
@@ -161,7 +161,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for problem in problems:
         print(problem)
     print(f"check: {len(problems) or 'no'} problems")
-    print(f"check: {UNCHECKED_NOTE}")
     return 1 if problems else 0
 
 

@@ -11,8 +11,7 @@ are shared; the aggregation template follows the mode.
 
 An item has one guarded path: a failed call, a degenerate or mismatched
 embedding, or a layer whose proposers all failed ends it as
-``backend_abort`` with the event ``aborted: <stage>: <reason>``; the stage
-is ``layer N``, ``layer N snapshot`` or ``final aggregation``.
+``backend_abort`` with one ``aborted`` event (see ``Transcript``).
 """
 
 from __future__ import annotations
@@ -76,6 +75,11 @@ _CALL_FAILURES = (BackendUnavailableError, ProtocolError, EmptyResponseError)
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
+def event_record(kind: str, layer: int, reason: str, *, stage=None, agent=None) -> dict:
+    """One entry of ``Transcript.events``; its fields are described there."""
+    return {"kind": kind, "stage": stage, "layer": layer, "agent": agent, "reason": reason}
+
+
 class _Abort(Exception):
     """A layer that cannot go on although no single call raised."""
 
@@ -120,7 +124,7 @@ class RunConfig:
 
 @dataclass
 class LayerState:
-    """Everything one layer produced.
+    """Everything one layer produced; ``converged`` is its stop policy's verdict.
 
     The reference the layer handed to the next layer's proposers is not
     kept: it follows from the persisted fields. In ``rmoa`` mode it is
@@ -133,7 +137,7 @@ class LayerState:
     responses: list[Response]
     selected: SelectionResult
     residual: Residual
-    terminated_here: bool
+    converged: bool | None  # None at layer 1 and in moa mode, where no verdict is made
     snapshot_answer: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -145,7 +149,7 @@ class LayerState:
                 "k": self.selected.k,
             },
             "residual": {"kind": self.residual.kind, "text": self.residual.text},
-            "terminated_here": self.terminated_here,
+            "converged": self.converged,
             "snapshot_answer": self.snapshot_answer,
         }
 
@@ -162,6 +166,11 @@ class Transcript:
     lines in, so each persisted layer is encoded once. All three hold
     compact, key-sorted JSON, and ``to_json_bytes``, which encodes in
     memory, is the bytes of ``transcript.json``.
+
+    Each event holds ``kind``, ``layer``, ``agent``, ``stage`` and ``reason``
+    (its text): ``proposer_failed`` with its agent, ``truncated`` (an
+    embedding input cut short) or ``aborted`` with its stage: ``layer`` (the
+    failing one), ``snapshot`` or ``final`` (of the last layer run).
     """
 
     config: RunConfig
@@ -170,7 +179,7 @@ class Transcript:
     final_response: Response | None
     ledger: UsageLedger
     stop_reason: str | None
-    events: list[str] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)
 
     def to_json_bytes(self) -> bytes:
         ledger = _JSON_ENCODER.encode(self.ledger.to_json_dict())
@@ -366,7 +375,7 @@ def run_pipeline(
         responses: list[Response] = []
         for i, outcome in enumerate(ordered_map(call, range(count), executor)):
             if isinstance(outcome, Exception):
-                events.append(f"layer {layer} proposer {i} failed: {outcome}")
+                events.append(event_record("proposer_failed", layer, str(outcome), agent=i))
             else:
                 responses.append(outcome)
                 ledger.append("proposer", backends.chat.model, outcome.usage)
@@ -391,15 +400,16 @@ def run_pipeline(
     with _layer_log(persist_dir) as log:
         try:
             for layer in range(1, config.layers + 1):
-                stage = f"layer {layer}"
+                stage = "layer"
                 responses = propose_layer(layer, reference)
                 if not responses:
                     raise _Abort("every proposer failed")
 
-                terminated_here = False
+                stop_here, converged = False, None
                 if refine:
                     vectors, usage = embed_batch(
-                        [r.text for r in responses], backends.embedding, on_event=events.append
+                        [r.text for r in responses], backends.embedding,
+                        on_event=lambda cut: events.append(event_record("truncated", layer, cut)),
                     )
                     ledger.append("embedding", backends.embedding.model, usage)
                     matrix = build_similarity_matrix(vectors)
@@ -418,7 +428,7 @@ def run_pipeline(
                             previous_vectors, selected_vectors,
                         )
                         not_converged.append(not converged)
-                        terminated_here = layer < config.layers and adaptive_should_stop(
+                        stop_here = layer < config.layers and adaptive_should_stop(
                             not_converged, config.termination.m
                         )
                     aggregation_base = previous_selected or selected
@@ -430,21 +440,21 @@ def run_pipeline(
                     aggregation_base = responses
                     reference = render_numbered_responses(responses)
 
-                state = LayerState(layer, responses, selection, residual, terminated_here)
+                state = LayerState(layer, responses, selection, residual, converged)
                 transcript.layer_states.append(state)
                 if config.capture_layer_answers:
-                    stage = f"layer {layer} snapshot"
+                    stage = "snapshot"
                     snapshot = fuse(layer)
                     state.snapshot_answer = snapshot.text
                 _append_layer(log, state)
-                if terminated_here:
+                if stop_here:
                     break
 
-            stage = "final aggregation"
+            stage = "final"
             transcript.final_response = snapshot if snapshot is not None else fuse(layer)
-            transcript.stop_reason = STOP_ADAPTIVE if terminated_here else STOP_MAX_LAYERS
+            transcript.stop_reason = STOP_ADAPTIVE if stop_here else STOP_MAX_LAYERS
         except _ABORTS as exc:
-            events.append(f"aborted: {stage}: {exc}")
+            events.append(event_record("aborted", layer, str(exc), stage=stage))
             transcript.stop_reason = STOP_BACKEND_ABORT
     _flush(persist_dir, transcript)
     return transcript

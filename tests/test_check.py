@@ -4,12 +4,15 @@ real mock runs pass, and each hand-made breakage of their files is reported."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from rmoa import pipeline
 from rmoa.check import check_run, check_transcript
 from rmoa.cli import main
 from rmoa.harness import BenchmarkItem, run_benchmark
+from rmoa.termination import TerminationConfig
 
 from conftest import make_config, make_mock_bundle
 from faults import FaultPlan
@@ -20,16 +23,25 @@ ITEMS = [
 ]
 
 
-def make_run(out, base: str):
-    """A 3-layer, 3-proposer mock run of ``ITEMS``: under the ``none`` policy,
-    under ``llm`` with a residual at every layer, or ``aborted`` in the final
-    aggregation."""
-    config = make_config(layers=3, proposers=3, k=2, policy="llm" if base == "llm" else "none")
+def make_run(out, base: str, layers: int = 3):
+    """A mock run of ``ITEMS``, 3 proposers per layer: under the ``none``
+    policy, under ``llm`` with a residual at every layer, under
+    ``sim_threshold`` (theta -0.99) or ``variance`` (sigma2 4), which stop at
+    layer 2, or ``aborted`` in the final aggregation."""
+    policy = "none" if base == "aborted" else base
+    config = replace(
+        make_config(layers=layers, proposers=3, k=2),
+        termination=TerminationConfig(policy=policy, theta=-0.99, sigma2=4.0),
+    )
     bundle = make_mock_bundle(behavior="residual_script", script=(True, True))
     if base == "aborted":
         bundle = FaultPlan(bundle, {("aggregator", 3): "unavailable"})
     run_benchmark(ITEMS, config, bundle, out_dir=out)
     return out
+
+
+def first_transcript(out) -> dict:
+    return json.loads((out / ITEMS[0].id / "transcript.json").read_bytes())
 
 
 def drop_extractor(data):
@@ -38,11 +50,16 @@ def drop_extractor(data):
 
 
 def add_abort_event(data):
-    data["events"] += [event for event in data["events"] if event.startswith("aborted: ")]
+    data["events"] += [event for event in data["events"] if event["kind"] == "aborted"]
 
 
 def quiet_layer_two(data):
     data["layer_states"][1]["residual"] = {"kind": "no_residual", "text": ""}
+
+
+def quiet_layer_two_and_its_verdict(data):
+    quiet_layer_two(data)
+    data["layer_states"][1]["converged"] = True
 
 
 BREAKAGES = {
@@ -51,25 +68,54 @@ BREAKAGES = {
         "none", lambda data: data["layer_states"].pop(),
         "stop reason 'max_layers' after 2 of 3 layers",
     ),
-    "middle layer marked": (
-        "none", lambda data: data["layer_states"][1].update(terminated_here=True),
-        "layers [2] are marked terminated_here",
+    "middle layer converged": (
+        "none", lambda data: data["layer_states"][1].update(converged=True),
+        "layer 2 has converged=True, the law allows [False]",
+    ),
+    "first layer converged": (
+        "sim_threshold", lambda data: data["layer_states"][0].update(converged=False),
+        "layer 1 has converged=False, the law allows [None]",
     ),
     "reply removed": (
         "none", lambda data: data["layer_states"][1]["responses"].pop(0),
         "layer 2 has replies from agents [1, 2], the events leave [0, 1, 2]",
     ),
-    "two abort events": ("aborted", add_abort_event, "needs one 'aborted: <stage>: ' event"),
-    "quiet llm window": ("llm", quiet_layer_two, "the llm rule with m=1 stops at [2]"),
+    "two abort events": ("aborted", add_abort_event, "needs one 'aborted' event with a stage"),
+    "quiet llm window": (
+        "llm", quiet_layer_two, "layer 2 has converged=False, the law allows [True]"
+    ),
+    "quiet llm window and verdict": (
+        "llm", quiet_layer_two_and_its_verdict,
+        "the window rule with m=1 stops at [2], the item ran 3 layers",
+    ),
 }
 
 
-@pytest.mark.parametrize("base", ["none", "llm", "aborted"])
+@pytest.mark.parametrize("base", ["none", "llm", "sim_threshold", "variance", "aborted"])
 def test_a_fresh_run_passes(tmp_path, capsys, base):
     out = make_run(tmp_path, base)
+    layers = len(first_transcript(out)["layer_states"])
+    assert layers == (2 if base in ("sim_threshold", "variance") else 3)
     assert check_run(out) == []
     assert main(["check", "--run-dir", str(out)]) == 0
-    assert capsys.readouterr().out.startswith("check: no problems\n")
+    assert capsys.readouterr().out == "check: no problems\n"
+
+
+def test_a_stop_one_layer_late_is_named(tmp_path, monkeypatch, capsys):
+    # a stop check that sees every verdict but the newest fires one layer late
+    plain = first_transcript(make_run(tmp_path / "plain", "sim_threshold", layers=4))
+    assert (len(plain["layer_states"]), plain["stop_reason"]) == (2, "adaptive_stop")
+    stop = pipeline.adaptive_should_stop
+    monkeypatch.setattr(pipeline, "adaptive_should_stop", lambda h, m: stop(h[:-1], m))
+    out = make_run(tmp_path / "late", "sim_threshold", layers=4)
+    late = first_transcript(out)
+    assert (len(late["layer_states"]), late["stop_reason"]) == (3, "adaptive_stop")
+    assert check_run(out) == [
+        f"{item.id}: the window rule with m=1 stops at [2], the item ran 3 layers"
+        for item in ITEMS
+    ]
+    assert main(["check", "--run-dir", str(out)]) == 1
+    assert capsys.readouterr().out.endswith("check: 2 problems\n")
 
 
 @pytest.mark.parametrize("base, breakage, problem", BREAKAGES.values(), ids=BREAKAGES)
@@ -101,6 +147,25 @@ def test_an_item_without_its_transcript_is_named(tmp_path):
     (out / "birch" / "transcript.json").unlink()
     assert check_run(out) == [f"birch: no {out / 'birch' / 'transcript.json'}"]
     assert main(["check", "--run-dir", str(out)]) == 1
+
+
+@pytest.mark.parametrize(("base", "error"), [("none", "KeyError"), ("aborted", "TypeError")])
+def test_a_run_in_the_old_format_is_one_error_line(tmp_path, capsys, base, error):
+    # text events and no verdict per layer, as runs wrote them before events
+    # were records and each layer kept its verdict
+    out = make_run(tmp_path, base)
+    for item in ITEMS:
+        path = out / item.id / "transcript.json"
+        data = json.loads(path.read_bytes())
+        data["events"] = [f"aborted: final aggregation: {e['reason']}" for e in data["events"]]
+        for state in data["layer_states"]:
+            del state["converged"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", "--run-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {out} holds a file the checker cannot read: {error}: ")
 
 
 def test_a_missing_report_is_one_error_line(tmp_path, capsys):

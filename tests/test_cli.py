@@ -176,6 +176,21 @@ class TestRunCommand:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("key", "value"), [("timeout_s", math.inf), ("base_delay_s", math.nan)]
+    )
+    def test_non_finite_http_setting_exits_2(self, workspace, capsys, key, value):
+        tmp_path, dataset, config = workspace
+        set_key(config, f"backends.chat.{key}", value)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+        )
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: backends.chat: {key} must be finite and ")
+        assert not out.exists()
+
     def test_ids_sharing_a_directory_exit_2(self, workspace, capsys):
         tmp_path, _, config = workspace
         set_key(config, "execution.item_parallelism", 4)
@@ -553,7 +568,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=re.escape(key_path)):
             build_backends(load_config(config_path))
 
-    @pytest.mark.parametrize("key, value", [("timeout_s", 0), ("max_attempts", 0)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("timeout_s", 0), ("max_attempts", 0),
+         # written as the bare JSON literals NaN and Infinity, which load_config accepts
+         ("timeout_s", math.inf), ("timeout_s", math.nan),
+         ("base_delay_s", -1), ("base_delay_s", math.inf), ("base_delay_s", math.nan)],
+    )
     def test_out_of_range_http_setting_is_config_error(self, workspace, key, value):
         _, _, config_path = workspace
         set_key(config_path, f"backends.chat.{key}", value)

@@ -23,6 +23,7 @@ from rmoa.harness import (
     slugify,
 )
 from rmoa.mockbackend import MockEmbeddingBackend
+from rmoa.pipeline import event_record
 
 from conftest import ThreadRecordingChat, make_config, make_mock_bundle
 from faults import FaultPlan
@@ -376,7 +377,9 @@ class TestRunBenchmark:
         assert [item["stop_reason"] for item in payload["items"]] == ["backend_abort"] * 2
         for item in items:
             transcript = json.loads((tmp_path / item.id / "transcript.json").read_text())
-            assert transcript["events"] == ["aborted: layer 2: dimension mismatch: 16 vs 32"]
+            assert transcript["events"] == [
+                event_record("aborted", 2, "dimension mismatch: 16 vs 32", stage="layer")
+            ]
 
     def test_embedding_rows_whose_norms_overflow_abort_items_and_report_is_written(
         self, tmp_path
@@ -390,9 +393,10 @@ class TestRunBenchmark:
         assert [item["stop_reason"] for item in payload["items"]] == ["backend_abort"] * 2
         for item in items:
             transcript = json.loads((tmp_path / item.id / "transcript.json").read_text())
-            assert transcript["events"] == [
-                "aborted: layer 2: vector 0: embedding size 1.41e+200 is outside [1e-140, 1e140]"
-            ]
+            assert transcript["events"] == [event_record(
+                "aborted", 2, "vector 0: embedding size 1.41e+200 is outside [1e-140, 1e140]",
+                stage="layer",
+            )]
 
     def test_embedding_rows_whose_squares_sum_past_the_float_range_still_write_the_report(
         self, tmp_path
@@ -405,9 +409,10 @@ class TestRunBenchmark:
         assert [item["stop_reason"] for item in payload["items"]] == ["backend_abort"] * 2
         for item in items:
             transcript = json.loads((tmp_path / item.id / "transcript.json").read_text())
-            assert transcript["events"] == [
-                "aborted: layer 2: vector 0: embedding size 1.41e+154 is outside [1e-140, 1e140]"
-            ]
+            assert transcript["events"] == [event_record(
+                "aborted", 2, "vector 0: embedding size 1.41e+154 is outside [1e-140, 1e140]",
+                stage="layer",
+            )]
 
     def test_run_dir_layout(self, tmp_path):
         items = exact_items(2)

@@ -28,6 +28,7 @@ from rmoa.pipeline import (
     RunConfig,
     _transcript_pieces,
     build_reference_context,
+    event_record,
     ordered_map,
     run_pipeline,
 )
@@ -146,7 +147,7 @@ class TestRunRmoa:
         transcript = run_pipeline("Stop early.", config, bundle)
         assert transcript.stop_reason == "adaptive_stop"
         assert [s.layer for s in transcript.layer_states] == [1, 2]
-        assert transcript.layer_states[-1].terminated_here
+        assert [s.converged for s in transcript.layer_states] == [None, True]
         assert transcript.ledger.count("proposer") == 12
         assert transcript.ledger.count("extractor") == 1
         assert transcript.ledger.count("aggregator") == 1
@@ -157,7 +158,8 @@ class TestRunRmoa:
         transcript = run_pipeline("Never stop.", config, bundle)
         assert transcript.stop_reason == "max_layers"
         assert [s.layer for s in transcript.layer_states] == [1, 2, 3, 4]
-        assert not any(s.terminated_here for s in transcript.layer_states)
+        # the residuals say "no residual", but the none policy never converges
+        assert [s.converged for s in transcript.layer_states] == [None, False, False, False]
         assert transcript.ledger.count("extractor") == 3
 
     def test_m2_needs_two_quiet_layers(self):
@@ -179,7 +181,7 @@ class TestRunRmoa:
         # nothing was skipped, so the run records the depth limit
         assert transcript.stop_reason == "max_layers"
         assert len(transcript.layer_states) == 2
-        assert not transcript.layer_states[-1].terminated_here
+        assert [s.converged for s in transcript.layer_states] == [None, True]
 
     @pytest.mark.parametrize(
         "length, m", [(n, m) for n in range(6) for m in (1, 2, 3) if m <= n + 1]
@@ -215,7 +217,9 @@ class TestRunRmoa:
         state = transcript.layer_states[0]
         assert len(state.responses) == 2
         assert [r.agent_index for r in state.responses] == [0, 2]
-        assert any("proposer 1 failed" in event for event in transcript.events)
+        assert transcript.events == [event_record(
+            "proposer_failed", 1, "backend unavailable at layer 1 proposer 1", agent=1
+        )]
         assert transcript.stop_reason == "max_layers"
 
     @pytest.mark.parametrize("mode", ["rmoa", "moa"])
@@ -255,7 +259,7 @@ class TestRunRmoa:
         assert transcript.stop_reason == "backend_abort"
         assert transcript.final_response is None
         assert transcript.events == [
-            "aborted: final aggregation: aggregator returned an empty completion"
+            event_record("aborted", 1, "aggregator returned an empty completion", stage="final")
         ]
         assert transcript.ledger.count("aggregator") == 0
 
@@ -277,30 +281,37 @@ class TestRunRmoa:
             *(
                 (mode, {"layers": 3, "proposers": 2},
                  {("proposer", 1, 0): "unavailable", ("proposer", 1, 1): "unavailable"}, [], [
-                    "layer 1 proposer 0 failed: backend unavailable at layer 1 proposer 0",
-                    "layer 1 proposer 1 failed: backend unavailable at layer 1 proposer 1",
-                    "aborted: layer 1: every proposer failed",
+                    *(
+                        event_record("proposer_failed", 1, f"backend unavailable at layer 1 "
+                                     f"proposer {agent}", agent=agent)
+                        for agent in (0, 1)
+                    ),
+                    event_record("aborted", 1, "every proposer failed", stage="layer"),
                 ])
                 for mode in ("rmoa", "moa")
             ),
             ("rmoa", {"layers": 3, "proposers": 2}, {("extractor", 2): "unavailable"}, [1],
-             ["aborted: layer 2: backend unavailable at layer 2 extractor"]),
+             [event_record("aborted", 2, "backend unavailable at layer 2 extractor",
+                           stage="layer")]),
             *(
                 (mode, {"layers": 2, "proposers": 2, "capture_layer_answers": True},
                  {("aggregator", 1): "unavailable"}, [1],
-                 ["aborted: layer 1 snapshot: backend unavailable at layer 1 aggregator"])
+                 [event_record("aborted", 1, "backend unavailable at layer 1 aggregator",
+                               stage="snapshot")])
                 for mode in ("rmoa", "moa")
             ),
             *(
                 (mode, {"layers": 1, "proposers": 1}, {("aggregator", 1): "unavailable"}, [1],
-                 ["aborted: final aggregation: backend unavailable at layer 1 aggregator"])
+                 [event_record("aborted", 1, "backend unavailable at layer 1 aggregator",
+                               stage="final")])
                 for mode in ("rmoa", "moa")
             ),
             # layer 2 joins the transcript, but its snapshot fails before its log line
             *(
                 (mode, {"layers": 3, "proposers": 2, "capture_layer_answers": True},
                  {("aggregator", 2): "unavailable"}, [1, 2],
-                 ["aborted: layer 2 snapshot: backend unavailable at layer 2 aggregator"])
+                 [event_record("aborted", 2, "backend unavailable at layer 2 aggregator",
+                               stage="snapshot")])
                 for mode in ("rmoa", "moa")
             ),
         ],
@@ -337,7 +348,7 @@ class TestRunRmoa:
         assert transcript.stop_reason == "backend_abort"
         assert [state.layer for state in transcript.layer_states] == [1]
         assert transcript.final_response is None
-        assert transcript.events == [f"aborted: layer 2: {reason}"]
+        assert transcript.events == [event_record("aborted", 2, reason, stage="layer")]
         assert transcript.ledger.count("embedding") == 1
         assert transcript.ledger.count("extractor") == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
@@ -350,7 +361,9 @@ class TestRunRmoa:
         transcript = run_pipeline("Dimensions drift.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert [state.layer for state in transcript.layer_states] == [1]
-        assert transcript.events == ["aborted: layer 2: dimension mismatch: 16 vs 32"]
+        assert transcript.events == [
+            event_record("aborted", 2, "dimension mismatch: 16 vs 32", stage="layer")
+        ]
         assert transcript.ledger.count("embedding") == 2
         assert transcript.ledger.count("extractor") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
@@ -368,9 +381,10 @@ class TestRunRmoa:
         transcript = run_pipeline("Sizes out of range.", config, bundle, persist_dir=tmp_path)
         assert transcript.stop_reason == "backend_abort"
         assert transcript.layer_states == []
-        assert transcript.events == [
-            f"aborted: layer 1: vector 0: embedding size {size} is outside [1e-140, 1e140]"
-        ]
+        assert transcript.events == [event_record(
+            "aborted", 1, f"vector 0: embedding size {size} is outside [1e-140, 1e140]",
+            stage="layer",
+        )]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "transcript.json"]
         assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
 
@@ -518,7 +532,11 @@ class TestRunRmoa:
             embedding=MockEmbeddingBackend(max_input_chars=16),
         )
         transcript = run_pipeline("A query long enough to overflow.", config, bundle)
-        assert any("truncated" in event for event in transcript.events)
+        lengths = [len(r.text) for r in transcript.layer_states[0].responses]
+        assert transcript.events == [
+            event_record("truncated", 1, f"embedding input {i} truncated from {n} to 16 chars")
+            for i, n in enumerate(lengths)
+        ]
 
     def test_requires_rmoa_mode_and_embedding_backend(self):
         bundle = Backends(chat=MockChatBackend(MockRule()), embedding=None)
@@ -709,31 +727,32 @@ class TestOrderedMap:
 
 # sha256 of the transcript bytes. These are the digests of the compact format
 # without a stored reference; parsed, each transcript equals the one measured
-# before the two mode loops were merged, less its layers' references.
+# before the two mode loops were merged, less its layers' references, with
+# each layer's old stop flag replaced by its verdict, converged.
 @pytest.mark.parametrize(
     ("config", "bundle_args", "digest"),
     [
         (
             make_config(layers=4, proposers=6, k=3),
             {},
-            "1621effdf356e2e338c51613c801a8537a9ecc287e2eec48a6d8e7f7a27da968",
+            "097c99eb7ed2c0cf602caf8cc5336c18faf277c273bed5965eaa4e0e74dd513b",
         ),
         (
             make_config(
                 layers=4, proposers=6, k=3, policy="llm", m=1, capture_layer_answers=True
             ),
             {"behavior": "residual_script", "script": (False, False, False)},
-            "894ce52ec9a15d7fb33ad4d67a99dc516a6f4b0327e568b8f055488f8fe8bfbc",
+            "aad488462577604bf7d30764d58aaabe32d3ed4661dec3c54268929ee42f9f5c",
         ),
         (
             make_config(layers=3, proposers=4, k=2, mode="moa"),
             {},
-            "7e323465fa9cea8cdfe22a92424a19ecc47b0e808426065eb49712b76ba5b49a",
+            "7dc7420b5f77f4073c1a62300c4c3c4bb766b6e33103155f7e3d0ed644b5d2f2",
         ),
         (
             make_config(layers=3, proposers=4, k=2, mode="moa", capture_layer_answers=True),
             {},
-            "ebbee7443d599702227ed285696d2048fb66eddc80bbb2881c3aa6c974437b99",
+            "c88042e405d456c06e49e06cd55bd5059205d115bcc433ab1cb64e5be0c01276",
         ),
     ],
     ids=["rmoa", "rmoa-adaptive-stop-snapshots", "moa", "moa-snapshots"],
