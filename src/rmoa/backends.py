@@ -6,9 +6,12 @@ shapes: POST ``{base}/chat/completions`` with ``{"model", "messages",
 ``{"model", "input"}``. Transient failures (connection errors, timeouts,
 HTTP 429/5xx) are retried with exponential backoff, and each failed attempt
 is logged as a warning on the ``rmoa.backends`` logger; anything else is a
-protocol error and fails immediately. That includes a reply holding the
-non-standard literals ``NaN``, ``Infinity`` or ``-Infinity``, which the
-clients never send either.
+protocol error and fails immediately. That includes a reply that is not
+strict UTF-8 JSON: one holding the non-standard literals ``NaN``,
+``Infinity`` or ``-Infinity``, which the clients never send either, or a
+number that overflows a double, such as ``1e400``, in a token count or an
+embedding row. Replies are decoded with orjson, imported when the first
+reply arrives, so a run that decodes none never loads it.
 
 Each client holds its own pool of keep-alive ``http.client`` connections:
 up to 10 idle ones are kept for reuse, and a call finding none idle opens
@@ -145,8 +148,11 @@ class _HttpClient:
                 failure = type(exc).__name__
             else:
                 if status == 200:
+                    # imported on first use: a run that decodes no reply never loads it
+                    import orjson
+
                     try:
-                        return json.loads(data, parse_constant=_refuse_constant)
+                        return orjson.loads(data)
                     except ValueError as exc:
                         raise ProtocolError(f"{url} returned invalid JSON: {exc}") from exc
                 if status not in _RETRYABLE_STATUS:
@@ -168,10 +174,6 @@ class _HttpClient:
         raise BackendUnavailableError(
             f"{url} unreachable after {attempts} attempts: {last_error}"
         )
-
-
-def _refuse_constant(name: str) -> float:
-    raise ValueError(f"non-standard literal {name}")
 
 
 class _Pool:
@@ -342,7 +344,7 @@ class HttpChatBackend(_HttpClient):
                 ),
                 model=self.model,
             )
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed chat completion payload: {exc}") from exc
         return result
 
@@ -372,7 +374,7 @@ class HttpEmbeddingBackend(_HttpClient):
             if usage is not None and not isinstance(usage, dict):
                 raise TypeError(f"usage is {type(usage).__name__}, not an object")
             prompt_tokens = int((usage or {}).get("prompt_tokens", 0))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed embeddings payload: {exc}") from exc
         return EmbeddingBatch(
             vectors=vectors,
