@@ -10,23 +10,33 @@ protocol error and fails immediately. That includes a reply that is not
 strict UTF-8 JSON: one holding the non-standard literals ``NaN``,
 ``Infinity`` or ``-Infinity``, which the clients never send either, or a
 number that overflows a double, such as ``1e400``, in a token count or an
-embedding row. Replies are decoded with orjson, imported when the first
-reply arrives, so a run that decodes none never loads it.
+embedding row. So is an embedding component that is not a JSON number,
+such as the string ``"NaN"``. Replies are decoded with orjson, imported
+when the first reply arrives, so a run that decodes none never loads it.
 
-Each client holds its own pool of keep-alive ``http.client`` connections:
-up to 10 idle ones are kept for reuse, and a call finding none idle opens
-another, which is closed after use if the pool is full. A pooled connection
-the server has closed is dropped before it is used. Requests carry
-``User-Agent: rmoa/<version>``. The proxy for the base URL is read from the
-environment (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``)
-when the client is built, not on every call: an ``http://`` target is sent
-to the proxy with its absolute URL, an ``https://`` target through a
-CONNECT tunnel. An ``https://`` proxy serves only ``http://`` targets,
-because TLS cannot run inside its TLS here. HTTPS certificates are verified
-against certifi's bundle, in a TLS context built once per client when it
-first connects over HTTPS. Redirects are not followed: a 3xx reply is a
-protocol error. ``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE`` and
-``~/.netrc`` are not read.
+Each client holds its own pool of keep-alive connections: up to 10 idle
+ones are kept for reuse, and a call finding none idle opens another, which
+is closed after use if the pool is full. A pooled connection the server has
+closed is dropped before it is used. ``http.client`` only opens connections
+(``TCP_NODELAY``, TLS, CONNECT tunnel). The client sends each request, whose
+header block it builds once per client, in one write, and reads the reply
+itself (RFC 9112): a body framed by ``Content-Length``, chunked or delimited
+by the connection's close; interim ``1xx`` replies are skipped. A malformed
+reply raises ``http.client``'s own exception types, retried like a lost
+connection. Requests carry ``User-Agent: rmoa/<version>`` and
+``Accept-Encoding: identity``. A bearer token holding a control character
+or a character outside Latin-1, and a base URL whose path holds a space, a
+control or a non-ASCII character, are refused when the client is built.
+
+The proxy for the base URL is read from the environment (``HTTP_PROXY``,
+``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``) when the client is built, not
+on every call: an ``http://`` target is sent to the proxy with its absolute
+URL, an ``https://`` target through a CONNECT tunnel. An ``https://`` proxy
+serves only ``http://`` targets, because TLS cannot run inside its TLS
+here. HTTPS certificates are verified against certifi's bundle, in a TLS
+context built once per client when it first connects over HTTPS. Redirects
+are not followed: a 3xx reply is a protocol error. ``REQUESTS_CA_BUNDLE``,
+``CURL_CA_BUNDLE`` and ``~/.netrc`` are not read.
 """
 
 from __future__ import annotations
@@ -37,14 +47,15 @@ import json
 import logging
 import math
 import select
+import socket
 import ssl
 import threading
 import time
 import urllib.request
 import weakref
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
-from urllib.parse import unquote, urlsplit
+from typing import BinaryIO, Protocol, Sequence, runtime_checkable
+from urllib.parse import SplitResult, unquote, urlsplit
 
 import certifi
 
@@ -58,6 +69,9 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 # Idle keep-alive connections each client's pool holds for reuse.
 _POOL_MAXSIZE = 10
 _USER_AGENT = f"rmoa/{__version__}"
+# Reply limits, as http.client sets them: bytes per line, header fields per reply.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
 
 @dataclass(frozen=True)
@@ -112,6 +126,14 @@ class RetryPolicy:
         return self.base_delay_s * (2**attempt)
 
 
+def check_token(token: str) -> None:
+    """Raise ``ValueError`` unless ``token`` fits in one ``Authorization`` field:
+    no control character and nothing outside Latin-1. The message never
+    quotes the token."""
+    if any(c < " " or "\x7f" <= c < "\xa0" or c > "\xff" for c in token):
+        raise ValueError("the bearer token holds a control character or one outside Latin-1")
+
+
 @dataclass
 class _HttpClient:
     """Endpoint, credentials, connection pool and retrying POST shared by the wire clients."""
@@ -125,6 +147,8 @@ class _HttpClient:
     def __post_init__(self) -> None:
         if not 0 < self.timeout_s < math.inf:
             raise ValueError("timeout_s must be finite and positive")
+        if self.api_key:
+            check_token(self.api_key)
         self._pool = _pool_for(self.base_url, self.timeout_s)
 
     def close(self) -> None:
@@ -134,15 +158,13 @@ class _HttpClient:
     def _post(self, path: str, payload: dict) -> dict:
         """POST ``payload`` to ``path`` under the base URL, retrying transient failures."""
         url = self.base_url.rstrip("/") + path
-        headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        authorization = f"Bearer {self.api_key}" if self.api_key else None
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         attempts = self.retry.max_attempts
         last_error: Exception | None = None
         for attempt in range(attempts):
             try:
-                status, data = self._pool.post(path, body, headers)
+                status, data = self._pool.post(path, body, authorization)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 failure = type(exc).__name__
@@ -179,10 +201,11 @@ class _HttpClient:
 class _Pool:
     """Keep-alive connections to one origin, most recently returned first.
 
-    ``post`` takes an idle connection or opens one, sends one request on it,
-    reads the whole reply and puts the connection back unless the reply
-    closes it or ``_POOL_MAXSIZE`` connections are already idle. The idle
-    connections are closed when the pool is garbage-collected.
+    ``post`` takes an idle connection or opens one, sends one request on it
+    in one write, reads the whole reply and puts the connection back unless
+    the reply closes it or ``_POOL_MAXSIZE`` connections are already idle.
+    ``http.client`` only opens connections. The idle connections are closed
+    when the pool is garbage-collected.
     """
 
     def __init__(
@@ -193,49 +216,55 @@ class _Pool:
         *,
         tls: bool,
         prefix: str,
-        headers: dict[str, str],
+        fields: bytes,
         tunnel: tuple[str, int | None, dict[str, str]] | None = None,
     ) -> None:
         self._host = host
         self._port = port
         self._timeout_s = timeout_s
         self._tls = tls
-        # prepended to each path: the base URL's path, or the whole base URL
-        # when a proxy forwards the request
-        self._prefix = prefix
-        self._headers = headers
+        # starts each request line: the base URL's path, or the whole base
+        # URL when a proxy forwards the request
+        self._prefix = b"POST " + prefix.encode("ascii")
+        # the header fields every request carries, each ending in CRLF
+        self._fields = fields
         self._tunnel = tunnel
         self._context: ssl.SSLContext | None = None
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         self._lock = threading.Lock()
         # holds the list, not the pool, so the pool can still be collected
         weakref.finalize(self, _close_all, self._idle)
 
-    def post(self, path: str, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+    def post(self, path: str, body: bytes, authorization: str | None) -> tuple[int, bytes]:
         """Send one POST; return the reply's status and body."""
+        auth = b"" if authorization is None else b"Authorization: %b\r\n" % authorization.encode(
+            "latin-1"
+        )
+        request = b"%b%b HTTP/1.1\r\n%b%bContent-Length: %d\r\n\r\n%b" % (
+            self._prefix, path.encode("ascii"), self._fields, auth, len(body), body
+        )
         conn = self._take()
         try:
-            conn.request("POST", self._prefix + path, body, self._headers | headers)
+            conn.sock.sendall(request)
             try:
-                response = conn.getresponse()
-                data = response.read()
+                status, data, will_close = _read_reply(conn.reader)
             except TimeoutError as exc:
                 raise TimeoutError(f"Read timed out after {self._timeout_s:g} s") from exc
         except BaseException:
             conn.close()
             raise
-        if response.will_close:
+        if will_close:
             conn.close()
         else:
             self._give_back(conn)
-        return response.status, data
+        return status, data
 
     def clear(self) -> None:
         """Close every idle connection."""
         with self._lock:
             _close_all(self._idle)
 
-    def _take(self) -> http.client.HTTPConnection:
+    def _take(self) -> _Connection:
         with self._lock:
             while self._idle:
                 conn = self._idle.pop()
@@ -244,16 +273,21 @@ class _Pool:
                 conn.close()
         # http.client sets TCP_NODELAY when it connects
         if not self._tls:
-            conn = http.client.HTTPConnection(self._host, self._port, timeout=self._timeout_s)
+            opener = http.client.HTTPConnection(self._host, self._port, timeout=self._timeout_s)
         else:
-            conn = http.client.HTTPSConnection(
+            opener = http.client.HTTPSConnection(
                 self._host, self._port, timeout=self._timeout_s, context=self._tls_context()
             )
         if self._tunnel:
-            conn.set_tunnel(*self._tunnel)
-        return conn
+            opener.set_tunnel(*self._tunnel)
+        try:
+            opener.connect()
+        except BaseException:
+            opener.close()
+            raise
+        return _Connection(opener.sock)
 
-    def _give_back(self, conn: http.client.HTTPConnection) -> None:
+    def _give_back(self, conn: _Connection) -> None:
         with self._lock:
             if len(self._idle) < _POOL_MAXSIZE:
                 self._idle.append(conn)
@@ -268,13 +302,29 @@ class _Pool:
             return self._context
 
 
-def _close_all(idle: list[http.client.HTTPConnection]) -> None:
+class _Connection:
+    """An open socket and the one buffered reader its replies are read through."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock: socket.socket | None = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+            self.sock = None
+
+
+def _close_all(idle: list[_Connection]) -> None:
     """Close and remove every connection in ``idle``, in place."""
     while idle:
         idle.pop().close()
 
 
-def _closed_by_server(conn: http.client.HTTPConnection) -> bool:
+def _closed_by_server(conn: _Connection) -> bool:
     """Whether an idle connection's socket is readable, meaning its server closed it.
 
     ``poll`` where the platform has one, as all but Windows do: ``select``
@@ -285,6 +335,97 @@ def _closed_by_server(conn: http.client.HTTPConnection) -> bool:
         poller.register(conn.sock, select.POLLIN)
         return bool(poller.poll(0))
     return bool(select.select([conn.sock], [], [], 0)[0])
+
+
+def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
+    """Read one reply (RFC 9112 framing); return its status, its body and
+    whether the server closes the connection after it.
+
+    Interim ``1xx`` replies are skipped. A fault raises the ``http.client``
+    exception that ``getresponse`` and ``read`` raise for it.
+    """
+    status = 100
+    while 100 <= status < 200:
+        line = _read_line(reader, "status line")
+        if not line:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        words = line.split(None, 2)
+        try:
+            if len(words) < 2 or not words[0].startswith(b"HTTP/"):
+                raise ValueError
+            status = int(words[1])
+            if not 100 <= status <= 999:
+                raise ValueError
+        except ValueError:
+            raise http.client.BadStatusLine(line.decode("iso-8859-1")) from None
+        fields = _read_fields(reader)
+    version = words[0]
+    if version in (b"HTTP/1.0", b"HTTP/0.9"):
+        # HTTP/1.0 closes unless the reply asks to keep the connection
+        will_close = not (
+            fields.get(b"keep-alive")
+            or b"keep-alive" in fields.get(b"connection", b"").lower()
+            or b"keep-alive" in fields.get(b"proxy-connection", b"").lower()
+        )
+    elif version.startswith(b"HTTP/1."):
+        will_close = b"close" in fields.get(b"connection", b"").lower()
+    else:
+        raise http.client.UnknownProtocol(version.decode("iso-8859-1"))
+    if status in (204, 304):
+        return status, b"", will_close
+    if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks = []
+        while size := _chunk_size(reader):
+            chunks.append(_read_exactly(reader, size))
+            _read_exactly(reader, 2)  # the CRLF after the chunk
+        while _read_line(reader, "trailer line") not in (b"\r\n", b"\n", b""):
+            pass
+        return status, b"".join(chunks), will_close
+    try:
+        length = int(fields[b"content-length"])
+    except (KeyError, ValueError):
+        length = -1
+    if length < 0:
+        # delimited by the end of the connection
+        return status, reader.read(), True
+    return status, _read_exactly(reader, length), will_close
+
+
+def _read_line(reader: BinaryIO, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_fields(reader: BinaryIO) -> dict[bytes, bytes]:
+    """A header section's fields by lower-case name; the first of a repeated name wins."""
+    fields: dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.partition(b":")
+        fields.setdefault(name.strip().lower(), value.strip())
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _chunk_size(reader: BinaryIO) -> int:
+    line = _read_line(reader, "chunk size")
+    try:
+        size = int(line.split(b";", 1)[0], 16)
+        if size < 0:
+            raise ValueError
+    except ValueError:
+        raise http.client.IncompleteRead(b"") from None
+    return size
+
+
+def _read_exactly(reader: BinaryIO, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise http.client.IncompleteRead(data, size - len(data))
+    return data
 
 
 def _pool_for(base_url: str, timeout_s: float) -> _Pool:
@@ -315,7 +456,35 @@ def _pool_for(base_url: str, timeout_s: float) -> _Pool:
             # the CONNECT request alone carries the credentials
             tunnel, headers = (host, port, headers), {}
         host, port = via.hostname, via.port
-    return _Pool(host, port, timeout_s, tls=tls, prefix=prefix, headers=headers, tunnel=tunnel)
+    if not prefix.isascii() or any(c <= " " or c == "\x7f" for c in prefix):
+        raise ConfigError(
+            f"base URL {base_url!r} holds a space, a control or a non-ASCII character"
+        )
+    fields = {
+        "Host": _host_field(parts),
+        # without it a server may compress the reply
+        "Accept-Encoding": "identity",
+        **headers,
+        "Content-Type": "application/json",
+        "User-Agent": _USER_AGENT,
+    }
+    lines = "".join(f"{name}: {value}\r\n" for name, value in fields.items())
+    return _Pool(
+        host, port, timeout_s, tls=tls, prefix=prefix, fields=lines.encode(), tunnel=tunnel
+    )
+
+
+def _host_field(target: SplitResult) -> str:
+    """The ``Host`` field for ``target``, as ``http.client`` writes it: the
+    IDNA name or bracketed IPv6 address, and the port unless it is the
+    scheme's default."""
+    host = target.hostname
+    if not host.isascii():
+        host = host.encode("idna").decode("ascii")
+    if ":" in host:
+        host = f"[{host.partition('%')[0]}]"
+    default = 443 if target.scheme == "https" else 80
+    return host if target.port in (None, default) else f"{host}:{target.port}"
 
 
 @dataclass
@@ -368,7 +537,11 @@ class HttpEmbeddingBackend(_HttpClient):
             indices = [int(row["index"]) for row in rows]
             if indices != list(range(len(rows))):
                 raise ValueError(f"row indices {indices} are not 0..{len(rows) - 1}")
-            vectors = tuple(tuple(map(float, row["embedding"])) for row in rows)
+            vectors = tuple(tuple(row["embedding"]) for row in rows)
+            for row in vectors:
+                # a TypeError on a component that is not a JSON number;
+                # EmbeddingVector converts the numbers
+                math.hypot(*row)
             # A null usage counts as missing; any other non-object is malformed.
             usage = data.get("usage")
             if usage is not None and not isinstance(usage, dict):

@@ -18,7 +18,13 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .accounting import DEFAULT_PRICE_PER_MILLION
-from .backends import Backends, HttpChatBackend, HttpEmbeddingBackend, RetryPolicy
+from .backends import (
+    Backends,
+    HttpChatBackend,
+    HttpEmbeddingBackend,
+    RetryPolicy,
+    check_token,
+)
 from .errors import ConfigError
 from .harness import DEFAULT_ITEM_PARALLELISM
 from .mockbackend import MockChatBackend, MockEmbeddingBackend, MockRule
@@ -191,6 +197,10 @@ def _api_key_from_env(spec: dict, name: str) -> str | None:
         raise ConfigError(
             f"{name} names auth_token_env={env_var!r} but it is not set"
         )
+    try:
+        check_token(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: auth_token_env={env_var!r}: {exc}") from None
     return value
 
 

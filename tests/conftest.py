@@ -10,6 +10,7 @@ import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from socketserver import StreamRequestHandler
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,7 @@ class _StubHandler(BaseHTTPRequestHandler):
                     "authorization": self.headers.get("Authorization"),
                     "proxy_authorization": self.headers.get("Proxy-Authorization"),
                     "user_agent": self.headers.get("User-Agent"),
+                    "host": self.headers.get("Host"),
                     "client": self.client_address,
                 }
             )
@@ -153,6 +155,37 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 class _KeepAliveStubHandler(_StubHandler):
     protocol_version = "HTTP/1.1"
+
+
+class _RawReplyHandler(StreamRequestHandler):
+    """Answers each request with a script entry ``(reply, close)``: the
+    reply's bytes as they are, for framings ``http.server`` cannot send, and
+    whether to close the connection after them. Records each request's
+    header block and body."""
+
+    def handle(self) -> None:
+        server = self.server
+        while True:
+            head = []
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                head.append(line)
+            if not head:
+                return
+            length = next(
+                (int(line[15:]) for line in head if line.lower().startswith(b"content-length:")),
+                0,
+            )
+            body = self.rfile.read(length)
+            with server.lock:
+                server.requests.append(
+                    {"head": b"".join(head), "body": body, "client": self.client_address}
+                )
+                reply, close = (
+                    server.script.pop(0) if server.script else (b"HTTP/1.1 500 empty\r\n\r\n", True)
+                )
+            self.wfile.write(reply)
+            if close:
+                return
 
 
 class _TunnelHandler(BaseHTTPRequestHandler):
@@ -199,8 +232,9 @@ class HttpStub:
     the connection after the reply without saying so, and sets ``dropped``.
     The default handler speaks HTTP/1.0 and closes each connection after
     one reply; ``_KeepAliveStubHandler`` speaks HTTP/1.1 and keeps
-    connections open. ``tls=True`` serves HTTPS with ``TLS_CERT``. Each
-    recorded request names the client address it came from.
+    connections open; ``_RawReplyHandler`` sends raw scripted bytes.
+    ``tls=True`` serves HTTPS with ``TLS_CERT``. Each recorded request names
+    the client address it came from.
     """
 
     def __init__(self, handler: type = _StubHandler, tls: bool = False) -> None:
@@ -252,6 +286,14 @@ def http_stub():
 @pytest.fixture
 def keep_alive_stub():
     stub = HttpStub(_KeepAliveStubHandler)
+    yield stub
+    stub.close()
+
+
+@pytest.fixture
+def raw_stub():
+    """An endpoint whose script entries are ``(reply bytes, close after)``."""
+    stub = HttpStub(_RawReplyHandler)
     yield stub
     stub.close()
 

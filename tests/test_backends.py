@@ -16,6 +16,7 @@ import ssl
 import struct
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -78,6 +79,17 @@ class TestHttpChatBackend:
             [{"role": "user", "content": "q"}], temperature=0.0, max_tokens=8
         )
         assert http_stub.requests[0]["authorization"] == "Bearer sekrit"
+
+    @pytest.mark.parametrize("token", ["sekrit\n", "sek\r\nX-Injected: 1", "sekrit\x00", "sekrit\u20ac"])
+    def test_token_that_cannot_be_a_header_field_is_refused_when_built(self, token):
+        with pytest.raises(ValueError, match="bearer token") as caught:
+            HttpChatBackend(base_url="http://127.0.0.1:9/v1", model="m", api_key=token)
+        assert "sek" not in str(caught.value)
+
+    @pytest.mark.parametrize("path", ["/v 1", "/v1\x00", "/v1\x7f", "/v\u00e9"])
+    def test_base_url_that_cannot_be_a_request_line_is_a_config_error(self, path):
+        with pytest.raises(ConfigError, match="base URL"):
+            HttpChatBackend(base_url="http://127.0.0.1:9" + path, model="m")
 
     def test_retries_transient_errors_then_succeeds(self, http_stub):
         http_stub.script.extend(
@@ -298,30 +310,44 @@ class TestHttpEmbeddingBackend:
         assert [bits(row) for row in batch.vectors] == [bits(row) for row in expected]
 
 
-# Replies that only a lenient JSON parser reads, or whose numbers overflow a
-# double: (call kind, body). Each is invalid JSON to the client.
+# What the client makes of a reply: the error's message and its cause.
+INVALID_JSON = ("returned invalid JSON: ", orjson.JSONDecodeError)
+NOT_A_NUMBER = ("malformed embeddings payload: ", TypeError)
+# Replies that only a lenient JSON parser reads, whose numbers overflow a
+# double, or whose non-finite values are JSON strings: (call kind, body,
+# what the client makes of it).
 NON_FINITE_REPLIES = {
     "chat-usage-overflow": (
         "chat",
         b'{"choices": [{"message": {"content": "x"}}],'
         b' "usage": {"prompt_tokens": 1e400, "completion_tokens": 3}}',
+        INVALID_JSON,
     ),
     "chat-usage-infinity": (
         "chat",
         b'{"choices": [{"message": {"content": "x"}}],'
         b' "usage": {"prompt_tokens": Infinity, "completion_tokens": 3}}',
+        INVALID_JSON,
     ),
     "embedding-row-nan": (
         "embedding",
         b'{"data": [{"index": 0, "embedding": [NaN, 1.0]}]}',
+        INVALID_JSON,
     ),
     "embedding-row-minus-infinity": (
         "embedding",
         b'{"data": [{"index": 0, "embedding": [1.0, -Infinity]}]}',
+        INVALID_JSON,
     ),
     "embedding-row-overflow": (
         "embedding",
         b'{"data": [{"index": 0, "embedding": [1e400, 1.0]}]}',
+        INVALID_JSON,
+    ),
+    "embedding-row-string": (
+        "embedding",
+        b'{"data": [{"index": 0, "embedding": ["1e400", "NaN"]}]}',
+        NOT_A_NUMBER,
     ),
 }
 GOOD_REPLIES = {
@@ -331,20 +357,25 @@ GOOD_REPLIES = {
 
 
 class TestNonFiniteReplies:
-    @pytest.mark.parametrize(("kind", "body"), NON_FINITE_REPLIES.values(), ids=NON_FINITE_REPLIES)
-    def test_reply_is_one_request_and_a_protocol_error(self, http_stub, kind, body):
+    @pytest.mark.parametrize(
+        ("kind", "body", "error"), NON_FINITE_REPLIES.values(), ids=NON_FINITE_REPLIES
+    )
+    def test_reply_is_one_request_and_a_protocol_error(self, http_stub, kind, body, error):
+        message, cause = error
         http_stub.script.extend([(200, body), (200, GOOD_REPLIES[kind])])
-        with pytest.raises(ProtocolError, match="returned invalid JSON: ") as caught:
+        with pytest.raises(ProtocolError, match=message) as caught:
             if kind == "chat":
                 ask(chat_backend(http_stub))
             else:
                 embedding_backend(http_stub).embed(["a"])
-        assert isinstance(caught.value.__cause__, orjson.JSONDecodeError)
+        assert isinstance(caught.value.__cause__, cause)
         assert len(http_stub.requests) == 1
 
-    @pytest.mark.parametrize(("kind", "body"), NON_FINITE_REPLIES.values(), ids=NON_FINITE_REPLIES)
+    @pytest.mark.parametrize(
+        ("kind", "body", "error"), NON_FINITE_REPLIES.values(), ids=NON_FINITE_REPLIES
+    )
     def test_reply_aborts_its_item_and_the_report_is_written(
-        self, http_stub, tmp_path, kind, body
+        self, http_stub, tmp_path, kind, body, error
     ):
         # One proposer, no pools: item a makes a proposer, an embedding and
         # an aggregator call, in that order; item b's first call of ``kind``
@@ -411,6 +442,7 @@ class TestTransport:
             backend.close()
         [request] = keep_alive_stub.requests
         assert request["path"] == "http://backend.invalid/v1/chat/completions"
+        assert request["host"] == "backend.invalid"
         assert request["proxy_authorization"] == "Basic " + base64.b64encode(b"us@r:pw").decode()
 
     def test_no_proxy_host_is_reached_directly(self, keep_alive_stub, proxy_env):
@@ -441,6 +473,7 @@ class TestTransport:
         assert connect["proxy_authorization"] == "Basic " + base64.b64encode(b"us@r:pw").decode()
         assert [r["path"] for r in tls_stub.requests] == ["/v1/chat/completions"] * 2
         assert [r["proxy_authorization"] for r in tls_stub.requests] == [None, None]
+        assert [r["host"] for r in tls_stub.requests] == [f"{host}:{port}"] * 2
 
     def test_https_proxy_forwards_an_http_target(self, tls_stub, proxy_env, trust_test_cert):
         proxy_env.setenv("HTTP_PROXY", tls_stub.base_url.removesuffix("/v1"))
@@ -489,6 +522,37 @@ class TestTransport:
         ask(chat_backend(http_stub))
         assert http_stub.requests[0]["user_agent"] == f"rmoa/{rmoa.__version__}"
 
+    def test_host_names_the_target_and_its_port(self, http_stub):
+        http_stub.script.append((200, chat_payload()))
+        ask(chat_backend(http_stub))
+        host, port = http_stub.server.server_address
+        assert http_stub.requests[0]["host"] == f"{host}:{port}"
+
+    def test_each_post_is_one_write(self, keep_alive_stub, monkeypatch):
+        client = threading.current_thread()
+        writes = []
+        send = socket.socket.sendall
+
+        def counted(sock, data, *args):
+            if threading.current_thread() is client:
+                writes.append(bytes(data))
+            return send(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counted)
+        keep_alive_stub.script.extend([(200, chat_payload())] * 3)
+        backend = chat_backend(keep_alive_stub, api_key="sekrit")
+        try:
+            for _ in range(3):
+                ask(backend)
+        finally:
+            backend.close()
+        assert len(writes) == 3
+        for write, request in zip(writes, keep_alive_stub.requests):
+            head, _, body = write.partition(b"\r\n\r\n")
+            assert head.startswith(b"POST /v1/chat/completions HTTP/1.1\r\n")
+            assert b"\r\nAuthorization: Bearer sekrit\r\n" in head + b"\r\n"
+            assert json.loads(body) == request["body"]
+
     @pytest.mark.parametrize("check", ["poll", "select"])
     def test_connection_the_server_dropped_is_not_reused(
         self, keep_alive_stub, caplog, monkeypatch, check
@@ -536,6 +600,102 @@ class TestTransport:
             backend.close()
         assert len(burst) == 16
         assert keep_alive_stub.requests[-1]["client"] in burst
+
+
+CHAT_BODY = json.dumps(chat_payload("framed")).encode()
+
+
+def reply(*fields, body=CHAT_BODY, version=b"HTTP/1.1", status=b"200 OK"):
+    """A reply's bytes: status line, ``fields`` and ``body`` as given."""
+    return b"%b %b\r\n%b\r\n%b" % (version, status, b"".join(f + b"\r\n" for f in fields), body)
+
+
+def content_length(body=CHAT_BODY):
+    return b"Content-Length: %d" % len(body)
+
+
+class TestReplyFraming:
+    """Replies framed every way RFC 9112 allows, sent byte for byte."""
+
+    def test_chunked_reply_with_a_trailer_is_read_and_pooled(self, raw_stub):
+        chunks = b"".join(
+            b"%x;ext=1\r\n%b\r\n" % (len(part), part)
+            for part in (CHAT_BODY[:10], CHAT_BODY[10:11], CHAT_BODY[11:])
+        )
+        chunked = reply(b"Transfer-Encoding: chunked", body=chunks + b"0\r\nX-Trailer: t\r\n\r\n")
+        raw_stub.script.extend([(chunked, False), (reply(content_length()), False)])
+        backend = chat_backend(raw_stub)
+        try:
+            assert [ask(backend).text for _ in range(2)] == ["framed"] * 2
+        finally:
+            backend.close()
+        first, second = raw_stub.requests
+        assert first["client"] == second["client"]
+
+    def test_http_1_0_reply_without_a_length_is_read_to_the_close(self, raw_stub):
+        raw_stub.script.append((reply(version=b"HTTP/1.0"), True))
+        backend = chat_backend(raw_stub)
+        assert ask(backend).text == "framed"
+        assert idle_connections(backend) == []
+
+    def test_http_1_0_keep_alive_reply_is_pooled(self, raw_stub):
+        keep = reply(b"Connection: keep-alive", content_length(), version=b"HTTP/1.0")
+        raw_stub.script.extend([(keep, False), (keep, False)])
+        backend = chat_backend(raw_stub)
+        try:
+            assert [ask(backend).text for _ in range(2)] == ["framed"] * 2
+        finally:
+            backend.close()
+        first, second = raw_stub.requests
+        assert first["client"] == second["client"]
+
+    def test_interim_replies_are_skipped(self, raw_stub):
+        interim = reply(status=b"100 Continue", body=b"") + reply(
+            b"Link: </x>", status=b"103 Early Hints", body=b""
+        )
+        raw_stub.script.append((interim + reply(content_length()), False))
+        backend = chat_backend(raw_stub)
+        try:
+            assert ask(backend).text == "framed"
+        finally:
+            backend.close()
+
+    def test_body_cut_short_is_retried_on_a_new_connection(self, raw_stub, caplog):
+        cut = reply(content_length(), body=CHAT_BODY[:-5])
+        raw_stub.script.extend([(cut, True), (reply(content_length()), False)])
+        backend = chat_backend(raw_stub)
+        try:
+            with caplog.at_level(logging.WARNING, logger="rmoa.backends"):
+                assert ask(backend).text == "framed"
+        finally:
+            backend.close()
+        [warning] = caplog.records
+        assert "attempt 1/3 failed (IncompleteRead)" in warning.getMessage()
+        first, second = raw_stub.requests
+        assert first["client"] != second["client"]
+
+    @pytest.mark.parametrize(
+        ("garbage", "failure"),
+        [
+            (b"SSH-2.0-OpenSSH_9.6\r\n", "BadStatusLine"),
+            (reply(*[b"X-Field-%d: x" % i for i in range(101)], content_length()), "HTTPException"),
+            (reply(b"X-Long: " + b"x" * 65536, content_length()), "LineTooLong"),
+            (b"", "RemoteDisconnected"),
+        ],
+        ids=["status-line", "101-fields", "long-line", "no-reply"],
+    )
+    def test_malformed_reply_is_retried_as_http_client_raises_it(
+        self, raw_stub, caplog, garbage, failure
+    ):
+        raw_stub.script.extend([(garbage, True)] * 3)
+        with pytest.raises(BackendUnavailableError):
+            ask(chat_backend(raw_stub))
+        assert [r.getMessage().split("(")[1].split(")")[0] for r in caplog.records] == [failure] * 3
+
+    def test_reply_of_100_fields_is_read(self, raw_stub):
+        fields = [b"X-Field-%d: x" % i for i in range(99)]
+        raw_stub.script.append((reply(*fields, content_length()), True))
+        assert ask(chat_backend(raw_stub)).text == "framed"
 
 
 def idle_connections(backend):

@@ -581,6 +581,24 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=f"backends.chat: {key}"):
             build_backends(load_config(config_path))
 
+    @pytest.mark.parametrize("token", ["sekrit\n", "sek\r\nX-Injected: 1", "sekrit\x7f"])
+    def test_token_that_cannot_be_a_header_field_is_config_error(
+        self, workspace, monkeypatch, token
+    ):
+        _, _, config_path = workspace
+        monkeypatch.setenv("RMOA_TEST_TOKEN", token)
+        set_key(config_path, "backends.chat.auth_token_env", "RMOA_TEST_TOKEN")
+        with pytest.raises(ConfigError, match="backends.chat: auth_token_env='RMOA_TEST_TOKEN'") as caught:
+            build_backends(load_config(config_path))
+        assert "sek" not in str(caught.value)
+
+    @pytest.mark.parametrize("path", ["/v 1", "/v1\x00"])
+    def test_base_url_path_with_a_space_or_control_is_config_error(self, workspace, path):
+        _, _, config_path = workspace
+        set_key(config_path, "backends.chat.base_url", "http://127.0.0.1:1" + path)
+        with pytest.raises(ConfigError, match="base URL"):
+            build_backends(load_config(config_path))
+
     @pytest.mark.parametrize("kind", ["mock", "http"])
     @pytest.mark.parametrize("limit", [0, -5])
     def test_embedding_input_limit_below_one_is_config_error(self, workspace, kind, limit):
