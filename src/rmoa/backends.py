@@ -19,14 +19,18 @@ ones are kept for reuse, and a call finding none idle opens another, which
 is closed after use if the pool is full. A pooled connection the server has
 closed is dropped before it is used. ``http.client`` only opens connections
 (``TCP_NODELAY``, TLS, CONNECT tunnel). The client sends each request, whose
-header block it builds once per client, in one write, and reads the reply
-itself (RFC 9112): a body framed by ``Content-Length``, chunked or delimited
-by the connection's close; interim ``1xx`` replies are skipped. A malformed
-reply raises ``http.client``'s own exception types, retried like a lost
-connection. Requests carry ``User-Agent: rmoa/<version>`` and
-``Accept-Encoding: identity``. A bearer token holding a control character
-or a character outside Latin-1, and a base URL whose path holds a space, a
-control or a non-ASCII character, are refused when the client is built.
+request line and header fields it builds once per client, in one write, and
+reads the reply itself (RFC 9112): a body framed by ``Content-Length``,
+chunked or delimited by the connection's close; interim ``1xx`` replies are
+skipped. A malformed reply raises ``http.client``'s own exception types,
+retried like a lost connection. A body is read in pieces of at most 1 MiB,
+so a length the connection never delivers is never allocated and is
+retried like a cut body; a body over 1 GiB (a declared length, the chunks'
+sum or the bytes before the close) is a protocol error. Requests carry
+``User-Agent: rmoa/<version>`` and ``Accept-Encoding: identity``. A bearer
+token holding a control character or a character outside Latin-1, and a
+base URL whose path holds a space, a control or a non-ASCII character, are
+refused when the client is built.
 
 The proxy for the base URL is read from the environment (``HTTP_PROXY``,
 ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``) when the client is built, not
@@ -54,7 +58,7 @@ import time
 import urllib.request
 import weakref
 from dataclasses import dataclass, field
-from typing import BinaryIO, Protocol, Sequence, runtime_checkable
+from typing import BinaryIO, Protocol, Sequence
 from urllib.parse import SplitResult, unquote, urlsplit
 
 import certifi
@@ -72,6 +76,11 @@ _USER_AGENT = f"rmoa/{__version__}"
 # Reply limits, as http.client sets them: bytes per line, header fields per reply.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+# The largest reply body read; a longer one is a protocol error. Bodies are
+# read in pieces of at most _READ_PIECE bytes, so a length the connection
+# never delivers is never allocated.
+_MAX_BODY = 1 << 30
+_READ_PIECE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,6 @@ class EmbeddingBatch:
     model: str
 
 
-@runtime_checkable
 class ChatBackend(Protocol):
     model: str
 
@@ -101,7 +109,6 @@ class ChatBackend(Protocol):
     ) -> ChatResult: ...
 
 
-@runtime_checkable
 class EmbeddingBackend(Protocol):
     model: str
     max_input_chars: int | None
@@ -136,7 +143,10 @@ def check_token(token: str) -> None:
 
 @dataclass
 class _HttpClient:
-    """Endpoint, credentials, connection pool and retrying POST shared by the wire clients."""
+    """Endpoint, credentials, connection pool and retrying POST shared by the wire clients.
+
+    Each subclass names its endpoint ``_path`` under the base URL.
+    """
 
     base_url: str
     model: str
@@ -149,25 +159,27 @@ class _HttpClient:
             raise ValueError("timeout_s must be finite and positive")
         if self.api_key:
             check_token(self.api_key)
-        self._pool = _pool_for(self.base_url, self.timeout_s)
+        self._url = self.base_url.rstrip("/") + self._path
+        self._pool = _pool_for(self.base_url, self._path, self.api_key, self.timeout_s)
 
     def close(self) -> None:
         """Close the pool's idle connections; a later call opens new ones."""
         self._pool.clear()
 
-    def _post(self, path: str, payload: dict) -> dict:
-        """POST ``payload`` to ``path`` under the base URL, retrying transient failures."""
-        url = self.base_url.rstrip("/") + path
-        authorization = f"Bearer {self.api_key}" if self.api_key else None
+    def _post(self, payload: dict) -> dict:
+        """POST ``payload`` to the endpoint, retrying transient failures."""
+        url = self._url
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         attempts = self.retry.max_attempts
         last_error: Exception | None = None
         for attempt in range(attempts):
             try:
-                status, data = self._pool.post(path, body, authorization)
+                status, data = self._pool.post(body)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 failure = type(exc).__name__
+            except ProtocolError as exc:
+                raise ProtocolError(f"{url} returned {exc}") from None
             else:
                 if status == 200:
                     # imported on first use: a run that decodes no reply never loads it
@@ -202,8 +214,9 @@ class _Pool:
     """Keep-alive connections to one origin, most recently returned first.
 
     ``post`` takes an idle connection or opens one, sends one request on it
-    in one write, reads the whole reply and puts the connection back unless
-    the reply closes it or ``_POOL_MAXSIZE`` connections are already idle.
+    in one write (the fixed ``head``, then the body's length and the body),
+    reads the whole reply and puts the connection back unless the reply
+    closes it or ``_POOL_MAXSIZE`` connections are already idle.
     ``http.client`` only opens connections. The idle connections are closed
     when the pool is garbage-collected.
     """
@@ -215,19 +228,15 @@ class _Pool:
         timeout_s: float,
         *,
         tls: bool,
-        prefix: str,
-        fields: bytes,
+        head: bytes,
         tunnel: tuple[str, int | None, dict[str, str]] | None = None,
     ) -> None:
         self._host = host
         self._port = port
         self._timeout_s = timeout_s
         self._tls = tls
-        # starts each request line: the base URL's path, or the whole base
-        # URL when a proxy forwards the request
-        self._prefix = b"POST " + prefix.encode("ascii")
-        # the header fields every request carries, each ending in CRLF
-        self._fields = fields
+        # the request line and every fixed header field, each ending in CRLF
+        self._head = head
         self._tunnel = tunnel
         self._context: ssl.SSLContext | None = None
         self._idle: list[_Connection] = []
@@ -235,14 +244,9 @@ class _Pool:
         # holds the list, not the pool, so the pool can still be collected
         weakref.finalize(self, _close_all, self._idle)
 
-    def post(self, path: str, body: bytes, authorization: str | None) -> tuple[int, bytes]:
+    def post(self, body: bytes) -> tuple[int, bytes]:
         """Send one POST; return the reply's status and body."""
-        auth = b"" if authorization is None else b"Authorization: %b\r\n" % authorization.encode(
-            "latin-1"
-        )
-        request = b"%b%b HTTP/1.1\r\n%b%bContent-Length: %d\r\n\r\n%b" % (
-            self._prefix, path.encode("ascii"), self._fields, auth, len(body), body
-        )
+        request = b"%bContent-Length: %d\r\n\r\n%b" % (self._head, len(body), body)
         conn = self._take()
         try:
             conn.sock.sendall(request)
@@ -342,7 +346,8 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
     whether the server closes the connection after it.
 
     Interim ``1xx`` replies are skipped. A fault raises the ``http.client``
-    exception that ``getresponse`` and ``read`` raise for it.
+    exception that ``getresponse`` and ``read`` raise for it, and a body
+    over ``_MAX_BODY`` a ``ProtocolError``.
     """
     status = 100
     while 100 <= status < 200:
@@ -374,8 +379,10 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
     if status in (204, 304):
         return status, b"", will_close
     if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
-        chunks = []
+        chunks, total = [], 0
         while size := _chunk_size(reader):
+            total += size
+            _check_body_size(total)
             chunks.append(_read_exactly(reader, size))
             _read_exactly(reader, 2)  # the CRLF after the chunk
         while _read_line(reader, "trailer line") not in (b"\r\n", b"\n", b""):
@@ -387,8 +394,16 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
         length = -1
     if length < 0:
         # delimited by the end of the connection
-        return status, reader.read(), True
+        data = _read_at_most(reader, _MAX_BODY + 1)
+        _check_body_size(len(data))
+        return status, data, True
+    _check_body_size(length)
     return status, _read_exactly(reader, length), will_close
+
+
+def _check_body_size(size: int) -> None:
+    if size > _MAX_BODY:
+        raise ProtocolError(f"a body of {size} bytes or more, over the {_MAX_BODY}-byte cap")
 
 
 def _read_line(reader: BinaryIO, what: str) -> bytes:
@@ -422,14 +437,24 @@ def _chunk_size(reader: BinaryIO) -> int:
 
 
 def _read_exactly(reader: BinaryIO, size: int) -> bytes:
-    data = reader.read(size)
+    data = _read_at_most(reader, size)
     if len(data) < size:
         raise http.client.IncompleteRead(data, size - len(data))
     return data
 
 
-def _pool_for(base_url: str, timeout_s: float) -> _Pool:
-    """A keep-alive pool for ``base_url``, through the proxy the environment names for it."""
+def _read_at_most(reader: BinaryIO, size: int) -> bytes:
+    """Up to ``size`` bytes, fewer only at the end of the stream, read in pieces."""
+    pieces = []
+    while size and (piece := reader.read(min(size, _READ_PIECE))):
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
+
+
+def _pool_for(base_url: str, path: str, token: str | None, timeout_s: float) -> _Pool:
+    """A keep-alive pool that POSTs to ``path`` under ``base_url`` with ``token``
+    as its bearer token, through the proxy the environment names for it."""
     parts = urlsplit(base_url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigError(f"base URL {base_url!r} is not an http:// or https:// URL")
@@ -468,10 +493,13 @@ def _pool_for(base_url: str, timeout_s: float) -> _Pool:
         "Content-Type": "application/json",
         "User-Agent": _USER_AGENT,
     }
+    if token:
+        fields["Authorization"] = f"Bearer {token}"
     lines = "".join(f"{name}: {value}\r\n" for name, value in fields.items())
-    return _Pool(
-        host, port, timeout_s, tls=tls, prefix=prefix, fields=lines.encode(), tunnel=tunnel
-    )
+    # the request line names the base URL's path, or the whole base URL when
+    # a proxy forwards the request
+    head = f"POST {prefix}{path} HTTP/1.1\r\n{lines}".encode("latin-1")
+    return _Pool(host, port, timeout_s, tls=tls, head=head, tunnel=tunnel)
 
 
 def _host_field(target: SplitResult) -> str:
@@ -491,6 +519,8 @@ def _host_field(target: SplitResult) -> str:
 class HttpChatBackend(_HttpClient):
     """Chat-completions client for any endpoint speaking the standard shape."""
 
+    _path = "/chat/completions"
+
     def chat(
         self, messages: list[dict[str, str]], *, temperature: float, max_tokens: int
     ) -> ChatResult:
@@ -500,7 +530,7 @@ class HttpChatBackend(_HttpClient):
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        data = self._post("/chat/completions", payload)
+        data = self._post(payload)
         try:
             text = data["choices"][0]["message"]["content"]
             if not isinstance(text, str):
@@ -522,6 +552,7 @@ class HttpChatBackend(_HttpClient):
 class HttpEmbeddingBackend(_HttpClient):
     """Embeddings client for any endpoint speaking the standard shape."""
 
+    _path = "/embeddings"
     max_input_chars: int | None = None
 
     def __post_init__(self) -> None:
@@ -531,7 +562,7 @@ class HttpEmbeddingBackend(_HttpClient):
         super().__post_init__()
 
     def embed(self, texts: Sequence[str]) -> EmbeddingBatch:
-        data = self._post("/embeddings", {"model": self.model, "input": list(texts)})
+        data = self._post({"model": self.model, "input": list(texts)})
         try:
             rows = sorted(data["data"], key=lambda row: int(row["index"]))
             indices = [int(row["index"]) for row in rows]

@@ -159,13 +159,14 @@ class Transcript:
     """Full record of one run.
 
     With a persist directory, ``layers.jsonl`` is created empty when the
-    run starts and each finished layer is appended to it as one line;
-    ``ledger.json`` and then ``transcript.json`` are written once,
-    atomically, when the run completes or aborts, so ``transcript.json``
-    exists only for a finished item. ``transcript.json`` splices the log's
-    lines in, so each persisted layer is encoded once. All three hold
-    compact, key-sorted JSON, and ``to_json_bytes``, which encodes in
-    memory, is the bytes of ``transcript.json``.
+    run starts and each stored layer is appended to it as one line: when
+    the layer finishes, or when its snapshot call fails. ``ledger.json``
+    and then ``transcript.json`` are written once, atomically, when the run
+    completes or aborts, so ``transcript.json`` exists only for a finished
+    item. ``transcript.json`` is spliced from the log alone, so each
+    persisted layer is encoded once. All three hold compact, key-sorted
+    JSON, and ``to_json_bytes``, which encodes in memory, is the bytes of
+    ``transcript.json``.
 
     Each event holds ``kind``, ``layer``, ``agent``, ``stage`` and ``reason``
     (its text): ``proposer_failed`` with its agent, ``truncated`` (an
@@ -183,7 +184,8 @@ class Transcript:
 
     def to_json_bytes(self) -> bytes:
         ledger = _JSON_ENCODER.encode(self.ledger.to_json_dict())
-        return "".join(_transcript_pieces(self, ledger)).encode("utf-8")
+        layers = map(_layer_json, self.layer_states)
+        return "".join(_transcript_pieces(self, ledger, layers)).encode("utf-8")
 
 
 def _response_dict(response: Response) -> dict:
@@ -259,17 +261,13 @@ def _layer_json(state: LayerState) -> str:
     return _JSON_ENCODER.encode(state.to_json_dict())
 
 
-def _transcript_pieces(
-    transcript: Transcript, ledger: str, layers: Iterable[str] | None = None
-) -> Iterator[str]:
+def _transcript_pieces(transcript: Transcript, ledger: str, layers: Iterable[str]) -> Iterator[str]:
     """The text of ``transcript.json``: a head, one piece per layer, a tail.
 
     The head holds the keys that sort before ``layer_states``; the tail holds
     ``ledger`` (the ledger's text) and the keys after it. ``layers`` is the
-    text of each layer state, encoded here when not given.
+    text of each layer state.
     """
-    if layers is None:
-        layers = map(_layer_json, transcript.layer_states)
     final = transcript.final_response
     head = {"config": transcript.config.to_json_dict(), "events": transcript.events,
             "final_response": _response_dict(final) if final else None}
@@ -280,26 +278,13 @@ def _transcript_pieces(
     yield '], "ledger": ' + ledger + ", " + _JSON_ENCODER.encode(tail)[1:] + "\n"
 
 
-def _logged_layers(log: TextIO, states: Sequence[LayerState]) -> Iterator[str]:
-    """Each layer's text: the log's lines, then any state the log does not hold.
-
-    Only the last layer of a snapshot abort is kept in memory but never
-    reaches the log.
-    """
-    logged = 0
-    for line in log:
-        yield line[:-1]
-        logged += 1
-    yield from map(_layer_json, states[logged:])
-
-
 def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
     """Write the final ``ledger.json`` and ``transcript.json``, then drop the log.
 
     ``transcript.json`` is renamed into place last, so its presence means
-    the item finished. It is streamed from the layer log one line at a time
-    between its head and its tail, so no layer is encoded a second time and
-    its whole text never sits in memory at once.
+    the item finished. The log holds every stored layer, so its lines alone
+    are streamed between the head and the tail: no layer is encoded a
+    second time and the whole text never sits in memory at once.
     """
     if persist_dir is None:
         return
@@ -308,8 +293,7 @@ def _flush(persist_dir: Path | None, transcript: Transcript) -> None:
     write_atomic(persist_dir / "ledger.json", (ledger, "\n"))
     log_path = persist_dir / "layers.jsonl"
     with log_path.open(encoding="utf-8") as log:
-        layers = _logged_layers(log, transcript.layer_states)
-        pieces = _transcript_pieces(transcript, ledger, layers)
+        pieces = _transcript_pieces(transcript, ledger, (line[:-1] for line in log))
         write_atomic(persist_dir / "transcript.json", pieces)
     log_path.unlink()
 
@@ -454,6 +438,8 @@ def run_pipeline(
             transcript.final_response = snapshot if snapshot is not None else fuse(layer)
             transcript.stop_reason = STOP_ADAPTIVE if stop_here else STOP_MAX_LAYERS
         except _ABORTS as exc:
+            if stage == "snapshot":  # the one stored layer not yet in the log
+                _append_layer(log, state)
             events.append(event_record("aborted", layer, str(exc), stage=stage))
             transcript.stop_reason = STOP_BACKEND_ABORT
     _flush(persist_dir, transcript)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import base64
 import decimal
 import gc
+import http.client
+import io
 import json
 import logging
 import math
@@ -25,7 +27,8 @@ import orjson
 import pytest
 
 import rmoa
-from rmoa.backends import HttpChatBackend, HttpEmbeddingBackend, RetryPolicy
+from rmoa.backends import HttpChatBackend, HttpEmbeddingBackend, RetryPolicy, _read_exactly
+from rmoa.check import check_transcript
 from rmoa.embedding import embed_batch
 from rmoa.errors import BackendUnavailableError, ConfigError, ProtocolError
 from rmoa.harness import BenchmarkItem, run_benchmark
@@ -696,6 +699,65 @@ class TestReplyFraming:
         fields = [b"X-Field-%d: x" % i for i in range(99)]
         raw_stub.script.append((reply(*fields, content_length()), True))
         assert ask(chat_backend(raw_stub)).text == "framed"
+
+
+# Sizes of at least 10**18: no machine holds them, so a reader without the
+# body cap fails on them at once instead of allocating them.
+HUGE_REPLIES = {
+    "length-2^63": reply(b"Content-Length: %d" % 2**63),
+    "length-10^18": reply(b"Content-Length: %d" % 10**18),
+    "chunk-10^18": reply(b"Transfer-Encoding: chunked", body=b"%x\r\n" % 10**18),
+}
+
+
+class TestBodyCap:
+    """No reply body over ``_MAX_BODY`` is read, however it is framed."""
+
+    @pytest.mark.parametrize("huge", HUGE_REPLIES.values(), ids=HUGE_REPLIES)
+    def test_huge_body_is_one_request_and_a_protocol_error(self, raw_stub, huge):
+        raw_stub.script.extend([(huge, True), (reply(content_length()), True)])
+        with pytest.raises(ProtocolError, match=r"/chat/completions returned a body of \d+"):
+            ask(chat_backend(raw_stub))
+        assert len(raw_stub.requests) == 1
+
+    @pytest.mark.parametrize("over", [False, True], ids=["at-cap", "over-cap"])
+    @pytest.mark.parametrize("framing", ["length", "chunks", "close"])
+    def test_cap_holds_for_every_framing(self, raw_stub, monkeypatch, framing, over):
+        monkeypatch.setattr("rmoa.backends._MAX_BODY", len(CHAT_BODY) - over)
+        halves = CHAT_BODY[:10], CHAT_BODY[10:]
+        chunks = b"".join(b"%x\r\n%b\r\n" % (len(half), half) for half in halves)
+        raw_stub.script.append({
+            "length": (reply(content_length()), True),
+            "chunks": (reply(b"Transfer-Encoding: chunked", body=chunks + b"0\r\n\r\n"), True),
+            "close": (reply(version=b"HTTP/1.0"), True),
+        }[framing])
+        if over:
+            with pytest.raises(ProtocolError, match="cap"):
+                ask(chat_backend(raw_stub))
+        else:
+            assert ask(chat_backend(raw_stub)).text == "framed"
+
+    def test_length_the_stream_never_delivers_is_an_incomplete_read(self):
+        reader = io.BufferedReader(io.BytesIO(CHAT_BODY))
+        with pytest.raises(http.client.IncompleteRead) as cut:
+            _read_exactly(reader, 10**18)
+        assert cut.value.partial == CHAT_BODY
+        assert cut.value.expected == 10**18 - len(CHAT_BODY)
+
+    def test_huge_reply_aborts_its_item_and_the_report_is_written(self, raw_stub, tmp_path):
+        # moa, one layer, one proposer, no pools: each item makes a proposer
+        # and then an aggregator call; item a's aggregator gets the reply.
+        items = [BenchmarkItem(item_id, f"Question {item_id}?", "", "none") for item_id in "ab"]
+        good = (reply(content_length()), False)
+        raw_stub.script.extend([good, (HUGE_REPLIES["length-2^63"], True), good, good])
+        config = make_config(layers=1, proposers=1, k=1, mode="moa")
+        backends = rmoa.Backends(chat_backend(raw_stub))
+        report = run_benchmark(items, config, backends, out_dir=tmp_path, item_parallelism=1)
+        assert [item.stop_reason for item in report.items] == ["backend_abort", "max_layers"]
+        assert len(raw_stub.requests) == 4
+        assert (tmp_path / "report.json").is_file()
+        transcript = json.loads((tmp_path / "b" / "transcript.json").read_bytes())
+        assert check_transcript(transcript) == []
 
 
 def idle_connections(backend):

@@ -789,8 +789,8 @@ def test_transcript_bytes_match_the_whole_dict_encoding(query, config, faults, l
 
     # head, one piece per layer, tail: no piece holds more than one layer
     ledger = json.dumps(transcript.ledger.to_json_dict(), sort_keys=True)
-    pieces = list(_transcript_pieces(transcript, ledger))
     layers = [json.dumps(state.to_json_dict(), sort_keys=True) for state in states]
+    pieces = list(_transcript_pieces(transcript, ledger, layers))
     assert pieces[1:-1] == [(", " if i else "") + layer for i, layer in enumerate(layers)]
     assert pieces[0].endswith('"layer_states": [') and pieces[-1].startswith("], ")
     assert "".join(pieces) == text
@@ -827,7 +827,15 @@ def test_each_persisted_layer_is_encoded_once_into_one_log_handle(
             return open_file(file, mode, *args, **kwargs)
         return wrapper
 
+    logged_at_flush = []
+    flush = pipeline._flush
+
+    def counting_flush(persist_dir, transcript):
+        logged_at_flush.append(len((persist_dir / "layers.jsonl").read_text().splitlines()))
+        flush(persist_dir, transcript)
+
     monkeypatch.setattr(pipeline, "_layer_json", counting_encode)
+    monkeypatch.setattr(pipeline, "_flush", counting_flush)
     monkeypatch.setattr(builtins, "open", counting(builtins.open))
     monkeypatch.setattr(pathlib.Path, "open", counting(pathlib.Path.open))
     bundle = FaultPlan(make_mock_bundle(), faults)
@@ -835,6 +843,8 @@ def test_each_persisted_layer_is_encoded_once_into_one_log_handle(
     assert len(transcript.layer_states) == layers_kept
     assert encoded == list(range(1, layers_kept + 1))
     assert len(log_opens) == 1
+    # the log holds every stored layer, a snapshot-aborted one included
+    assert logged_at_flush == [len(transcript.layer_states)]
     assert (tmp_path / "transcript.json").read_bytes() == transcript.to_json_bytes()
 
 
