@@ -14,19 +14,22 @@ embedding row. So is an embedding component that is not a JSON number,
 such as the string ``"NaN"``. Replies are decoded with orjson, imported
 when the first reply arrives, so a run that decodes none never loads it.
 
-Each client holds its own pool of keep-alive connections: up to 10 idle
-ones are kept for reuse, and a call finding none idle opens another, which
-is closed after use if the pool is full. A pooled connection the server has
-closed is dropped before it is used. ``http.client`` only opens connections
-(``TCP_NODELAY``, TLS, CONNECT tunnel). The client sends each request, whose
-request line and header fields it builds once per client, in one write, and
-reads the reply itself (RFC 9112): a body framed by ``Content-Length``,
-chunked or delimited by the connection's close; interim ``1xx`` replies are
-skipped. A malformed reply raises ``http.client``'s own exception types,
-retried like a lost connection. A body is read in pieces of at most 1 MiB,
-so a length the connection never delivers is never allocated and is
-retried like a cut body; a body over 1 GiB (a declared length, the chunks'
-sum or the bytes before the close) is a protocol error. Requests carry
+Each client is one object per endpoint: it builds its request line and
+header fields once, and keeps up to 10 idle keep-alive connections for
+reuse. A call finding none idle opens another, which is closed after use if
+10 are already idle. A pooled connection the server has closed is dropped
+before it is used. ``http.client`` only opens connections (``TCP_NODELAY``,
+TLS, CONNECT tunnel). The client sends each request in one write and reads
+the reply itself (RFC 9112): a body framed by ``Content-Length``, chunked or
+delimited by the connection's close; interim ``1xx`` replies are skipped. A
+folded header line continues the field before it, joined with one space. A
+malformed reply raises ``http.client``'s own exception types, retried like
+a lost connection: among them a field line with whitespace before its colon
+or with no colon, an invalid ``Content-Length`` and a 204 or 304 reply with
+a ``Transfer-Encoding``. A body is read in pieces of at most 1 MiB, so a
+length the connection never delivers is never allocated and is retried
+like a cut body; a body over 1 GiB (a declared length, the chunks' sum or
+the bytes before the close) is a protocol error. Requests carry
 ``User-Agent: rmoa/<version>`` and ``Accept-Encoding: identity``. A bearer
 token holding a control character or a character outside Latin-1, and a
 base URL whose path holds a space, a control or a non-ASCII character, are
@@ -50,6 +53,7 @@ import http.client
 import json
 import logging
 import math
+import re
 import select
 import socket
 import ssl
@@ -81,6 +85,10 @@ _MAX_HEADERS = 100
 # never delivers is never allocated.
 _MAX_BODY = 1 << 30
 _READ_PIECE = 1 << 20
+# A field line (name, colon, value) and a continuation of the one before it,
+# each with its line end.
+_FIELD_LINE = re.compile(rb"([!-9;-~]+):([^\r\n]*)\r?\n?")
+_FOLDED_LINE = re.compile(rb"[ \t]+([^\r\n]*)\r?\n?")
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,8 @@ class RetryPolicy:
             raise ValueError("base_delay_s must be finite and nonnegative")
 
     def delay(self, attempt: int) -> float:
-        return self.base_delay_s * (2**attempt)
+        # ldexp, not 2**attempt: from attempt 1024 on that int has no float
+        return math.ldexp(self.base_delay_s, attempt)
 
 
 def check_token(token: str) -> None:
@@ -143,9 +152,14 @@ def check_token(token: str) -> None:
 
 @dataclass
 class _HttpClient:
-    """Endpoint, credentials, connection pool and retrying POST shared by the wire clients.
+    """One endpoint, shared by the wire clients: its request head, its idle
+    keep-alive connections (most recently returned first) and a retrying POST.
 
-    Each subclass names its endpoint ``_path`` under the base URL.
+    Each subclass names its endpoint ``_path`` under the base URL. ``_send``
+    takes an idle connection or opens one, sends the request in one write,
+    reads the whole reply and keeps the connection unless the reply closes
+    it or ``_POOL_MAXSIZE`` are already idle. ``http.client`` only opens
+    connections. ``close``, or collecting the client, closes the idle ones.
     """
 
     base_url: str
@@ -160,21 +174,31 @@ class _HttpClient:
         if self.api_key:
             check_token(self.api_key)
         self._url = self.base_url.rstrip("/") + self._path
-        self._pool = _pool_for(self.base_url, self._path, self.api_key, self.timeout_s)
+        # the head is the request line and every fixed header field, each ending in CRLF
+        self._host, self._port, self._tls, self._head, self._tunnel = _route(
+            self.base_url, self._path, self.api_key
+        )
+        self._context: ssl.SSLContext | None = None
+        self._idle: list[_Connection] = []
+        self._lock = threading.Lock()
+        # holds the list, not the client, so the client can still be collected
+        weakref.finalize(self, _close_all, self._idle)
 
     def close(self) -> None:
-        """Close the pool's idle connections; a later call opens new ones."""
-        self._pool.clear()
+        """Close the idle connections; a later call opens new ones."""
+        with self._lock:
+            _close_all(self._idle)
 
     def _post(self, payload: dict) -> dict:
         """POST ``payload`` to the endpoint, retrying transient failures."""
         url = self._url
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        request = b"%bContent-Length: %d\r\n\r\n%b" % (self._head, len(body), body)
         attempts = self.retry.max_attempts
         last_error: Exception | None = None
         for attempt in range(attempts):
             try:
-                status, data = self._pool.post(body)
+                status, data = self._send(request)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 failure = type(exc).__name__
@@ -209,64 +233,25 @@ class _HttpClient:
             f"{url} unreachable after {attempts} attempts: {last_error}"
         )
 
-
-class _Pool:
-    """Keep-alive connections to one origin, most recently returned first.
-
-    ``post`` takes an idle connection or opens one, sends one request on it
-    in one write (the fixed ``head``, then the body's length and the body),
-    reads the whole reply and puts the connection back unless the reply
-    closes it or ``_POOL_MAXSIZE`` connections are already idle.
-    ``http.client`` only opens connections. The idle connections are closed
-    when the pool is garbage-collected.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int | None,
-        timeout_s: float,
-        *,
-        tls: bool,
-        head: bytes,
-        tunnel: tuple[str, int | None, dict[str, str]] | None = None,
-    ) -> None:
-        self._host = host
-        self._port = port
-        self._timeout_s = timeout_s
-        self._tls = tls
-        # the request line and every fixed header field, each ending in CRLF
-        self._head = head
-        self._tunnel = tunnel
-        self._context: ssl.SSLContext | None = None
-        self._idle: list[_Connection] = []
-        self._lock = threading.Lock()
-        # holds the list, not the pool, so the pool can still be collected
-        weakref.finalize(self, _close_all, self._idle)
-
-    def post(self, body: bytes) -> tuple[int, bytes]:
-        """Send one POST; return the reply's status and body."""
-        request = b"%bContent-Length: %d\r\n\r\n%b" % (self._head, len(body), body)
+    def _send(self, request: bytes) -> tuple[int, bytes]:
+        """Send one request; return the reply's status and body."""
         conn = self._take()
         try:
             conn.sock.sendall(request)
             try:
                 status, data, will_close = _read_reply(conn.reader)
             except TimeoutError as exc:
-                raise TimeoutError(f"Read timed out after {self._timeout_s:g} s") from exc
+                raise TimeoutError(f"Read timed out after {self.timeout_s:g} s") from exc
         except BaseException:
             conn.close()
             raise
-        if will_close:
-            conn.close()
-        else:
-            self._give_back(conn)
+        if not will_close:
+            with self._lock:
+                if len(self._idle) < _POOL_MAXSIZE:
+                    self._idle.append(conn)
+                    return status, data
+        conn.close()
         return status, data
-
-    def clear(self) -> None:
-        """Close every idle connection."""
-        with self._lock:
-            _close_all(self._idle)
 
     def _take(self) -> _Connection:
         with self._lock:
@@ -275,12 +260,15 @@ class _Pool:
                 if not _closed_by_server(conn):
                     return conn
                 conn.close()
+            if self._tls and self._context is None:
+                # built on first use: an http:// client never pays for loading the CA bundle
+                self._context = ssl.create_default_context(cafile=certifi.where())
         # http.client sets TCP_NODELAY when it connects
         if not self._tls:
-            opener = http.client.HTTPConnection(self._host, self._port, timeout=self._timeout_s)
+            opener = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout_s)
         else:
             opener = http.client.HTTPSConnection(
-                self._host, self._port, timeout=self._timeout_s, context=self._tls_context()
+                self._host, self._port, timeout=self.timeout_s, context=self._context
             )
         if self._tunnel:
             opener.set_tunnel(*self._tunnel)
@@ -290,20 +278,6 @@ class _Pool:
             opener.close()
             raise
         return _Connection(opener.sock)
-
-    def _give_back(self, conn: _Connection) -> None:
-        with self._lock:
-            if len(self._idle) < _POOL_MAXSIZE:
-                self._idle.append(conn)
-                return
-        conn.close()
-
-    def _tls_context(self) -> ssl.SSLContext:
-        # built on first use: an http:// client never pays for loading the CA bundle
-        with self._lock:
-            if self._context is None:
-                self._context = ssl.create_default_context(cafile=certifi.where())
-            return self._context
 
 
 class _Connection:
@@ -346,17 +320,20 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
     whether the server closes the connection after it.
 
     Interim ``1xx`` replies are skipped. A fault raises the ``http.client``
-    exception that ``getresponse`` and ``read`` raise for it, and a body
-    over ``_MAX_BODY`` a ``ProtocolError``.
+    exception that ``getresponse`` and ``read`` raise for it, a framing
+    ``http.client`` lets through (a malformed field line, an invalid
+    ``Content-Length``) an ``HTTPException``, and a body over ``_MAX_BODY``
+    a ``ProtocolError``. ``tests/test_wire.py`` holds it to ``http.client``.
     """
     status = 100
     while 100 <= status < 200:
         line = _read_line(reader, "status line")
         if not line:
             raise http.client.RemoteDisconnected("Remote end closed connection without response")
-        words = line.split(None, 2)
+        # split as http.client splits it, at any whitespace Latin-1 knows
+        words = line.decode("iso-8859-1").split(None, 2)
         try:
-            if len(words) < 2 or not words[0].startswith(b"HTTP/"):
+            if len(words) < 2 or not words[0].startswith("HTTP/"):
                 raise ValueError
             status = int(words[1])
             if not 100 <= status <= 999:
@@ -365,18 +342,21 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
             raise http.client.BadStatusLine(line.decode("iso-8859-1")) from None
         fields = _read_fields(reader)
     version = words[0]
-    if version in (b"HTTP/1.0", b"HTTP/0.9"):
+    if version in ("HTTP/1.0", "HTTP/0.9"):
         # HTTP/1.0 closes unless the reply asks to keep the connection
         will_close = not (
             fields.get(b"keep-alive")
             or b"keep-alive" in fields.get(b"connection", b"").lower()
             or b"keep-alive" in fields.get(b"proxy-connection", b"").lower()
         )
-    elif version.startswith(b"HTTP/1."):
+    elif version.startswith("HTTP/1."):
         will_close = b"close" in fields.get(b"connection", b"").lower()
     else:
-        raise http.client.UnknownProtocol(version.decode("iso-8859-1"))
+        raise http.client.UnknownProtocol(version)
     if status in (204, 304):
+        # no body follows (RFC 9112 §6.3), so a coded one would be left unread
+        if b"transfer-encoding" in fields:
+            raise http.client.HTTPException(f"a {status} reply with a Transfer-Encoding")
         return status, b"", will_close
     if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
         chunks, total = [], 0
@@ -388,21 +368,26 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
         while _read_line(reader, "trailer line") not in (b"\r\n", b"\n", b""):
             pass
         return status, b"".join(chunks), will_close
-    try:
-        length = int(fields[b"content-length"])
-    except (KeyError, ValueError):
-        length = -1
-    if length < 0:
+    if (length := fields.get(b"content-length")) is None:
         # delimited by the end of the connection
         data = _read_at_most(reader, _MAX_BODY + 1)
         _check_body_size(len(data))
         return status, data, True
+    try:
+        if not length.isdigit():
+            raise ValueError
+        length = int(length)
+    except ValueError:
+        # RFC 9112 §6.3: an invalid length leaves the framing unknown
+        raise http.client.HTTPException(f"invalid Content-Length {length[:40]!r}") from None
     _check_body_size(length)
     return status, _read_exactly(reader, length), will_close
 
 
 def _check_body_size(size: int) -> None:
     if size > _MAX_BODY:
+        # a chunk size of thousands of hex digits is more than str() converts
+        size = min(size, 1 << 64)
         raise ProtocolError(f"a body of {size} bytes or more, over the {_MAX_BODY}-byte cap")
 
 
@@ -414,14 +399,29 @@ def _read_line(reader: BinaryIO, what: str) -> bytes:
 
 
 def _read_fields(reader: BinaryIO) -> dict[bytes, bytes]:
-    """A header section's fields by lower-case name; the first of a repeated name wins."""
-    fields: dict[bytes, bytes] = {}
+    """A header section's fields by lower-case name; the first of a repeated
+    name wins.
+
+    A line that begins with SP or HTAB continues the field line before it,
+    joined with one SP (obs-fold, RFC 9112 §5.2). Any other line that is not
+    ``name:value``, with a name of visible ASCII and a value holding no CR,
+    is a framing error (RFC 9112 §5.1): a space before the colon, say, or no
+    colon at all.
+    """
+    lines: list[list[bytes]] = []
     for _ in range(_MAX_HEADERS + 1):
         line = _read_line(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
+            fields: dict[bytes, bytes] = {}
+            for name, value in lines:
+                fields.setdefault(name.lower(), value.strip(b" \t"))
             return fields
-        name, _, value = line.partition(b":")
-        fields.setdefault(name.strip().lower(), value.strip())
+        if lines and (folded := _FOLDED_LINE.fullmatch(line)):
+            lines[-1][1] += b" " + folded[1]
+        elif field := _FIELD_LINE.fullmatch(line):
+            lines.append([field[1], field[2]])
+        else:
+            raise http.client.HTTPException(f"malformed header line {line[:40]!r}")
     raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 
 
@@ -452,9 +452,11 @@ def _read_at_most(reader: BinaryIO, size: int) -> bytes:
     return b"".join(pieces)
 
 
-def _pool_for(base_url: str, path: str, token: str | None, timeout_s: float) -> _Pool:
-    """A keep-alive pool that POSTs to ``path`` under ``base_url`` with ``token``
-    as its bearer token, through the proxy the environment names for it."""
+def _route(base_url: str, path: str, token: str | None) -> tuple:
+    """``(host, port, tls, head, tunnel)`` for POSTs to ``path`` under ``base_url``
+    with ``token`` as their bearer token, through the proxy the environment
+    names for it: where to connect, whether over TLS, the request head and
+    the CONNECT tunnel's ``set_tunnel`` arguments, if any."""
     parts = urlsplit(base_url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigError(f"base URL {base_url!r} is not an http:// or https:// URL")
@@ -499,7 +501,7 @@ def _pool_for(base_url: str, path: str, token: str | None, timeout_s: float) -> 
     # the request line names the base URL's path, or the whole base URL when
     # a proxy forwards the request
     head = f"POST {prefix}{path} HTTP/1.1\r\n{lines}".encode("latin-1")
-    return _Pool(host, port, timeout_s, tls=tls, head=head, tunnel=tunnel)
+    return host, port, tls, head, tunnel
 
 
 def _host_field(target: SplitResult) -> str:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 import select
 import socket
 import ssl
+import struct
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -164,7 +167,6 @@ class _RawReplyHandler(StreamRequestHandler):
     header block and body."""
 
     def handle(self) -> None:
-        server = self.server
         while True:
             head = []
             while (line := self.rfile.readline()) not in (b"\r\n", b""):
@@ -176,16 +178,88 @@ class _RawReplyHandler(StreamRequestHandler):
                 0,
             )
             body = self.rfile.read(length)
-            with server.lock:
-                server.requests.append(
-                    {"head": b"".join(head), "body": body, "client": self.client_address}
-                )
-                reply, close = (
-                    server.script.pop(0) if server.script else (b"HTTP/1.1 500 empty\r\n\r\n", True)
-                )
-            self.wfile.write(reply)
-            if close:
+            if not self.reply({"head": b"".join(head), "body": body, "client": self.client_address}):
                 return
+
+    def reply(self, request: dict) -> bool:
+        """Record ``request`` and send its reply; return whether to keep the connection."""
+        server = self.server
+        with server.lock:
+            server.requests.append(request)
+            reply, close = (
+                server.script.pop(0) if server.script else (b"HTTP/1.1 500 empty\r\n\r\n", True)
+            )
+        self.wfile.write(reply)
+        return not close
+
+
+class _FaultPlanHandler(_RawReplyHandler):
+    """Answers as a chat or an embeddings endpoint, unless the server's
+    ``plan(digest, attempt)`` names one of ``WIRE_FAULTS`` for the request:
+    ``digest`` is the SHA-256 of the request body, ``attempt`` how many times
+    that body came before. The plan never sees arrival order.
+
+    A chat reply names the ``item-NN`` tag of its prompt and the prompt's
+    digest; an embedding row is drawn from its text's digest.
+    """
+
+    def reply(self, request: dict) -> bool:
+        server = self.server
+        digest = hashlib.sha256(request["body"]).hexdigest()
+        with server.lock:
+            server.requests.append(request)
+            attempt = server.attempts.get(digest, 0)
+            server.attempts[digest] = attempt + 1
+        fault = server.plan(digest, attempt)
+        payload = json.loads(request["body"])
+        if "input" in payload:
+            rows = [
+                {"index": i, "embedding": _digest_row(text)} for i, text in enumerate(payload["input"])
+            ]
+            data = {"data": rows, "usage": {"prompt_tokens": len(payload["input"])}}
+        else:
+            [tag] = set(re.findall(rb"item-\d\d", request["body"]))
+            text = f"The answer for {tag.decode()} is {digest[:12]}."
+            data = {
+                "choices": [{"message": {"content": text}}],
+                "usage": {"prompt_tokens": len(request["body"]) // 4, "completion_tokens": 9},
+            }
+        body = json.dumps(data).encode()
+        if fault == "nan":
+            body = body.replace(b'"usage": {', b'"usage": {"cost": NaN, ', 1)
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body)
+        try:
+            if fault == "slow":
+                time.sleep(server.slow_s)
+            if fault == "503":
+                self.wfile.write(b"HTTP/1.1 503 Busy\r\nRetry-After: 0\r\nContent-Length: 0\r\n\r\n")
+            elif fault == "huge":
+                self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % 2**63)
+            elif fault == "torn":
+                self.wfile.write(head + body[: len(body) // 2])
+            elif fault == "reset":
+                self.wfile.write(head)
+                # a zero linger time makes close() send RST instead of FIN
+                self.connection.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                self.connection.close()
+            else:
+                self.wfile.write(head + body)
+        except OSError:
+            # the client gave up on a slow reply and closed the connection
+            return False
+        return fault in (None, "503")
+
+
+# Faults the fault-plan stub injects, by whether the client retries them.
+WIRE_FAULTS = {"503": True, "reset": True, "torn": True, "slow": True, "huge": False, "nan": False}
+
+
+def _digest_row(text: str) -> list[float]:
+    """An 8-dimensional row drawn from the digest of ``text``."""
+    digest = hashlib.sha256(text.encode()).digest()
+    return [(byte - 127.5) / 128 for byte in digest[:8]]
 
 
 class _TunnelHandler(BaseHTTPRequestHandler):
@@ -232,7 +306,8 @@ class HttpStub:
     the connection after the reply without saying so, and sets ``dropped``.
     The default handler speaks HTTP/1.0 and closes each connection after
     one reply; ``_KeepAliveStubHandler`` speaks HTTP/1.1 and keeps
-    connections open; ``_RawReplyHandler`` sends raw scripted bytes.
+    connections open; ``_RawReplyHandler`` sends raw scripted bytes, and
+    ``_FaultPlanHandler`` answers as an endpoint with planned faults.
     ``tls=True`` serves HTTPS with ``TLS_CERT``. Each recorded request names
     the client address it came from.
     """
@@ -294,6 +369,16 @@ def keep_alive_stub():
 def raw_stub():
     """An endpoint whose script entries are ``(reply bytes, close after)``."""
     stub = HttpStub(_RawReplyHandler)
+    yield stub
+    stub.close()
+
+
+@pytest.fixture
+def fault_plan_stub():
+    """A chat and embeddings endpoint that injects the faults its
+    ``server.plan`` names; ``server.attempts`` counts each body's requests."""
+    stub = HttpStub(_FaultPlanHandler)
+    stub.server.attempts = {}
     yield stub
     stub.close()
 

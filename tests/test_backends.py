@@ -197,6 +197,25 @@ class TestHttpChatBackend:
         with pytest.raises(BackendUnavailableError):
             backend.chat([{"role": "user", "content": "q"}], temperature=0.0, max_tokens=8)
 
+    def test_attempts_past_a_float_backoff_end_the_item_not_the_run(self, tmp_path):
+        # from attempt 1024 on, 2**attempt is an int no float holds
+        with socket.socket() as refusing:
+            # bound but never listening: every connection is refused
+            refusing.bind(("127.0.0.1", 0))
+            host, port = refusing.getsockname()
+            backend = HttpChatBackend(
+                base_url=f"http://{host}:{port}/v1",
+                model="m",
+                retry=RetryPolicy(max_attempts=1100, base_delay_s=0.0),
+            )
+            items = [BenchmarkItem("a", "Question a?", "", "none")]
+            config = make_config(layers=1, proposers=1, k=1, mode="moa")
+            report = run_benchmark(
+                items, config, rmoa.Backends(backend), out_dir=tmp_path, item_parallelism=1
+            )
+        assert [item.stop_reason for item in report.items] == ["backend_abort"]
+        assert (tmp_path / "report.json").is_file()
+
 
 class TestHttpEmbeddingBackend:
     def test_round_trip_restores_index_order(self, http_stub):
@@ -412,7 +431,7 @@ class TestTransport:
         keep_alive_stub.script.append((200, chat_payload()))
         backend = chat_backend(keep_alive_stub)
         ask(backend)
-        [conn] = backend._pool._idle
+        [conn] = backend._idle
         del backend
         gc.collect()
         assert conn.sock is None
@@ -762,7 +781,7 @@ class TestBodyCap:
 
 def idle_connections(backend):
     """The idle connections the client's pool holds for reuse."""
-    return backend._pool._idle
+    return backend._idle
 
 
 @pytest.fixture
