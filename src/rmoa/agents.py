@@ -124,6 +124,50 @@ def parse_residual_flag(completion: str) -> Residual:
     return Residual.found(completion)
 
 
+def proposer_prompt(
+    query: str, references: str | None, refinement_template: PromptTemplate | None
+) -> str:
+    """The user message of a proposer call; every proposer of a layer shares it.
+
+    ``query`` is the task text sent to the model (the user query, possibly
+    already wrapped in a benchmark prompt). With references present, the
+    user message wraps them and the task in the refinement template;
+    without references the task is sent bare, which is the first-layer
+    contract.
+    """
+    if not query:
+        raise ValueError("query must be nonempty")
+    if references is None:
+        return query
+    if refinement_template is None:
+        raise ValueError("references given but no refinement template")
+    return refinement_template.render(references=references, task=query)
+
+
+def proposer_messages(role: PromptTemplate, prompt: str) -> list[dict[str, str]]:
+    """A proposer call's messages: ``role``'s persona, then the shared ``prompt``."""
+    return [
+        {"role": "system", "content": role.render()},
+        {"role": "user", "content": prompt},
+    ]
+
+
+def proposer_response(
+    result: ChatResult, role: PromptTemplate, *, layer: int, agent_index: int
+) -> Response:
+    """A proposer's ``Response`` from its reply; an empty completion raises
+    ``EmptyResponseError``."""
+    if not result.text.strip():
+        raise EmptyResponseError(f"proposer {agent_index} returned an empty completion")
+    return Response(
+        text=result.text,
+        layer=layer,
+        agent_index=agent_index,
+        role_name=role.name,
+        usage=result.usage,
+    )
+
+
 def propose(
     query: str,
     references: str | None,
@@ -135,38 +179,12 @@ def propose(
     agent_index: int = 0,
     refinement_template: PromptTemplate | None = None,
 ) -> Response:
-    """Generate one candidate response.
-
-    ``query`` is the task text sent to the model (the user query, possibly
-    already wrapped in a benchmark prompt). With references present, the
-    user message wraps them and the task in the refinement template;
-    without references the task is sent bare, which is the first-layer
-    contract.
-    """
-    if not query:
-        raise ValueError("query must be nonempty")
-    if references is not None:
-        if refinement_template is None:
-            raise ValueError("references given but no refinement template")
-        user_content = refinement_template.render(references=references, task=query)
-    else:
-        user_content = query
-    messages = [
-        {"role": "system", "content": role.render()},
-        {"role": "user", "content": user_content},
-    ]
+    """Generate one candidate response (see ``proposer_prompt``)."""
+    messages = proposer_messages(role, proposer_prompt(query, references, refinement_template))
     result = backend.chat(
         messages, temperature=params.temperature, max_tokens=params.max_tokens
     )
-    if not result.text.strip():
-        raise EmptyResponseError(f"proposer {agent_index} returned an empty completion")
-    return Response(
-        text=result.text,
-        layer=layer,
-        agent_index=agent_index,
-        role_name=role.name,
-        usage=result.usage,
-    )
+    return proposer_response(result, role, layer=layer, agent_index=agent_index)
 
 
 def extract_residual(

@@ -18,18 +18,23 @@ Each client is one object per endpoint: it builds its request line and
 header fields once, and keeps up to 10 idle keep-alive connections for
 reuse. A call finding none idle opens another, which is closed after use if
 10 are already idle. A pooled connection the server has closed is dropped
-before it is used. ``http.client`` only opens connections (``TCP_NODELAY``,
-TLS, CONNECT tunnel). The client sends each request in one write and reads
-the reply itself (RFC 9112): a body framed by ``Content-Length``, chunked or
-delimited by the connection's close; interim ``1xx`` replies are skipped. A
-folded header line continues the field before it, joined with one space. A
+before it is used. A connection is opened without blocking: the client
+drives the TCP connect (with ``TCP_NODELAY``) and the TLS handshake itself;
+only a CONNECT tunnel's exchange blocks, through ``http.client``. The chat
+client's ``chat_many`` keeps a fan-out's requests in flight from the
+calling thread on one ``selectors`` loop, so their opens overlap and no
+thread starts; each slot ends as ``chat`` ends for the same replies. The
+client sends each request in one write and reads the reply itself
+(RFC 9112): a body framed by ``Content-Length``, chunked or delimited by
+the connection's close; interim ``1xx`` replies are skipped. A folded
+header line continues the field before it, joined with one space. A
 malformed reply raises ``http.client``'s own exception types, retried like
 a lost connection: among them a field line with whitespace before its colon
 or with no colon, an invalid ``Content-Length`` and a 204 or 304 reply with
 a ``Transfer-Encoding``. A body is read in pieces of at most 1 MiB, so a
-length the connection never delivers is never allocated and is retried
-like a cut body; a body over 1 GiB (a declared length, the chunks' sum or
-the bytes before the close) is a protocol error. Requests carry
+length the connection never delivers is never allocated and is retried like
+a cut body; a body over 1 GiB (a declared length, the chunks' sum or the
+bytes before the close) is a protocol error. Requests carry
 ``User-Agent: rmoa/<version>`` and ``Accept-Encoding: identity``. A bearer
 token holding a control character or a character outside Latin-1, and a
 base URL whose path holds a space, a control or a non-ASCII character, are
@@ -49,12 +54,15 @@ are not followed: a 3xx reply is a protocol error. ``REQUESTS_CA_BUNDLE``,
 from __future__ import annotations
 
 import base64
+import errno
 import http.client
 import json
 import logging
 import math
+import os
 import re
 import select
+import selectors
 import socket
 import ssl
 import threading
@@ -85,6 +93,10 @@ _MAX_HEADERS = 100
 # never delivers is never allocated.
 _MAX_BODY = 1 << 30
 _READ_PIECE = 1 << 20
+# The selector of the send loop: poll() where the platform has it, which
+# makes no system call to register a socket, as epoll would; select() is
+# what Windows offers.
+_Selector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 # A field line (name, colon, value) and a continuation of the one before it,
 # each with its line end.
 _FIELD_LINE = re.compile(rb"([!-9;-~]+):([^\r\n]*)\r?\n?")
@@ -110,6 +122,10 @@ class EmbeddingBatch:
 
 
 class ChatBackend(Protocol):
+    """A chat model. One may also offer ``chat_many``, with the signature of
+    ``HttpChatBackend.chat_many``: the pipeline then hands it each layer's
+    proposer calls as one fan-out instead of running them on threads."""
+
     model: str
 
     def chat(
@@ -155,11 +171,12 @@ class _HttpClient:
     """One endpoint, shared by the wire clients: its request head, its idle
     keep-alive connections (most recently returned first) and a retrying POST.
 
-    Each subclass names its endpoint ``_path`` under the base URL. ``_send``
-    takes an idle connection or opens one, sends the request in one write,
-    reads the whole reply and keeps the connection unless the reply closes
-    it or ``_POOL_MAXSIZE`` are already idle. ``http.client`` only opens
-    connections. ``close``, or collecting the client, closes the idle ones.
+    Each subclass names its endpoint ``_path`` under the base URL. Every
+    attempt at a request is an ``_attempt`` generator, run by
+    ``_send_many`` on a ``selectors`` loop of the calling thread: one
+    attempt for a single call, a fan-out's first attempts side by side.
+    ``_post`` makes the later ones. ``_open`` opens every connection.
+    ``close``, or collecting the client, closes the idle ones.
     """
 
     base_url: str
@@ -189,22 +206,30 @@ class _HttpClient:
         with self._lock:
             _close_all(self._idle)
 
-    def _post(self, payload: dict) -> dict:
-        """POST ``payload`` to the endpoint, retrying transient failures."""
-        url = self._url
+    def _request(self, payload: dict) -> bytes:
+        """The bytes of a POST of ``payload``: the head, the length and the JSON body."""
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        request = b"%bContent-Length: %d\r\n\r\n%b" % (self._head, len(body), body)
+        return b"%bContent-Length: %d\r\n\r\n%b" % (self._head, len(body), body)
+
+    def _post(self, request: bytes, first: tuple[int, bytes] | Exception | None = None) -> dict:
+        """POST ``request`` to the endpoint, retrying transient failures.
+
+        ``first`` is the outcome of a first attempt already made, if any: the
+        reply's status and body, or the exception the attempt ended with.
+        """
+        url = self._url
         attempts = self.retry.max_attempts
         last_error: Exception | None = None
         for attempt in range(attempts):
-            try:
-                status, data = self._send(request)
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = exc
-                failure = type(exc).__name__
-            except ProtocolError as exc:
-                raise ProtocolError(f"{url} returned {exc}") from None
+            outcome = self._send_many([request], 1)[0] if first is None else first
+            first = None
+            if isinstance(outcome, ProtocolError):
+                raise ProtocolError(f"{url} returned {outcome}") from None
+            if isinstance(outcome, Exception):
+                last_error = outcome
+                failure = type(outcome).__name__
             else:
+                status, data = outcome
                 if status == 200:
                     # imported on first use: a run that decodes no reply never loads it
                     import orjson
@@ -233,12 +258,63 @@ class _HttpClient:
             f"{url} unreachable after {attempts} attempts: {last_error}"
         )
 
-    def _send(self, request: bytes) -> tuple[int, bytes]:
-        """Send one request; return the reply's status and body."""
-        conn = self._take()
+    def _send_many(self, requests: Sequence[bytes], in_flight: int) -> list:
+        """One attempt at each of ``requests``, up to ``in_flight`` at once on
+        one ``selectors`` loop of the calling thread: each one's reply status
+        and body, or the ``OSError``, ``HTTPException`` or ``ProtocolError``
+        it ended with, in input order. Each attempt has ``timeout_s`` to open
+        its connection and see its reply begin."""
+        outcomes: list = [None] * len(requests)
+        queue = iter(enumerate(requests))
+        with _Selector() as selector:
+            waiting = selector.get_map()
+
+            def step(index: int, attempt, deadline: float, error=None) -> None:
+                try:
+                    sock, event = attempt.throw(error) if error else next(attempt)
+                except StopIteration as done:
+                    outcomes[index] = done.value
+                except (OSError, http.client.HTTPException, ProtocolError) as exc:
+                    outcomes[index] = exc
+                else:
+                    selector.register(sock, event, (index, attempt, deadline))
+
+            try:
+                while True:
+                    while len(waiting) < in_flight and (start := next(queue, None)):
+                        index, request = start
+                        step(index, self._attempt(request), time.monotonic() + self.timeout_s)
+                    if not waiting:
+                        return outcomes
+                    soonest = min(key.data[2] for key in waiting.values())
+                    for key, _ in selector.select(soonest - time.monotonic()):
+                        selector.unregister(key.fileobj)
+                        step(*key.data)
+                    now = time.monotonic()
+                    for key in [key for key in waiting.values() if key.data[2] <= now]:
+                        selector.unregister(key.fileobj)
+                        step(*key.data, TimeoutError("timed out"))
+            finally:
+                for key in list(waiting.values()):
+                    selector.unregister(key.fileobj)
+                    key.data[1].close()
+
+    def _attempt(self, request: bytes):
+        """One attempt, as a generator for ``_send_many``: it yields a socket
+        and the ``selectors`` event it waits on, and returns the reply's
+        status and body. A ``TimeoutError`` thrown in at a wait ends it.
+
+        It takes an idle connection or opens one, sends the request in one
+        write, reads the whole reply and keeps the connection unless the
+        reply closes it or ``_POOL_MAXSIZE`` are already idle.
+        """
+        conn = self._reuse()
+        if conn is None:
+            conn = yield from self._open()
         try:
             conn.sock.sendall(request)
             try:
+                yield conn.sock, selectors.EVENT_READ
                 status, data, will_close = _read_reply(conn.reader)
             except TimeoutError as exc:
                 raise TimeoutError(f"Read timed out after {self.timeout_s:g} s") from exc
@@ -253,31 +329,61 @@ class _HttpClient:
         conn.close()
         return status, data
 
-    def _take(self) -> _Connection:
+    def _reuse(self) -> _Connection | None:
+        """The idle connection returned last that its server has not closed, if any."""
         with self._lock:
             while self._idle:
                 conn = self._idle.pop()
                 if not _closed_by_server(conn):
                     return conn
                 conn.close()
-            if self._tls and self._context is None:
-                # built on first use: an http:// client never pays for loading the CA bundle
-                self._context = ssl.create_default_context(cafile=certifi.where())
-        # http.client sets TCP_NODELAY when it connects
-        if not self._tls:
-            opener = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout_s)
-        else:
-            opener = http.client.HTTPSConnection(
-                self._host, self._port, timeout=self.timeout_s, context=self._context
-            )
+        return None
+
+    def _open(self):
+        """Open a connection, as a generator: it yields a socket and the
+        ``selectors`` event it waits on, and returns the ``_Connection``.
+
+        The TCP connect and the TLS handshake never block; a CONNECT
+        tunnel's exchange does. ``TCP_NODELAY`` is set as ``http.client``
+        sets it, and the TLS context is built on first use.
+        """
+        port = self._port or (443 if self._tls else 80)
         if self._tunnel:
+            opener = http.client.HTTPConnection(self._host, port, timeout=self.timeout_s)
             opener.set_tunnel(*self._tunnel)
+            try:
+                opener.connect()
+            except BaseException:
+                opener.close()
+                raise
+            sock = opener.sock
+        else:
+            sock = yield from _connect(self._host, port)
         try:
-            opener.connect()
+            if self._tls:
+                with self._lock:
+                    if self._context is None:
+                        # built on first use: an http:// client never pays for loading the CA bundle
+                        self._context = ssl.create_default_context(cafile=certifi.where())
+                sock.setblocking(False)
+                sock = self._context.wrap_socket(
+                    sock,
+                    server_hostname=self._tunnel[0] if self._tunnel else self._host,
+                    do_handshake_on_connect=False,
+                )
+                while True:
+                    try:
+                        sock.do_handshake()
+                        break
+                    except ssl.SSLWantReadError:
+                        yield sock, selectors.EVENT_READ
+                    except ssl.SSLWantWriteError:
+                        yield sock, selectors.EVENT_WRITE
+            sock.settimeout(self.timeout_s)
+            return _Connection(sock)
         except BaseException:
-            opener.close()
+            sock.close()
             raise
-        return _Connection(opener.sock)
 
 
 class _Connection:
@@ -313,6 +419,37 @@ def _closed_by_server(conn: _Connection) -> bool:
         poller.register(conn.sock, select.POLLIN)
         return bool(poller.poll(0))
     return bool(select.select([conn.sock], [], [], 0)[0])
+
+
+def _connect(host: str, port: int):
+    """A TCP connection to ``host`` made without blocking, as a generator like
+    ``_HttpClient._open``. Each address is tried in turn, as
+    ``socket.create_connection`` tries them, and the last error is raised if
+    none connects."""
+    error = OSError("getaddrinfo returns an empty list")
+    for family, kind, proto, _, address in socket.getaddrinfo(host, port, 0, socket.SOCK_STREAM):
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            try:
+                sock.connect(address)
+            except (BlockingIOError, InterruptedError):
+                yield sock, selectors.EVENT_WRITE
+                if code := sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+                    raise OSError(code, os.strerror(code)) from None
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError as exc:
+                if exc.errno != errno.ENOPROTOOPT:
+                    raise
+            return sock
+        except OSError as exc:
+            sock.close()
+            error = exc
+        except BaseException:
+            sock.close()
+            raise
+    raise error
 
 
 def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
@@ -373,15 +510,17 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
         data = _read_at_most(reader, _MAX_BODY + 1)
         _check_body_size(len(data))
         return status, data, True
-    try:
-        if not length.isdigit():
-            raise ValueError
-        length = int(length)
-    except ValueError:
+    if not length.isdigit():
         # RFC 9112 §6.3: an invalid length leaves the framing unknown
-        raise http.client.HTTPException(f"invalid Content-Length {length[:40]!r}") from None
-    _check_body_size(length)
-    return status, _read_exactly(reader, length), will_close
+        raise http.client.HTTPException(f"invalid Content-Length {length[:40]!r}")
+    digits = length.lstrip(b"0")
+    if len(digits) > len(str(_MAX_BODY)):
+        # over the cap, and maybe more digits than int() converts (4,300);
+        # 21 of them are still over the 2^64 the cap's message stops at
+        digits = digits[:21]
+    size = int(digits or b"0")
+    _check_body_size(size)
+    return status, _read_exactly(reader, size), will_close
 
 
 def _check_body_size(size: int) -> None:
@@ -526,13 +665,48 @@ class HttpChatBackend(_HttpClient):
     def chat(
         self, messages: list[dict[str, str]], *, temperature: float, max_tokens: int
     ) -> ChatResult:
+        return self._result(self._post(self._chat_request(messages, temperature, max_tokens)))
+
+    def chat_many(
+        self,
+        conversations: Sequence[list[dict[str, str]]],
+        *,
+        temperature: float,
+        max_tokens: int,
+        in_flight: int,
+    ) -> list[ChatResult | ProtocolError | BackendUnavailableError]:
+        """``chat`` of each conversation, with up to ``in_flight`` requests in
+        flight at once from the calling thread, and no thread started.
+
+        Each slot ends with the ``ChatResult`` or the exception that ``chat``
+        gives for the same replies; the list is in input order. First
+        attempts share one ``selectors`` loop. A first attempt that fails in
+        a way ``chat`` retries goes on in ``chat``'s retry loop, with the same
+        warnings and backoff, after the loop, one slot after another.
+        """
+        if in_flight < 1:
+            raise ValueError(f"in_flight must be at least 1, got {in_flight}")
+        requests = [self._chat_request(m, temperature, max_tokens) for m in conversations]
+        results: list[ChatResult | ProtocolError | BackendUnavailableError] = []
+        for request, first in zip(requests, self._send_many(requests, in_flight)):
+            try:
+                results.append(self._result(self._post(request, first)))
+            except (ProtocolError, BackendUnavailableError) as exc:
+                results.append(exc)
+        return results
+
+    def _chat_request(
+        self, messages: list[dict[str, str]], temperature: float, max_tokens: int
+    ) -> bytes:
         payload = {
             "model": self.model,
             "messages": messages,
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        data = self._post(payload)
+        return self._request(payload)
+
+    def _result(self, data: dict) -> ChatResult:
         try:
             text = data["choices"][0]["message"]["content"]
             if not isinstance(text, str):
@@ -564,7 +738,7 @@ class HttpEmbeddingBackend(_HttpClient):
         super().__post_init__()
 
     def embed(self, texts: Sequence[str]) -> EmbeddingBatch:
-        data = self._post({"model": self.model, "input": list(texts)})
+        data = self._post(self._request({"model": self.model, "input": list(texts)}))
         try:
             rows = sorted(data["data"], key=lambda row: int(row["index"]))
             indices = [int(row["index"]) for row in rows]

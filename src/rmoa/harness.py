@@ -353,10 +353,14 @@ def run_benchmark(
     ids slugify to one directory under ``out_dir``, or to a report file's
     name, or to a name longer than 255 bytes, raise ``DatasetError``.
 
-    Proposer calls of all items share one pool, opened once per run, of
-    ``item_parallelism`` times each item's share of threads; the share is
-    ``proposer_parallelism``, else one per proposer up to a default cap. A
-    share of one runs each item's calls inline, with no pool.
+    Each item keeps up to its share of proposer calls in flight; the share
+    is ``proposer_parallelism``, else one per proposer up to a default cap,
+    and a share of one runs each item's calls one after another. A chat
+    backend with ``chat_many``, such as the HTTP client, keeps them in
+    flight from the item's own thread, so no call thread starts. Other
+    backends run them on one pool shared by all items, opened once per run,
+    of ``item_parallelism`` times the share of threads, each started when a
+    fan-out first needs it; a share of one opens no pool.
     """
     if item_parallelism < 1:
         raise ValueError(f"item_parallelism must be at least 1, got {item_parallelism}")
@@ -382,16 +386,19 @@ def run_benchmark(
             ledger=ledger,
             persist_dir=item_dirs.get(item.id),
             executor=calls,
+            in_flight=share,
         )
         return _item_result(item, transcript)
 
-    # Items wait on their proposer calls, so the two never share a pool. The
-    # call pool closes first so that the item threads exit last: glibc gives a
-    # new thread the malloc arena freed last, so the next run's item threads
+    # Items wait on their proposer calls, so the two never share a pool. With
+    # a backend without chat_many, the call pool's threads start: it closes
+    # first so that the item threads exit last, because glibc gives a new
+    # thread the malloc arena freed last, so the next run's item threads
     # reuse their predecessors' arenas. Closed the other way round, the items'
     # large allocations spread over every call thread's arena (+10% peak RSS
-    # on http-fanout in 50 s runs on a 2-vCPU VM). If an item raises, items
-    # still running then fail at their next proposer fan-out.
+    # on http-fanout in 50 s runs on a 2-vCPU VM, before its calls left the
+    # pool). If an item raises, items still running on such a backend then
+    # fail at their next proposer fan-out; chat_many items run to their end.
     with _thread_pool(item_parallelism, "rmoa-item") as item_threads:
         with _thread_pool(item_parallelism * share if share > 1 else 1, "rmoa-call") as calls:
             results = ordered_map(run_item, items, item_threads)

@@ -34,6 +34,9 @@ from .agents import (
     extract_residual,
     parse_residual_flag,
     propose,
+    proposer_messages,
+    proposer_prompt,
+    proposer_response,
     render_numbered_responses,
 )
 from .backends import Backends
@@ -321,14 +324,18 @@ def run_pipeline(
     ledger: UsageLedger | None = None,
     persist_dir: Path | None = None,
     executor: Executor | None = None,
+    in_flight: int = 1,
 ) -> Transcript:
     """Run the layered pipeline for one query in the mode named in the config.
 
-    Each layer's proposer calls run on ``executor`` when one is given, for
-    example a ``ThreadPoolExecutor`` of n workers for up to n concurrent
-    calls (a benchmark run shares one across its items); the caller owns
-    and closes it. Without one, the calls run inline on the calling
-    thread, one after another.
+    A chat backend with a ``chat_many`` method, such as the HTTP client,
+    gets each layer's proposer calls in one fan-out when ``in_flight`` is
+    above 1: it keeps up to ``in_flight`` of them in flight from the
+    calling thread. Otherwise the calls run on ``executor`` when one is
+    given, for example a ``ThreadPoolExecutor`` of n workers for up to n
+    concurrent calls (a benchmark run shares one across its items); the
+    caller owns and closes it. Without either, the calls run inline on the
+    calling thread, one after another.
     """
     refine = config.mode == "rmoa"
     if refine and backends.embedding is None:
@@ -342,6 +349,8 @@ def run_pipeline(
     task = prompts.render_task(query)
     template = prompts.aggregation if refine else prompts.baseline_aggregation
     count = config.proposers_per_layer
+    roles = [prompts.roles[i % len(prompts.roles)] for i in range(count)]
+    chat_many = getattr(backends.chat, "chat_many", None)
 
     def propose_layer(layer: int, references: str | None) -> list[Response]:
         # Failed slots are dropped and noted; usage goes to the ledger in
@@ -349,21 +358,43 @@ def run_pipeline(
         def call(agent_index: int) -> Response | Exception:
             try:
                 return propose(
-                    task, references, prompts.roles[agent_index % len(prompts.roles)],
-                    backends.chat, config.sampling, layer=layer, agent_index=agent_index,
-                    refinement_template=prompts.refinement,
+                    task, references, roles[agent_index], backends.chat, config.sampling,
+                    layer=layer, agent_index=agent_index, refinement_template=prompts.refinement,
                 )
             except _CALL_FAILURES as exc:
                 return exc
 
+        if chat_many is None or min(in_flight, count) <= 1:
+            outcomes = ordered_map(call, range(count), executor)
+        else:
+            outcomes = fan_out(layer, references)
         responses: list[Response] = []
-        for i, outcome in enumerate(ordered_map(call, range(count), executor)):
+        for i, outcome in enumerate(outcomes):
             if isinstance(outcome, Exception):
                 events.append(event_record("proposer_failed", layer, str(outcome), agent=i))
             else:
                 responses.append(outcome)
                 ledger.append("proposer", backends.chat.model, outcome.usage)
         return responses
+
+    def fan_out(layer: int, references: str | None) -> list[Response | Exception]:
+        # one chat_many call; the shared user message is rendered once
+        prompt = proposer_prompt(task, references, prompts.refinement)
+        replies = chat_many(
+            [proposer_messages(role, prompt) for role in roles],
+            temperature=config.sampling.temperature,
+            max_tokens=config.sampling.max_tokens,
+            in_flight=in_flight,
+        )
+        outcomes: list[Response | Exception] = []
+        for i, reply in enumerate(replies):
+            if not isinstance(reply, Exception):
+                try:
+                    reply = proposer_response(reply, roles[i], layer=layer, agent_index=i)
+                except EmptyResponseError as exc:
+                    reply = exc
+            outcomes.append(reply)
+        return outcomes
 
     def fuse(layer: int) -> Response:
         response = aggregate(

@@ -199,6 +199,11 @@ class _FaultPlanHandler(_RawReplyHandler):
     ``digest`` is the SHA-256 of the request body, ``attempt`` how many times
     that body came before. The plan never sees arrival order.
 
+    A plan may also name ``"reset-first"``, a reset before any byte of the
+    reply, or ``"drop"``, the reply followed by a close the reply did not
+    announce (which sets ``dropped``), or give the reply's bytes, after
+    which the connection is closed.
+
     A chat reply names the ``item-NN`` tag of its prompt and the prompt's
     digest; an embedding row is drawn from its text's digest.
     """
@@ -231,7 +236,18 @@ class _FaultPlanHandler(_RawReplyHandler):
         try:
             if fault == "slow":
                 time.sleep(server.slow_s)
-            if fault == "503":
+            if isinstance(fault, bytes):
+                self.wfile.write(fault)
+            elif fault == "reset-first":
+                self.connection.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                self.connection.close()
+            elif fault == "drop":
+                self.wfile.write(head + body)
+                self.connection.shutdown(socket.SHUT_RDWR)
+                server.dropped.set()
+            elif fault == "503":
                 self.wfile.write(b"HTTP/1.1 503 Busy\r\nRetry-After: 0\r\nContent-Length: 0\r\n\r\n")
             elif fault == "huge":
                 self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % 2**63)
@@ -260,6 +276,27 @@ def _digest_row(text: str) -> list[float]:
     """An 8-dimensional row drawn from the digest of ``text``."""
     digest = hashlib.sha256(text.encode()).digest()
     return [(byte - 127.5) / 128 for byte in digest[:8]]
+
+
+class _SlowHandshakeHandler(_KeepAliveStubHandler):
+    """``_KeepAliveStubHandler`` over TLS with ``TLS_CERT``, each connection
+    on its own thread waiting ``HANDSHAKE_DELAY_S`` before its handshake."""
+
+    def setup(self) -> None:
+        time.sleep(HANDSHAKE_DELAY_S)
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_CERT, TLS_KEY)
+        self.request = context.wrap_socket(self.request, server_side=True)
+        super().setup()
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.request.close()  # the server closes only the socket it accepted
+
+
+HANDSHAKE_DELAY_S = 0.2
 
 
 class _TunnelHandler(BaseHTTPRequestHandler):
@@ -297,6 +334,12 @@ TLS_CERT = Path(__file__).with_name("tls_cert.pem")
 TLS_KEY = Path(__file__).with_name("tls_key.pem")
 
 
+class _StubServer(ThreadingHTTPServer):
+    # a fan-out opens its connections at once: with the default backlog of 5
+    # the kernel drops the rest of the SYNs, to be sent again a second later
+    request_queue_size = 64
+
+
 class HttpStub:
     """Scripted local HTTP endpoint: pop one (status, payload) per request.
 
@@ -313,7 +356,7 @@ class HttpStub:
     """
 
     def __init__(self, handler: type = _StubHandler, tls: bool = False) -> None:
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        self.server = _StubServer(("127.0.0.1", 0), handler)
         self.scheme = "https" if tls else "http"
         if tls:
             context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
@@ -386,6 +429,16 @@ def fault_plan_stub():
 @pytest.fixture
 def tls_stub():
     stub = HttpStub(_KeepAliveStubHandler, tls=True)
+    yield stub
+    stub.close()
+
+
+@pytest.fixture
+def slow_handshake_stub():
+    """An HTTPS keep-alive stub whose every TLS handshake starts after
+    ``HANDSHAKE_DELAY_S``, one connection's wait beside another's."""
+    stub = HttpStub(_SlowHandshakeHandler)
+    stub.scheme = "https"
     yield stub
     stub.close()
 

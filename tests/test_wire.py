@@ -201,6 +201,12 @@ NAMED = {
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%b\r\n" % (b"f" * 5000),
         ProtocolError,
     ),
+    # a length longer than int() converts is over the cap, not invalid, so
+    # it is not retried
+    "long-length": (
+        b"HTTP/1.1 200 OK\r\nContent-Length: %b\r\n\r\nok" % (b"9" * 5000),
+        ProtocolError,
+    ),
     # deliberate: the coding's surrounding whitespace is trimmed
     "trimmed-coding": (
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding:  chunked \r\n\r\n2\r\nok\r\n0\r\n\r\n",
