@@ -18,22 +18,24 @@ Each client is one object per endpoint: it builds its request line and
 header fields once, and keeps up to 10 idle keep-alive connections for
 reuse. A call finding none idle opens another, which is closed after use if
 10 are already idle. A pooled connection the server has closed is dropped
-before it is used. A connection is opened without blocking: the client
-drives the TCP connect (with ``TCP_NODELAY``) and the TLS handshake itself;
-only a CONNECT tunnel's exchange blocks, through ``http.client``. The chat
-client's ``chat_many`` keeps a fan-out's requests in flight from the
-calling thread on one ``selectors`` loop, so their opens overlap and no
-thread starts; each slot ends as ``chat`` ends for the same replies. The
-client sends each request in one write and reads the reply itself
+before it is used. Sockets never block: the client drives the TCP connect
+(with ``TCP_NODELAY``), the TLS handshake, each send and each read itself,
+and each wait of an attempt has ``timeout_s``, as a blocking socket's
+timeout would give it; only a CONNECT tunnel's exchange blocks, through
+``http.client``. The chat client's ``chat_many`` keeps a fan-out's requests
+in flight from the calling thread on one ``selectors`` loop, so their
+opens and replies overlap and no thread starts; each slot ends as ``chat``
+ends for the same replies, and the slots a round of attempts leaves to
+retry go on together after one backoff. The client reads the reply itself
 (RFC 9112): a body framed by ``Content-Length``, chunked or delimited by
 the connection's close; interim ``1xx`` replies are skipped. A folded
 header line continues the field before it, joined with one space. A
 malformed reply raises ``http.client``'s own exception types, retried like
 a lost connection: among them a field line with whitespace before its colon
 or with no colon, an invalid ``Content-Length`` and a 204 or 304 reply with
-a ``Transfer-Encoding``. A body is read in pieces of at most 1 MiB, so a
-length the connection never delivers is never allocated and is retried like
-a cut body; a body over 1 GiB (a declared length, the chunks' sum or the
+a ``Transfer-Encoding``. A body is read as its bytes arrive, so a length
+the connection never delivers is never allocated and is retried like a cut
+body; a body over 1 GiB (a declared length, the chunks' sum or the
 bytes before the close) is a protocol error. Requests carry
 ``User-Agent: rmoa/<version>`` and ``Accept-Encoding: identity``. A bearer
 token holding a control character or a character outside Latin-1, and a
@@ -61,7 +63,6 @@ import logging
 import math
 import os
 import re
-import select
 import selectors
 import socket
 import ssl
@@ -88,14 +89,14 @@ _USER_AGENT = f"rmoa/{__version__}"
 # Reply limits, as http.client sets them: bytes per line, header fields per reply.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
-# The largest reply body read; a longer one is a protocol error. Bodies are
-# read in pieces of at most _READ_PIECE bytes, so a length the connection
-# never delivers is never allocated.
+# The largest reply body read; a longer one is a protocol error.
 _MAX_BODY = 1 << 30
-_READ_PIECE = 1 << 20
-# The selector of the send loop: poll() where the platform has it, which
-# makes no system call to register a socket, as epoll would; select() is
-# what Windows offers.
+# The bytes asked of a socket per receive.
+_RECV_SIZE = 1 << 16
+# The selector of the send loop and of the idle check: poll() where the
+# platform has it, which makes no system call to register a socket, as
+# epoll would, and takes descriptors of 1024 and up, which select() fails
+# on; select() is what Windows offers.
 _Selector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 # A field line (name, colon, value) and a continuation of the one before it,
 # each with its line end.
@@ -171,12 +172,12 @@ class _HttpClient:
     """One endpoint, shared by the wire clients: its request head, its idle
     keep-alive connections (most recently returned first) and a retrying POST.
 
-    Each subclass names its endpoint ``_path`` under the base URL. Every
-    attempt at a request is an ``_attempt`` generator, run by
-    ``_send_many`` on a ``selectors`` loop of the calling thread: one
-    attempt for a single call, a fan-out's first attempts side by side.
-    ``_post`` makes the later ones. ``_open`` opens every connection.
-    ``close``, or collecting the client, closes the idle ones.
+    Each subclass names its endpoint ``_path`` under the base URL.
+    ``_post_many`` makes every request in rounds of attempts, one round for
+    a lone call as for a fan-out; ``_send_many`` runs a round's attempts,
+    each an ``_attempt`` generator, on a ``selectors`` loop of the calling
+    thread. ``_open`` opens every connection. ``close``, or collecting the
+    client, closes the idle ones.
     """
 
     base_url: str
@@ -211,65 +212,89 @@ class _HttpClient:
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         return b"%bContent-Length: %d\r\n\r\n%b" % (self._head, len(body), body)
 
-    def _post(self, request: bytes, first: tuple[int, bytes] | Exception | None = None) -> dict:
-        """POST ``request`` to the endpoint, retrying transient failures.
+    def _post(self, request: bytes) -> dict:
+        """POST ``request`` to the endpoint, retrying transient failures."""
+        reply = self._post_many([request], 1)[0]
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
-        ``first`` is the outcome of a first attempt already made, if any: the
-        reply's status and body, or the exception the attempt ended with.
+    def _post_many(self, requests: Sequence[bytes], in_flight: int) -> list:
+        """POST each of ``requests``, up to ``in_flight`` at once, retrying
+        transient failures: each one's decoded reply, or the
+        ``ProtocolError`` or ``BackendUnavailableError`` it ended with, in
+        input order.
+
+        The requests go in rounds of attempts. Each failed attempt logs its
+        warning, and the requests a round leaves to retry go on together in
+        the next, after that round's backoff; so each ends with the reply,
+        error, warnings and attempts it would end with alone.
         """
         url = self._url
         attempts = self.retry.max_attempts
-        last_error: Exception | None = None
+        replies: list = [None] * len(requests)
+        pending = range(len(requests))
         for attempt in range(attempts):
-            outcome = self._send_many([request], 1)[0] if first is None else first
-            first = None
-            if isinstance(outcome, ProtocolError):
-                raise ProtocolError(f"{url} returned {outcome}") from None
-            if isinstance(outcome, Exception):
-                last_error = outcome
-                failure = type(outcome).__name__
-            else:
-                status, data = outcome
-                if status == 200:
-                    # imported on first use: a run that decodes no reply never loads it
-                    import orjson
-
-                    try:
-                        return orjson.loads(data)
-                    except ValueError as exc:
-                        raise ProtocolError(f"{url} returned invalid JSON: {exc}") from exc
-                if status not in _RETRYABLE_STATUS:
-                    text = data[:200].decode("utf-8", "replace")
-                    raise ProtocolError(f"{url} returned HTTP {status}: {text}")
-                failure = f"HTTP {status}"
-                last_error = ProtocolError(f"{url} returned {failure}")
             delay = self.retry.delay(attempt) if attempt + 1 < attempts else None
-            logger.warning(
-                "POST %s attempt %d/%d failed (%s); %s",
-                url,
-                attempt + 1,
-                attempts,
-                failure,
-                "giving up" if delay is None else f"retrying in {delay:g} s",
-            )
-            if delay is not None:
-                time.sleep(delay)
-        raise BackendUnavailableError(
-            f"{url} unreachable after {attempts} attempts: {last_error}"
-        )
+            retry = []
+            outcomes = self._send_many([requests[index] for index in pending], in_flight)
+            for index, outcome in zip(pending, outcomes):
+                if isinstance(outcome, ProtocolError):
+                    replies[index] = ProtocolError(f"{url} returned {outcome}")
+                    continue
+                if isinstance(outcome, Exception):
+                    error, failure = outcome, type(outcome).__name__
+                else:
+                    status, data = outcome
+                    if status == 200:
+                        # imported on first use: a run that decodes no reply never loads it
+                        import orjson
+
+                        try:
+                            replies[index] = orjson.loads(data)
+                        except ValueError as exc:
+                            replies[index] = ProtocolError(f"{url} returned invalid JSON: {exc}")
+                            replies[index].__cause__ = exc
+                        continue
+                    if status not in _RETRYABLE_STATUS:
+                        text = data[:200].decode("utf-8", "replace")
+                        replies[index] = ProtocolError(f"{url} returned HTTP {status}: {text}")
+                        continue
+                    failure = f"HTTP {status}"
+                    error = ProtocolError(f"{url} returned {failure}")
+                logger.warning(
+                    "POST %s attempt %d/%d failed (%s); %s",
+                    url,
+                    attempt + 1,
+                    attempts,
+                    failure,
+                    "giving up" if delay is None else f"retrying in {delay:g} s",
+                )
+                if delay is None:
+                    replies[index] = BackendUnavailableError(
+                        f"{url} unreachable after {attempts} attempts: {error}"
+                    )
+                else:
+                    retry.append(index)
+            if not retry:
+                break
+            time.sleep(delay)
+            pending = retry
+        return replies
 
     def _send_many(self, requests: Sequence[bytes], in_flight: int) -> list:
         """One attempt at each of ``requests``, up to ``in_flight`` at once on
         one ``selectors`` loop of the calling thread: each one's reply status
         and body, or the ``OSError``, ``HTTPException`` or ``ProtocolError``
-        it ended with, in input order. Each attempt has ``timeout_s`` to open
-        its connection and see its reply begin."""
+        it ended with, in input order. Each wait of an attempt has
+        ``timeout_s``; a wait is timed out only when a look at the sockets
+        that lasted past its deadline found its socket not ready."""
         outcomes: list = [None] * len(requests)
         queue = iter(enumerate(requests))
         with _Selector() as selector:
             waiting = selector.get_map()
 
-            def step(index: int, attempt, deadline: float, error=None) -> None:
+            def step(index: int, attempt, error=None) -> None:
                 try:
                     sock, event = attempt.throw(error) if error else next(attempt)
                 except StopIteration as done:
@@ -277,23 +302,26 @@ class _HttpClient:
                 except (OSError, http.client.HTTPException, ProtocolError) as exc:
                     outcomes[index] = exc
                 else:
+                    deadline = time.monotonic() + self.timeout_s
                     selector.register(sock, event, (index, attempt, deadline))
 
             try:
                 while True:
                     while len(waiting) < in_flight and (start := next(queue, None)):
-                        index, request = start
-                        step(index, self._attempt(request), time.monotonic() + self.timeout_s)
+                        step(start[0], self._attempt(start[1]))
                     if not waiting:
                         return outcomes
                     soonest = min(key.data[2] for key in waiting.values())
-                    for key, _ in selector.select(soonest - time.monotonic()):
-                        selector.unregister(key.fileobj)
-                        step(*key.data)
+                    ready = selector.select(soonest - time.monotonic())
+                    # the deadlines this look has waited out; the sockets it
+                    # saw ready go on and wait again with new ones
                     now = time.monotonic()
+                    for key, _ in ready:
+                        selector.unregister(key.fileobj)
+                        step(*key.data[:2])
                     for key in [key for key in waiting.values() if key.data[2] <= now]:
                         selector.unregister(key.fileobj)
-                        step(*key.data, TimeoutError("timed out"))
+                        step(*key.data[:2], TimeoutError("timed out"))
             finally:
                 for key in list(waiting.values()):
                     selector.unregister(key.fileobj)
@@ -304,18 +332,17 @@ class _HttpClient:
         and the ``selectors`` event it waits on, and returns the reply's
         status and body. A ``TimeoutError`` thrown in at a wait ends it.
 
-        It takes an idle connection or opens one, sends the request in one
-        write, reads the whole reply and keeps the connection unless the
-        reply closes it or ``_POOL_MAXSIZE`` are already idle.
+        It takes an idle connection or opens one, sends the request, reads
+        the whole reply and keeps the connection unless the reply closes it
+        or ``_POOL_MAXSIZE`` are already idle.
         """
         conn = self._reuse()
         if conn is None:
             conn = yield from self._open()
         try:
-            conn.sock.sendall(request)
+            yield from conn.send(request)
             try:
-                yield conn.sock, selectors.EVENT_READ
-                status, data, will_close = _read_reply(conn.reader)
+                status, data, will_close = yield from _read_reply(conn)
             except TimeoutError as exc:
                 raise TimeoutError(f"Read timed out after {self.timeout_s:g} s") from exc
         except BaseException:
@@ -360,12 +387,12 @@ class _HttpClient:
         else:
             sock = yield from _connect(self._host, port)
         try:
+            sock.setblocking(False)
             if self._tls:
                 with self._lock:
                     if self._context is None:
                         # built on first use: an http:// client never pays for loading the CA bundle
                         self._context = ssl.create_default_context(cafile=certifi.where())
-                sock.setblocking(False)
                 sock = self._context.wrap_socket(
                     sock,
                     server_hostname=self._tunnel[0] if self._tunnel else self._host,
@@ -379,7 +406,6 @@ class _HttpClient:
                         yield sock, selectors.EVENT_READ
                     except ssl.SSLWantWriteError:
                         yield sock, selectors.EVENT_WRITE
-            sock.settimeout(self.timeout_s)
             return _Connection(sock)
         except BaseException:
             sock.close()
@@ -387,19 +413,67 @@ class _HttpClient:
 
 
 class _Connection:
-    """An open socket and the one buffered reader its replies are read through."""
+    """An open non-blocking socket and the bytes received on it that no
+    reply has taken yet.
 
-    __slots__ = ("sock", "reader")
+    ``send``, ``readline`` and ``read`` are generators like
+    ``_HttpClient._open``: each wait for the socket is a yield of it and its
+    ``selectors`` event. Over a socket that blocks they never yield.
+    """
+
+    __slots__ = ("sock", "_data")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock: socket.socket | None = sock
-        self.reader = sock.makefile("rb")
+        self._data = b""
 
     def close(self) -> None:
         if self.sock is not None:
-            self.reader.close()
             self.sock.close()
             self.sock = None
+
+    def send(self, data: bytes):
+        """Send all of ``data``."""
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[self.sock.send(view) :]
+            except (BlockingIOError, ssl.SSLWantWriteError):
+                yield self.sock, selectors.EVENT_WRITE
+            except ssl.SSLWantReadError:
+                yield self.sock, selectors.EVENT_READ
+
+    def readline(self, limit: int):
+        """Up to ``limit`` bytes through the next ``\\n``; fewer only at the end of the stream."""
+        start = 0
+        while (end := self._data.find(b"\n", start, limit)) < 0 and len(self._data) < limit:
+            start = len(self._data)
+            if not (yield from self._receive()):
+                break
+        cut = limit if end < 0 else end + 1
+        line, self._data = self._data[:cut], self._data[cut:]
+        return line
+
+    def read(self, size: int):
+        """Up to ``size`` bytes, and none only at the end of the stream."""
+        if not self._data:
+            yield from self._receive()
+        piece, self._data = self._data[:size], self._data[size:]
+        return piece
+
+    def _receive(self):
+        """Add the bytes the socket has ready, waiting until it has some;
+        return how many, 0 at the end of the stream."""
+        while True:
+            try:
+                data = self.sock.recv(_RECV_SIZE)
+            except (BlockingIOError, ssl.SSLWantReadError):
+                yield self.sock, selectors.EVENT_READ
+            except ssl.SSLWantWriteError:
+                yield self.sock, selectors.EVENT_WRITE
+            else:
+                self._data += data
+                return len(data)
 
 
 def _close_all(idle: list[_Connection]) -> None:
@@ -409,23 +483,17 @@ def _close_all(idle: list[_Connection]) -> None:
 
 
 def _closed_by_server(conn: _Connection) -> bool:
-    """Whether an idle connection's socket is readable, meaning its server closed it.
-
-    ``poll`` where the platform has one, as all but Windows do: ``select``
-    fails there on descriptors of 1024 and up.
-    """
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(conn.sock, select.POLLIN)
-        return bool(poller.poll(0))
-    return bool(select.select([conn.sock], [], [], 0)[0])
+    """Whether an idle connection's socket is readable, meaning its server closed it."""
+    with _Selector() as selector:
+        selector.register(conn.sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
 
 
 def _connect(host: str, port: int):
     """A TCP connection to ``host`` made without blocking, as a generator like
     ``_HttpClient._open``. Each address is tried in turn, as
-    ``socket.create_connection`` tries them, and the last error is raised if
-    none connects."""
+    ``socket.create_connection`` tries them, each wait with its own
+    deadline, and the last error is raised if none connects."""
     error = OSError("getaddrinfo returns an empty list")
     for family, kind, proto, _, address in socket.getaddrinfo(host, port, 0, socket.SOCK_STREAM):
         sock = socket.socket(family, kind, proto)
@@ -452,9 +520,10 @@ def _connect(host: str, port: int):
     raise error
 
 
-def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
-    """Read one reply (RFC 9112 framing); return its status, its body and
-    whether the server closes the connection after it.
+def _read_reply(reader: _Connection):
+    """Read one reply (RFC 9112 framing), as a generator like
+    ``_HttpClient._open``; return its status, its body and whether the
+    server closes the connection after it.
 
     Interim ``1xx`` replies are skipped. A fault raises the ``http.client``
     exception that ``getresponse`` and ``read`` raise for it, a framing
@@ -464,7 +533,7 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
     """
     status = 100
     while 100 <= status < 200:
-        line = _read_line(reader, "status line")
+        line = yield from _read_line(reader, "status line")
         if not line:
             raise http.client.RemoteDisconnected("Remote end closed connection without response")
         # split as http.client splits it, at any whitespace Latin-1 knows
@@ -477,7 +546,7 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
                 raise ValueError
         except ValueError:
             raise http.client.BadStatusLine(line.decode("iso-8859-1")) from None
-        fields = _read_fields(reader)
+        fields = yield from _read_fields(reader)
     version = words[0]
     if version in ("HTTP/1.0", "HTTP/0.9"):
         # HTTP/1.0 closes unless the reply asks to keep the connection
@@ -497,17 +566,17 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
         return status, b"", will_close
     if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
         chunks, total = [], 0
-        while size := _chunk_size(reader):
+        while size := (yield from _chunk_size(reader)):
             total += size
             _check_body_size(total)
-            chunks.append(_read_exactly(reader, size))
-            _read_exactly(reader, 2)  # the CRLF after the chunk
-        while _read_line(reader, "trailer line") not in (b"\r\n", b"\n", b""):
+            chunks.append((yield from _read_exactly(reader, size)))
+            yield from _read_exactly(reader, 2)  # the CRLF after the chunk
+        while (yield from _read_line(reader, "trailer line")) not in (b"\r\n", b"\n", b""):
             pass
         return status, b"".join(chunks), will_close
     if (length := fields.get(b"content-length")) is None:
         # delimited by the end of the connection
-        data = _read_at_most(reader, _MAX_BODY + 1)
+        data = yield from _read_at_most(reader, _MAX_BODY + 1)
         _check_body_size(len(data))
         return status, data, True
     if not length.isdigit():
@@ -520,7 +589,7 @@ def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
         digits = digits[:21]
     size = int(digits or b"0")
     _check_body_size(size)
-    return status, _read_exactly(reader, size), will_close
+    return status, (yield from _read_exactly(reader, size)), will_close
 
 
 def _check_body_size(size: int) -> None:
@@ -530,14 +599,14 @@ def _check_body_size(size: int) -> None:
         raise ProtocolError(f"a body of {size} bytes or more, over the {_MAX_BODY}-byte cap")
 
 
-def _read_line(reader: BinaryIO, what: str) -> bytes:
-    line = reader.readline(_MAX_LINE + 1)
+def _read_line(reader: _Connection, what: str):
+    line = yield from reader.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
         raise http.client.LineTooLong(what)
     return line
 
 
-def _read_fields(reader: BinaryIO) -> dict[bytes, bytes]:
+def _read_fields(reader: _Connection):
     """A header section's fields by lower-case name; the first of a repeated
     name wins.
 
@@ -549,7 +618,7 @@ def _read_fields(reader: BinaryIO) -> dict[bytes, bytes]:
     """
     lines: list[list[bytes]] = []
     for _ in range(_MAX_HEADERS + 1):
-        line = _read_line(reader, "header line")
+        line = yield from _read_line(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
             fields: dict[bytes, bytes] = {}
             for name, value in lines:
@@ -564,8 +633,8 @@ def _read_fields(reader: BinaryIO) -> dict[bytes, bytes]:
     raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 
 
-def _chunk_size(reader: BinaryIO) -> int:
-    line = _read_line(reader, "chunk size")
+def _chunk_size(reader: _Connection):
+    line = yield from _read_line(reader, "chunk size")
     try:
         size = int(line.split(b";", 1)[0], 16)
         if size < 0:
@@ -575,17 +644,20 @@ def _chunk_size(reader: BinaryIO) -> int:
     return size
 
 
-def _read_exactly(reader: BinaryIO, size: int) -> bytes:
-    data = _read_at_most(reader, size)
+def _read_exactly(reader: _Connection, size: int):
+    data = yield from _read_at_most(reader, size)
     if len(data) < size:
         raise http.client.IncompleteRead(data, size - len(data))
     return data
 
 
-def _read_at_most(reader: BinaryIO, size: int) -> bytes:
-    """Up to ``size`` bytes, fewer only at the end of the stream, read in pieces."""
+def _read_at_most(reader: _Connection, size: int):
+    """Up to ``size`` bytes, fewer only at the end of the stream, read as they arrive."""
     pieces = []
-    while size and (piece := reader.read(min(size, _READ_PIECE))):
+    while size:
+        piece = yield from reader.read(size)
+        if not piece:
+            break
         pieces.append(piece)
         size -= len(piece)
     return b"".join(pieces)
@@ -620,7 +692,7 @@ def _route(base_url: str, path: str, token: str | None) -> tuple:
             )
         else:
             # the CONNECT request alone carries the credentials
-            tunnel, headers = (host, port, headers), {}
+            tunnel, headers = (host, port or 443, headers), {}
         host, port = via.hostname, via.port
     if not prefix.isascii() or any(c <= " " or c == "\x7f" for c in prefix):
         raise ConfigError(
@@ -679,19 +751,19 @@ class HttpChatBackend(_HttpClient):
         flight at once from the calling thread, and no thread started.
 
         Each slot ends with the ``ChatResult`` or the exception that ``chat``
-        gives for the same replies; the list is in input order. First
-        attempts share one ``selectors`` loop. A first attempt that fails in
-        a way ``chat`` retries goes on in ``chat``'s retry loop, with the same
-        warnings and backoff, after the loop, one slot after another.
+        gives for the same replies, with the same warnings and attempts; the
+        list is in input order. Each round of attempts shares one
+        ``selectors`` loop, and the slots a round leaves to retry go on
+        together after one backoff.
         """
         if in_flight < 1:
             raise ValueError(f"in_flight must be at least 1, got {in_flight}")
         requests = [self._chat_request(m, temperature, max_tokens) for m in conversations]
         results: list[ChatResult | ProtocolError | BackendUnavailableError] = []
-        for request, first in zip(requests, self._send_many(requests, in_flight)):
+        for reply in self._post_many(requests, in_flight):
             try:
-                results.append(self._result(self._post(request, first)))
-            except (ProtocolError, BackendUnavailableError) as exc:
+                results.append(reply if isinstance(reply, Exception) else self._result(reply))
+            except ProtocolError as exc:
                 results.append(exc)
         return results
 

@@ -269,6 +269,16 @@ class _FaultPlanHandler(_RawReplyHandler):
 
 
 # Faults the fault-plan stub injects, by whether the client retries them.
+def read_blocking(reading):
+    """What a reading generator of ``rmoa.backends`` returns over a socket
+    that blocks, where it never waits."""
+    try:
+        wait = next(reading)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError(f"a read of a blocking socket waited on {wait}")
+
+
 WIRE_FAULTS = {"503": True, "reset": True, "torn": True, "slow": True, "huge": False, "nan": False}
 
 

@@ -6,13 +6,12 @@ import base64
 import decimal
 import gc
 import http.client
-import io
 import json
 import logging
 import math
 import os
 import random
-import select
+import selectors
 import socket
 import ssl
 import struct
@@ -27,13 +26,19 @@ import orjson
 import pytest
 
 import rmoa
-from rmoa.backends import HttpChatBackend, HttpEmbeddingBackend, RetryPolicy, _read_exactly
+from rmoa.backends import (
+    HttpChatBackend,
+    HttpEmbeddingBackend,
+    RetryPolicy,
+    _Connection,
+    _read_exactly,
+)
 from rmoa.check import check_transcript
 from rmoa.embedding import embed_batch
 from rmoa.errors import BackendUnavailableError, ConfigError, ProtocolError
 from rmoa.harness import BenchmarkItem, run_benchmark
 
-from conftest import TLS_CERT, make_config
+from conftest import TLS_CERT, make_config, read_blocking
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.001)
 
@@ -497,6 +502,19 @@ class TestTransport:
         assert [r["proxy_authorization"] for r in tls_stub.requests] == [None, None]
         assert [r["host"] for r in tls_stub.requests] == [f"{host}:{port}"] * 2
 
+    def test_portless_https_target_is_tunneled_to_port_443(self, tunnel_proxy, proxy_env):
+        proxy_env.setenv("HTTPS_PROXY", tunnel_proxy.base_url.removesuffix("/v1"))
+        backend = HttpChatBackend(
+            base_url="https://backend.invalid/v1", model="m", retry=RetryPolicy(1, 0.0)
+        )
+        try:
+            # the proxy cannot resolve the name, so no tunnel opens
+            with pytest.raises(BackendUnavailableError):
+                ask(backend)
+        finally:
+            backend.close()
+        assert [connect["path"] for connect in tunnel_proxy.requests] == ["backend.invalid:443"]
+
     def test_https_proxy_forwards_an_http_target(self, tls_stub, proxy_env, trust_test_cert):
         proxy_env.setenv("HTTP_PROXY", tls_stub.base_url.removesuffix("/v1"))
         tls_stub.script.append((200, chat_payload("via https proxy")))
@@ -553,14 +571,14 @@ class TestTransport:
     def test_each_post_is_one_write(self, keep_alive_stub, monkeypatch):
         client = threading.current_thread()
         writes = []
-        send = socket.socket.sendall
+        send = socket.socket.send
 
         def counted(sock, data, *args):
             if threading.current_thread() is client:
                 writes.append(bytes(data))
             return send(sock, data, *args)
 
-        monkeypatch.setattr(socket.socket, "sendall", counted)
+        monkeypatch.setattr(socket.socket, "send", counted)
         keep_alive_stub.script.extend([(200, chat_payload())] * 3)
         backend = chat_backend(keep_alive_stub, api_key="sekrit")
         try:
@@ -580,8 +598,8 @@ class TestTransport:
         self, keep_alive_stub, caplog, monkeypatch, check
     ):
         if check == "select":
-            # the check a platform without poll(), such as Windows, makes
-            monkeypatch.delattr(select, "poll")
+            # the selector of a platform without poll(), such as Windows
+            monkeypatch.setattr("rmoa.backends._Selector", selectors.SelectSelector)
         keep_alive_stub.script.extend(
             [(200, chat_payload("first"), {"drop": True}), (200, chat_payload("second"))]
         )
@@ -596,6 +614,31 @@ class TestTransport:
         assert caplog.records == []
         first, second = keep_alive_stub.requests
         assert first["client"] != second["client"]
+
+    def test_address_that_never_answers_falls_back_to_the_next(
+        self, keep_alive_stub, monkeypatch, caplog
+    ):
+        # a listener whose one-place accept queue is full drops each new SYN
+        silent = socket.create_server(("127.0.0.1", 0), backlog=0)
+        filler = socket.create_connection(silent.getsockname())
+        host, port = keep_alive_stub.server.server_address
+        addresses = [
+            (socket.AF_INET, socket.SOCK_STREAM, 6, "", silent.getsockname()),
+            (socket.AF_INET, socket.SOCK_STREAM, 6, "", (host, port)),
+        ]
+        monkeypatch.setattr(socket, "getaddrinfo", lambda *args, **kwargs: addresses)
+        keep_alive_stub.script.append((200, chat_payload("second address")))
+        backend = chat_backend(keep_alive_stub, timeout_s=0.3)
+        try:
+            with caplog.at_level(logging.WARNING, logger="rmoa.backends"):
+                # each address has its own timeout_s, as create_connection gives it
+                assert ask(backend).text == "second address"
+        finally:
+            backend.close()
+            filler.close()
+            silent.close()
+        assert caplog.records == []
+        assert len(keep_alive_stub.requests) == 1
 
     def test_reply_with_connection_close_is_not_pooled(self, keep_alive_stub):
         keep_alive_stub.script.append((200, chat_payload(), {"headers": {"Connection": "close"}}))
@@ -757,9 +800,12 @@ class TestBodyCap:
             assert ask(chat_backend(raw_stub)).text == "framed"
 
     def test_length_the_stream_never_delivers_is_an_incomplete_read(self):
-        reader = io.BufferedReader(io.BytesIO(CHAT_BODY))
-        with pytest.raises(http.client.IncompleteRead) as cut:
-            _read_exactly(reader, 10**18)
+        write, read = socket.socketpair()
+        with write:
+            write.sendall(CHAT_BODY)
+            write.shutdown(socket.SHUT_WR)
+        with read, pytest.raises(http.client.IncompleteRead) as cut:
+            read_blocking(_read_exactly(_Connection(read), 10**18))
         assert cut.value.partial == CHAT_BODY
         assert cut.value.expected == 10**18 - len(CHAT_BODY)
 

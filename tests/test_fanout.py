@@ -123,6 +123,34 @@ def test_faulty_slot_ends_as_chat_ends(fault_plan_stub, caplog, fault, faulty):
             assert server.attempts[digest(backend, conversations[i])] == 1
 
 
+def test_slots_left_to_retry_share_one_backoff(fault_plan_stub, caplog):
+    backoff_s = 0.3
+    backend = HttpChatBackend(
+        base_url=fault_plan_stub.base_url, model="chat", timeout_s=5.0,
+        retry=RetryPolicy(max_attempts=3, base_delay_s=backoff_s),
+    )
+    conversations = [conversation(i) for i in range(SLOTS)]
+    faulty = {digest(backend, conversations[i]) for i in (1, 2, 4)}
+    fault_plan_stub.server.plan = lambda body, attempt: (
+        "503" if body in faulty and attempt == 0 else None
+    )
+    caplog.set_level(logging.WARNING, logger="rmoa.backends")
+    try:
+        started = time.perf_counter()
+        results = backend.chat_many(conversations, temperature=0.0, max_tokens=8, in_flight=SLOTS)
+        elapsed = time.perf_counter() - started
+    finally:
+        backend.close()
+    assert [r.text for r in results] == [answer(backend, c) for c in conversations]
+    assert [fault_plan_stub.server.attempts[digest(backend, c)] for c in conversations] == [
+        1, 2, 2, 1, 2, 1
+    ]
+    warning = f"POST {backend._url} attempt 1/3 failed (HTTP 503); retrying in 0.3 s"
+    assert [record.getMessage() for record in caplog.records] == [warning] * 3
+    # one backoff for the three, where one after another would take three
+    assert elapsed < 2 * backoff_s
+
+
 def test_pooled_connection_the_server_closed_is_dropped(fault_plan_stub, caplog):
     server = fault_plan_stub.server
     backend = client(fault_plan_stub)
@@ -193,6 +221,30 @@ def test_new_tls_connections_open_side_by_side(slow_handshake_stub, monkeypatch)
     assert len({request["client"] for request in slow_handshake_stub.requests}) == SLOTS
     # one after another, the handshakes alone would take SLOTS times the delay
     assert elapsed < 2 * HANDSHAKE_DELAY_S
+
+
+def test_tls_replies_are_awaited_side_by_side(tls_stub, monkeypatch):
+    # a TLS 1.3 server's session tickets make the socket readable before
+    # the reply; a slot reading them must not hold up the others
+    monkeypatch.setattr(certifi, "where", lambda: str(TLS_CERT))
+    delay_s = 0.3
+    tls_stub.script.extend(
+        [(200, {"choices": [{"message": {"content": "late"}}],
+                "usage": {"prompt_tokens": 1, "completion_tokens": 1}}, {"delay_s": delay_s})]
+        * SLOTS
+    )
+    backend = client(tls_stub, timeout_s=5.0)
+    try:
+        started = time.perf_counter()
+        results = backend.chat_many(
+            [conversation(i) for i in range(SLOTS)], temperature=0.0, max_tokens=8, in_flight=SLOTS
+        )
+        elapsed = time.perf_counter() - started
+    finally:
+        backend.close()
+    assert [r.text for r in results] == ["late"] * SLOTS
+    assert len(tls_stub.requests) == SLOTS
+    assert elapsed < 2 * delay_s
 
 
 class PooledChat:

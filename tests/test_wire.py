@@ -30,12 +30,19 @@ import socket
 
 import pytest
 
-from rmoa.backends import Backends, HttpChatBackend, HttpEmbeddingBackend, RetryPolicy, _read_reply
+from rmoa.backends import (
+    Backends,
+    HttpChatBackend,
+    HttpEmbeddingBackend,
+    RetryPolicy,
+    _Connection,
+    _read_reply,
+)
 from rmoa.check import check_transcript
 from rmoa.errors import ProtocolError
 from rmoa.harness import BenchmarkItem, run_benchmark
 
-from conftest import WIRE_FAULTS, make_config
+from conftest import WIRE_FAULTS, make_config, read_blocking
 
 BODY = b'{"choices": [{"message": {"content": "framed"}}]}'
 CHUNKED_BODY = b"".join(
@@ -110,9 +117,9 @@ def fed(reply: bytes) -> socket.socket:
 
 def read_ours(reply: bytes):
     """``(status, body, will_close)``, or the allowed exception raised."""
-    with fed(reply) as sock, sock.makefile("rb") as reader:
+    with fed(reply) as sock:
         try:
-            return _read_reply(reader)
+            return read_blocking(_read_reply(_Connection(sock)))
         except (http.client.HTTPException, OSError, ProtocolError) as exc:
             return exc
 
