@@ -19,10 +19,10 @@ header fields once, and keeps up to 10 idle keep-alive connections for
 reuse. A call finding none idle opens another, which is closed after use if
 10 are already idle. A pooled connection the server has closed is dropped
 before it is used. Sockets never block: the client drives the TCP connect
-(with ``TCP_NODELAY``), the TLS handshake, each send and each read itself,
-and each wait of an attempt has ``timeout_s``, as a blocking socket's
-timeout would give it; only a CONNECT tunnel's exchange blocks, through
-``http.client``. The chat client's ``chat_many`` keeps a fan-out's requests
+(with ``TCP_NODELAY``), a CONNECT tunnel's exchange, the TLS handshake,
+each send and each read itself, and each wait of an attempt has
+``timeout_s``, as a blocking socket's timeout would give it. The chat
+client's ``chat_many`` keeps a fan-out's requests
 in flight from the calling thread on one ``selectors`` loop, so their
 opens and replies overlap and no thread starts; each slot ends as ``chat``
 ends for the same replies, and the slots a round of attempts leaves to
@@ -45,12 +45,13 @@ refused when the client is built.
 The proxy for the base URL is read from the environment (``HTTP_PROXY``,
 ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``) when the client is built, not
 on every call: an ``http://`` target is sent to the proxy with its absolute
-URL, an ``https://`` target through a CONNECT tunnel. An ``https://`` proxy
-serves only ``http://`` targets, because TLS cannot run inside its TLS
-here. HTTPS certificates are verified against certifi's bundle, in a TLS
-context built once per client when it first connects over HTTPS. Redirects
-are not followed: a 3xx reply is a protocol error. ``REQUESTS_CA_BUNDLE``,
-``CURL_CA_BUNDLE`` and ``~/.netrc`` are not read.
+URL, an ``https://`` target through a CONNECT tunnel to its ``host:port``
+(RFC 9110 §9.3.6); a URL without a port names its scheme's default. An
+``https://`` proxy serves only ``http://`` targets: the client does not run
+TLS inside TLS. HTTPS certificates are verified against certifi's bundle, in
+a TLS context built once per client when it first connects over HTTPS.
+Redirects are not followed: a 3xx reply is a protocol error.
+``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE`` and ``~/.netrc`` are not read.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ import urllib.request
 import weakref
 from dataclasses import dataclass, field
 from typing import BinaryIO, Protocol, Sequence
-from urllib.parse import SplitResult, unquote, urlsplit
+from urllib.parse import unquote, urlsplit
 
 import certifi
 
@@ -176,8 +177,8 @@ class _HttpClient:
     ``_post_many`` makes every request in rounds of attempts, one round for
     a lone call as for a fan-out; ``_send_many`` runs a round's attempts,
     each an ``_attempt`` generator, on a ``selectors`` loop of the calling
-    thread. ``_open`` opens every connection. ``close``, or collecting the
-    client, closes the idle ones.
+    thread. ``_open`` opens every connection, tunnels too, on the same loop.
+    ``close``, or collecting the client, closes the idle ones.
     """
 
     base_url: str
@@ -370,31 +371,24 @@ class _HttpClient:
         """Open a connection, as a generator: it yields a socket and the
         ``selectors`` event it waits on, and returns the ``_Connection``.
 
-        The TCP connect and the TLS handshake never block; a CONNECT
-        tunnel's exchange does. ``TCP_NODELAY`` is set as ``http.client``
-        sets it, and the TLS context is built on first use.
+        Nothing blocks: the TCP connect, a CONNECT tunnel's exchange (any
+        status but 200 raises the ``OSError`` ``http.client`` raises) and the
+        TLS handshake. ``TCP_NODELAY`` is set; the TLS context is built on first use.
         """
-        port = self._port or (443 if self._tls else 80)
-        if self._tunnel:
-            opener = http.client.HTTPConnection(self._host, port, timeout=self.timeout_s)
-            opener.set_tunnel(*self._tunnel)
-            try:
-                opener.connect()
-            except BaseException:
-                opener.close()
-                raise
-            sock = opener.sock
-        else:
-            sock = yield from _connect(self._host, port)
+        conn = _Connection((yield from _connect(self._host, self._port)))
         try:
-            sock.setblocking(False)
+            if self._tunnel:
+                yield from conn.send(self._tunnel[1])
+                _, status, reason, _ = yield from _read_head(conn)
+                if status != 200:
+                    raise OSError(f"Tunnel connection failed: {status} {reason}")
             if self._tls:
                 with self._lock:
                     if self._context is None:
                         # built on first use: an http:// client never pays for loading the CA bundle
                         self._context = ssl.create_default_context(cafile=certifi.where())
-                sock = self._context.wrap_socket(
-                    sock,
+                conn.sock = sock = self._context.wrap_socket(
+                    conn.sock,
                     server_hostname=self._tunnel[0] if self._tunnel else self._host,
                     do_handshake_on_connect=False,
                 )
@@ -406,9 +400,9 @@ class _HttpClient:
                         yield sock, selectors.EVENT_READ
                     except ssl.SSLWantWriteError:
                         yield sock, selectors.EVENT_WRITE
-            return _Connection(sock)
+            return conn
         except BaseException:
-            sock.close()
+            conn.close()
             raise
 
 
@@ -533,21 +527,7 @@ def _read_reply(reader: _Connection):
     """
     status = 100
     while 100 <= status < 200:
-        line = yield from _read_line(reader, "status line")
-        if not line:
-            raise http.client.RemoteDisconnected("Remote end closed connection without response")
-        # split as http.client splits it, at any whitespace Latin-1 knows
-        words = line.decode("iso-8859-1").split(None, 2)
-        try:
-            if len(words) < 2 or not words[0].startswith("HTTP/"):
-                raise ValueError
-            status = int(words[1])
-            if not 100 <= status <= 999:
-                raise ValueError
-        except ValueError:
-            raise http.client.BadStatusLine(line.decode("iso-8859-1")) from None
-        fields = yield from _read_fields(reader)
-    version = words[0]
+        version, status, _, fields = yield from _read_head(reader)
     if version in ("HTTP/1.0", "HTTP/0.9"):
         # HTTP/1.0 closes unless the reply asks to keep the connection
         will_close = not (
@@ -590,6 +570,24 @@ def _read_reply(reader: _Connection):
     size = int(digits or b"0")
     _check_body_size(size)
     return status, (yield from _read_exactly(reader, size)), will_close
+
+
+def _read_head(reader: _Connection):
+    """Read one status line and its header section, as a generator like
+    ``_HttpClient._open``; return the version, the status, the reason and
+    the fields by lower-case name (see ``_read_fields``)."""
+    line = yield from _read_line(reader, "status line")
+    if not line:
+        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+    # split as http.client splits it, at any whitespace Latin-1 knows
+    version, status, reason = (line.decode("iso-8859-1").split(None, 2) + ["", "", ""])[:3]
+    try:
+        status = int(status)
+        if not version.startswith("HTTP/") or not 100 <= status <= 999:
+            raise ValueError
+    except ValueError:
+        raise http.client.BadStatusLine(line.decode("iso-8859-1")) from None
+    return version, status, reason.strip(), (yield from _read_fields(reader))
 
 
 def _check_body_size(size: int) -> None:
@@ -666,12 +664,14 @@ def _read_at_most(reader: _Connection, size: int):
 def _route(base_url: str, path: str, token: str | None) -> tuple:
     """``(host, port, tls, head, tunnel)`` for POSTs to ``path`` under ``base_url``
     with ``token`` as their bearer token, through the proxy the environment
-    names for it: where to connect, whether over TLS, the request head and
-    the CONNECT tunnel's ``set_tunnel`` arguments, if any."""
+    names for it: where to connect, whether over TLS, the request head and,
+    for a CONNECT tunnel, the target's host and the CONNECT request's bytes."""
     parts = urlsplit(base_url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigError(f"base URL {base_url!r} is not an http:// or https:// URL")
-    host, port, tls = parts.hostname, parts.port, parts.scheme == "https"
+    host, tls = parts.hostname, parts.scheme == "https"
+    default = 443 if tls else 80
+    port = parts.port or default
     prefix, headers, tunnel = parts.path.rstrip("/"), {}, None
     proxies = urllib.request.getproxies()
     proxy = proxies.get(parts.scheme) or proxies.get("all")
@@ -691,15 +691,18 @@ def _route(base_url: str, path: str, token: str | None) -> tuple:
                 f"proxy for {base_url}: an https:// proxy cannot tunnel to an https:// URL"
             )
         else:
-            # the CONNECT request alone carries the credentials
-            tunnel, headers = (host, port or 443, headers), {}
-        host, port = via.hostname, via.port
+            # the CONNECT request alone carries the credentials; it names host:port (RFC 9110 §9.3.6)
+            target = _authority(host, port, None)
+            lines = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+            connect = f"CONNECT {target} HTTP/1.1\r\nHost: {target}\r\n{lines}\r\n"
+            tunnel, headers = (host, connect.encode("latin-1")), {}
+        host, port = via.hostname, via.port or (443 if via.scheme == "https" else 80)
     if not prefix.isascii() or any(c <= " " or c == "\x7f" for c in prefix):
         raise ConfigError(
             f"base URL {base_url!r} holds a space, a control or a non-ASCII character"
         )
     fields = {
-        "Host": _host_field(parts),
+        "Host": _authority(parts.hostname, parts.port, default),
         # without it a server may compress the reply
         "Accept-Encoding": "identity",
         **headers,
@@ -715,17 +718,15 @@ def _route(base_url: str, path: str, token: str | None) -> tuple:
     return host, port, tls, head, tunnel
 
 
-def _host_field(target: SplitResult) -> str:
-    """The ``Host`` field for ``target``, as ``http.client`` writes it: the
-    IDNA name or bracketed IPv6 address, and the port unless it is the
-    scheme's default."""
-    host = target.hostname
+def _authority(host: str, port: int, default: int | None) -> str:
+    """``host`` and ``port`` as a request names them, as ``http.client``
+    writes the ``Host`` field: the IDNA name or the IPv6 address in brackets
+    (RFC 3986 §3.2.2), and the port unless it is ``None`` or ``default``."""
     if not host.isascii():
         host = host.encode("idna").decode("ascii")
     if ":" in host:
         host = f"[{host.partition('%')[0]}]"
-    default = 443 if target.scheme == "https" else 80
-    return host if target.port in (None, default) else f"{host}:{target.port}"
+    return host if port in (None, default) else f"{host}:{port}"
 
 
 @dataclass

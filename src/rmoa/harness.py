@@ -353,14 +353,14 @@ def run_benchmark(
     ids slugify to one directory under ``out_dir``, or to a report file's
     name, or to a name longer than 255 bytes, raise ``DatasetError``.
 
-    Each item keeps up to its share of proposer calls in flight; the share
-    is ``proposer_parallelism``, else one per proposer up to a default cap,
-    and a share of one runs each item's calls one after another. A chat
-    backend with ``chat_many``, such as the HTTP client, keeps them in
-    flight from the item's own thread, so no call thread starts. Other
-    backends run them on one pool shared by all items, opened once per run,
-    of ``item_parallelism`` times the share of threads, each started when a
-    fan-out first needs it; a share of one opens no pool.
+    Each item's share of proposer calls is ``proposer_parallelism``, else
+    one per proposer up to a default cap; a share of one runs each item's
+    calls one after another. A chat backend with ``chat_many``, such as the
+    HTTP client, keeps up to the share in flight from the item's own thread,
+    so no call thread starts. Other backends run them on one pool of
+    ``item_parallelism`` times the share of threads, opened once per run and
+    started as fan-outs need them; it bounds the run, not each item, whose
+    calls may take more threads than its share. A share of one opens no pool.
     """
     if item_parallelism < 1:
         raise ValueError(f"item_parallelism must be at least 1, got {item_parallelism}")

@@ -339,6 +339,26 @@ class _TunnelHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _SlowTunnelHandler(_TunnelHandler):
+    """``_TunnelHandler`` waiting ``CONNECT_DELAY_S`` before it answers a
+    CONNECT, each connection on its own thread."""
+
+    def do_CONNECT(self) -> None:  # noqa: N802 (http.server API)
+        time.sleep(CONNECT_DELAY_S)
+        super().do_CONNECT()
+
+
+CONNECT_DELAY_S = 0.2
+
+
+class _RefusingTunnelHandler(_TunnelHandler):
+    """A CONNECT proxy that answers every CONNECT with a 407."""
+
+    def do_CONNECT(self) -> None:  # noqa: N802 (http.server API)
+        self.send_response(407)
+        self.end_headers()
+
+
 # A self-signed certificate for the IP address 127.0.0.1, valid 2000-2100.
 TLS_CERT = Path(__file__).with_name("tls_cert.pem")
 TLS_KEY = Path(__file__).with_name("tls_key.pem")
@@ -457,5 +477,46 @@ def slow_handshake_stub():
 def tunnel_proxy():
     """A CONNECT proxy; its ``requests`` are the CONNECT requests it served."""
     proxy = HttpStub(_TunnelHandler)
+    yield proxy
+    proxy.close()
+
+
+@pytest.fixture
+def lookups():
+    """The ``(host, port)`` of each name lookup under ``proxy_env``, in order."""
+    return []
+
+
+@pytest.fixture
+def proxy_env(monkeypatch, lookups):
+    """No proxy settings, and no name resolution: a request sent straight to
+    ``backend.invalid`` fails here instead of leaving the host."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    resolve = socket.getaddrinfo
+
+    def loopback_only(host, port, *args, **kwargs):
+        lookups.append((host, port))
+        if host != "127.0.0.1":
+            raise socket.gaierror(f"name resolution is off in this test: {host}")
+        return resolve(host, port, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", loopback_only)
+    return monkeypatch
+
+
+@pytest.fixture
+def slow_tunnel_proxy():
+    """A CONNECT proxy that answers each CONNECT after ``CONNECT_DELAY_S``."""
+    proxy = HttpStub(_SlowTunnelHandler)
+    yield proxy
+    proxy.close()
+
+
+@pytest.fixture
+def refusing_tunnel_proxy():
+    """A CONNECT proxy that answers each CONNECT with ``407 Proxy Authentication Required``."""
+    proxy = HttpStub(_RefusingTunnelHandler)
     yield proxy
     proxy.close()

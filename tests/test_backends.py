@@ -441,23 +441,6 @@ class TestTransport:
         gc.collect()
         assert conn.sock is None
 
-    @pytest.fixture
-    def proxy_env(self, monkeypatch):
-        """No proxy settings, and no name resolution: a request sent straight to
-        ``backend.invalid`` fails here instead of leaving the host."""
-        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-            monkeypatch.delenv(name, raising=False)
-            monkeypatch.delenv(name.upper(), raising=False)
-        resolve = socket.getaddrinfo
-
-        def loopback_only(host, *args, **kwargs):
-            if host != "127.0.0.1":
-                raise socket.gaierror(f"name resolution is off in this test: {host}")
-            return resolve(host, *args, **kwargs)
-
-        monkeypatch.setattr(socket, "getaddrinfo", loopback_only)
-        return monkeypatch
-
     def test_proxy_from_environment_gets_the_absolute_url(self, keep_alive_stub, proxy_env):
         proxy = keep_alive_stub.base_url.removesuffix("/v1").replace("//", "//us%40r:pw@")
         proxy_env.setenv("HTTP_PROXY", proxy)
@@ -514,6 +497,73 @@ class TestTransport:
         finally:
             backend.close()
         assert [connect["path"] for connect in tunnel_proxy.requests] == ["backend.invalid:443"]
+
+    @pytest.mark.parametrize(
+        "base_url, target",
+        [
+            ("https://[::1]:8443/v1", "[::1]:8443"),
+            ("https://bücher.invalid/v1", "xn--bcher-kva.invalid:443"),
+        ],
+        ids=["ipv6", "idn"],
+    )
+    def test_connect_names_the_target_as_host_and_port(
+        self, tunnel_proxy, proxy_env, base_url, target
+    ):
+        # RFC 9110 §9.3.6 and RFC 3986 §3.2.2: host:port, an IPv6 address in brackets
+        proxy_env.setenv("HTTPS_PROXY", tunnel_proxy.base_url.removesuffix("/v1"))
+        backend = HttpChatBackend(base_url=base_url, model="m", retry=RetryPolicy(1, 0.0))
+        try:
+            # the proxy cannot resolve the target, so no tunnel opens
+            with pytest.raises(BackendUnavailableError):
+                ask(backend)
+        finally:
+            backend.close()
+        assert [connect["path"] for connect in tunnel_proxy.requests] == [target]
+
+    def test_portless_http_proxy_is_dialled_on_port_80(self, proxy_env, lookups):
+        proxy_env.setenv("HTTPS_PROXY", "http://proxy.invalid")
+        backend = HttpChatBackend(
+            base_url="https://backend.invalid/v1", model="m", retry=RetryPolicy(1, 0.0)
+        )
+        with pytest.raises(BackendUnavailableError, match="proxy.invalid"):
+            ask(backend)
+        assert lookups == [("proxy.invalid", 80)]
+
+    def test_refused_tunnel_is_unavailable(self, refusing_tunnel_proxy, proxy_env):
+        proxy_env.setenv("HTTPS_PROXY", refusing_tunnel_proxy.base_url.removesuffix("/v1"))
+        backend = HttpChatBackend(
+            base_url="https://backend.invalid/v1", model="m", retry=RetryPolicy(1, 0.0)
+        )
+        try:
+            with pytest.raises(BackendUnavailableError) as caught:
+                ask(backend)
+        finally:
+            backend.close()
+        assert str(caught.value) == (
+            "https://backend.invalid/v1/chat/completions unreachable after 1 attempts: "
+            "Tunnel connection failed: 407 Proxy Authentication Required"
+        )
+
+    def test_proxy_that_never_answers_connect_times_out(self, proxy_env):
+        # the kernel accepts the connection into the backlog; nothing ever reads it
+        silent = socket.create_server(("127.0.0.1", 0))
+        host, port = silent.getsockname()
+        proxy_env.setenv("HTTPS_PROXY", f"http://{host}:{port}")
+        backend = HttpChatBackend(
+            base_url="https://backend.invalid/v1",
+            model="m",
+            timeout_s=0.3,
+            retry=RetryPolicy(1, 0.0),
+        )
+        try:
+            with pytest.raises(BackendUnavailableError) as caught:
+                ask(backend)
+        finally:
+            backend.close()
+            silent.close()
+        assert str(caught.value) == (
+            "https://backend.invalid/v1/chat/completions unreachable after 1 attempts: timed out"
+        )
 
     def test_https_proxy_forwards_an_http_target(self, tls_stub, proxy_env, trust_test_cert):
         proxy_env.setenv("HTTP_PROXY", tls_stub.base_url.removesuffix("/v1"))

@@ -24,7 +24,7 @@ from rmoa.harness import BenchmarkItem, run_benchmark
 from rmoa.mockbackend import MockChatBackend, MockRule
 from rmoa.pipeline import run_pipeline
 
-from conftest import HANDSHAKE_DELAY_S, TLS_CERT, make_config, make_mock_bundle
+from conftest import CONNECT_DELAY_S, HANDSHAKE_DELAY_S, TLS_CERT, make_config, make_mock_bundle
 from faults import FaultPlan
 
 SLOTS = 6
@@ -245,6 +245,28 @@ def test_tls_replies_are_awaited_side_by_side(tls_stub, monkeypatch):
     assert [r.text for r in results] == ["late"] * SLOTS
     assert len(tls_stub.requests) == SLOTS
     assert elapsed < 2 * delay_s
+
+
+def test_tunnels_open_side_by_side(tls_stub, slow_tunnel_proxy, proxy_env):
+    proxy_env.setattr(certifi, "where", lambda: str(TLS_CERT))
+    proxy_env.setenv("HTTPS_PROXY", slow_tunnel_proxy.base_url.removesuffix("/v1"))
+    tls_stub.script.extend(
+        [(200, {"choices": [{"message": {"content": "tunneled"}}],
+                "usage": {"prompt_tokens": 1, "completion_tokens": 1}})] * SLOTS
+    )
+    backend = client(tls_stub, timeout_s=5.0)
+    try:
+        started = time.perf_counter()
+        results = backend.chat_many(
+            [conversation(i) for i in range(SLOTS)], temperature=0.0, max_tokens=8, in_flight=SLOTS
+        )
+        elapsed = time.perf_counter() - started
+    finally:
+        backend.close()
+    assert [r.text for r in results] == ["tunneled"] * SLOTS
+    assert len(slow_tunnel_proxy.requests) == SLOTS
+    # one after another, the CONNECT answers alone would take SLOTS times the delay
+    assert elapsed < 3 * CONNECT_DELAY_S
 
 
 class PooledChat:
