@@ -10,9 +10,10 @@ protocol error and fails immediately. That includes a reply that is not
 strict UTF-8 JSON: one holding the non-standard literals ``NaN``,
 ``Infinity`` or ``-Infinity``, which the clients never send either, or a
 number that overflows a double, such as ``1e400``, in a token count or an
-embedding row. So is an embedding component that is not a JSON number,
-such as the string ``"NaN"``. Replies are decoded with orjson, imported
-when the first reply arrives, so a run that decodes none never loads it.
+embedding row. Rows are handed over as decoded; ``embed_batch`` makes a
+component that is not a JSON number, such as ``"NaN"``, a protocol error.
+Replies are decoded with orjson, imported when the first reply arrives, so
+a run that decodes none never loads it.
 
 Each client is one object per endpoint: it builds its request line and
 header fields once, and keeps up to 10 idle keep-alive connections for
@@ -72,7 +73,7 @@ import time
 import urllib.request
 import weakref
 from dataclasses import dataclass, field
-from typing import BinaryIO, Protocol, Sequence
+from typing import Protocol, Sequence
 from urllib.parse import unquote, urlsplit
 
 import certifi
@@ -116,7 +117,8 @@ class ChatResult:
 
 @dataclass(frozen=True)
 class EmbeddingBatch:
-    """Raw embedding rows for a batch of texts, in input order."""
+    """Raw embedding rows for a batch of texts, in input order: sequences of
+    floats or ints, which ``embed_batch`` checks and keeps as given."""
 
     vectors: tuple[tuple[float, ...], ...]
     usage: TokenUsage
@@ -818,10 +820,6 @@ class HttpEmbeddingBackend(_HttpClient):
             if indices != list(range(len(rows))):
                 raise ValueError(f"row indices {indices} are not 0..{len(rows) - 1}")
             vectors = tuple(tuple(row["embedding"]) for row in rows)
-            for row in vectors:
-                # a TypeError on a component that is not a JSON number;
-                # EmbeddingVector converts the numbers
-                math.hypot(*row)
             # A null usage counts as missing; any other non-object is malformed.
             usage = data.get("usage")
             if usage is not None and not isinstance(usage, dict):

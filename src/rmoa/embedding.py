@@ -43,10 +43,11 @@ class EmbeddingVector:
     """An immutable real vector with finite components and a size in
     ``[1e-140, 1e140]``.
 
-    ``size`` is ``math.hypot`` of the components, within 1 ulp of the
-    Euclidean norm; ``norm()`` is the exact ``fsum`` norm, computed once on
-    first call. A NaN, infinite or empty row raises ``ValueError``; a finite
-    row of any other size raises ``DegenerateEmbeddingError``.
+    Components are floats or ints, kept as given (a tuple is not copied);
+    ``size`` is their ``math.hypot``, within 1 ulp of the Euclidean norm, and
+    ``norm()`` the exact ``fsum`` norm, computed once on first call. A
+    non-number component raises ``TypeError``; a NaN, infinite or empty row
+    ``ValueError``; a finite row of any other size ``DegenerateEmbeddingError``.
     """
 
     components: tuple[float, ...]
@@ -54,15 +55,15 @@ class EmbeddingVector:
     _norm: float | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        components = tuple(map(float, self.components))
+        components = tuple(self.components)
         object.__setattr__(self, "components", components)
         if not components:
             raise ValueError("an embedding vector needs at least one component")
-        # A NaN or infinite component makes the size NaN or infinite, so the
-        # components are scanned only then.
+        # hypot checks every component: a non-number raises TypeError, and a
+        # NaN or infinity makes the size non-finite, the one case scanned again.
         size = math.hypot(*components)
-        if not math.isfinite(size):
-            _require_finite(components)
+        if not math.isfinite(size) and not all(map(math.isfinite, components)):
+            raise ValueError("embedding components must be finite")
         if not _MIN_SIZE <= size <= _MAX_SIZE:
             raise DegenerateEmbeddingError(
                 f"embedding size {size:.3g} is outside [1e-140, 1e140]"
@@ -80,11 +81,6 @@ class EmbeddingVector:
             norm = math.sqrt(math.fsum(map(mul, self.components, self.components)))
             object.__setattr__(self, "_norm", norm)
         return norm
-
-
-def _require_finite(components: tuple[float, ...]) -> None:
-    if not all(map(math.isfinite, components)):
-        raise ValueError("embedding components must be finite")
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -128,7 +124,8 @@ def screened_cosine(a: EmbeddingVector, b: EmbeddingVector) -> tuple[float, floa
     ``estimate ± radius`` that callers form. Every size lies in
     ``[1e-140, 1e140]`` (``EmbeddingVector``), so no square overflows, and a
     product that underflows errs by under ``2**-1074``, which is negligible
-    against ``u·ab ≥ 1e-296``.
+    against ``u·ab ≥ 1e-296``. ``hypot`` and ``dist`` round an int beyond
+    2**53 (relative u), which moves the estimate by at most 2u more.
 
     On the 10k seeded pairs of ``tests/test_screen.py`` (dimensions 2 to
     1024, scales 1e±100, size ratios up to 1e3, near-parallel and
@@ -178,7 +175,9 @@ class SimilarityMatrix:
     def twin(self, i: int) -> int:
         """Lowest index whose vector has the components of vector ``i``.
 
-        Equal vectors have equal exact entries against every other index.
+        Equal vectors have equal exact entries against every other index;
+        only equal int and float rows may differ by rounding against an int
+        beyond 2**53.
         """
         return self._twins[i]
 
@@ -238,9 +237,9 @@ def embed_batch(
 
     Texts beyond the backend's declared input limit are truncated first and
     the truncation is reported through ``on_event``. The backend must
-    return one row per text, all of one dimension; a row that cannot become
-    an ``EmbeddingVector`` because of its size raises
-    ``DegenerateEmbeddingError`` naming the row (``vector i: ...``).
+    return one row per text, all of one dimension and of floats or ints; a
+    row holding a non-number raises ``ProtocolError`` and a finite row outside
+    the size range ``DegenerateEmbeddingError``, naming it (``vector i: ...``).
     """
     if not texts:
         raise ValueError("texts must be nonempty")
@@ -271,4 +270,6 @@ def embed_batch(
             vectors.append(EmbeddingVector(row))
         except DegenerateEmbeddingError as exc:
             raise DegenerateEmbeddingError(f"vector {index}: {exc}") from None
+        except TypeError as exc:
+            raise ProtocolError(f"vector {index}: {exc}") from exc
     return vectors, batch.usage

@@ -10,7 +10,7 @@ Each argmin is decided on the matrix's entry intervals: only the indices
 whose interval could hold the least value are contenders, and only they
 are settled on exact values (``SimilarityMatrix.exact``), by the exact
 rule. Of several indices with equal vectors only the lowest contends,
-since their exact values are equal and the lowest would win the tie.
+since their true values are equal and the lowest would win the tie.
 """
 
 from __future__ import annotations

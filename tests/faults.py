@@ -40,6 +40,7 @@ ROW_FAULTS = {
     "tiny": lambda rows: ((1e-150, 1e-150),) * len(rows),
     "nan": lambda rows: tuple((math.nan, *row[1:]) for row in rows),
     "empty": lambda rows: ((),) * len(rows),
+    "string": lambda rows: (("x", *rows[0][1:]), *rows[1:]),
 }
 EMBEDDING_FAULTS = (*RAISED, *ROW_FAULTS)
 

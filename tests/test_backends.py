@@ -339,10 +339,10 @@ class TestHttpEmbeddingBackend:
 
 # What the client makes of a reply: the error's message and its cause.
 INVALID_JSON = ("returned invalid JSON: ", orjson.JSONDecodeError)
-NOT_A_NUMBER = ("malformed embeddings payload: ", TypeError)
+NOT_A_NUMBER = ("vector 0: ", TypeError)
 # Replies that only a lenient JSON parser reads, whose numbers overflow a
 # double, or whose non-finite values are JSON strings: (call kind, body,
-# what the client makes of it).
+# what the client, or embed_batch for a string in a row, makes of it).
 NON_FINITE_REPLIES = {
     "chat-usage-overflow": (
         "chat",
@@ -394,7 +394,7 @@ class TestNonFiniteReplies:
             if kind == "chat":
                 ask(chat_backend(http_stub))
             else:
-                embedding_backend(http_stub).embed(["a"])
+                embed_batch(["a"], embedding_backend(http_stub), on_event=pytest.fail)
         assert isinstance(caught.value.__cause__, cause)
         assert len(http_stub.requests) == 1
 

@@ -104,13 +104,16 @@ class TestEmbeddingVector:
         assert v.size == abs(components[0]) == v.norm()
         assert cosine(v, v) == 1.0
 
-    def test_components_are_converted_to_floats(self):
-        v = EmbeddingVector(("1.5", 2))
-        assert v.components == (1.5, 2.0)
-        assert type(v.components) is tuple
-        assert all(type(c) is float for c in v.components)
+    def test_components_are_kept_as_given(self):
+        row = (1.5, 2)
+        v = EmbeddingVector(row)
+        assert v.components is row
+        assert [type(c) for c in v.components] == [float, int]
         assert v.norm() == 2.5
         assert v.size == 2.5
+        assert EmbeddingVector([3, 4.0]).components == (3, 4.0)
+        with pytest.raises(TypeError):
+            EmbeddingVector(("1.5", 2))
 
 
 class TestCosine:
@@ -295,18 +298,33 @@ class TestEmbedBatch:
             embed_batch(["a", "b"], faulty_embedding("ragged"), on_event=pytest.fail)
 
     @pytest.mark.parametrize(
-        ("rows", "expected"),
-        [
-            ([[3.0, 4.0], ["0.5", 0]], ((3.0, 4.0), (0.5, 0.0))),
-            (((1, 0), (0.0, 2.0)), ((1.0, 0.0), (0.0, 2.0))),
-        ],
-        ids=["lists", "tuples"],
+        "rows", [[[3.0, 4.0], [5, 0]], ((1, 0), (0.0, 2.0))], ids=["lists", "tuples"]
     )
-    def test_rows_become_float_tuples(self, rows, expected):
+    def test_rows_are_kept_as_given(self, rows):
         vectors, _ = embed_batch(["a", "b"], RowBackend(rows), on_event=pytest.fail)
-        assert tuple(v.components for v in vectors) == expected
-        assert all(type(c) is float for v in vectors for c in v.components)
+        for vector, row in zip(vectors, rows):
+            assert type(vector.components) is tuple
+            assert vector.components == tuple(row)
+            assert [type(c) for c in vector.components] == [type(c) for c in row]
+            # a tuple is kept, not copied
+            assert (vector.components is row) == (type(row) is tuple)
         assert [v.norm() for v in vectors] == [naive_norm(v) for v in vectors]
+
+    def test_string_component_is_a_protocol_error_naming_its_row(self):
+        rows = [[3.0, 4.0], ["0.5", 0]]
+        with pytest.raises(ProtocolError, match=r"^vector 1: ") as caught:
+            embed_batch(["a", "b"], RowBackend(rows), on_event=pytest.fail)
+        assert isinstance(caught.value.__cause__, TypeError)
+
+    def test_http_rows_are_kept_as_orjson_decodes_them(self, http_stub):
+        rows = [[3, 4.0], [2**53 + 1, -0.5]]
+        data = [{"index": i, "embedding": row} for i, row in enumerate(rows)]
+        http_stub.script.append((200, {"data": data}))
+        backend = HttpEmbeddingBackend(http_stub.base_url, "m")
+        vectors, _ = embed_batch(["a", "b"], backend, on_event=pytest.fail)
+        # 3 and 2**53 + 1 are JSON integers, which orjson decodes as ints
+        assert [list(v.components) for v in vectors] == rows
+        assert [[type(c) for c in v.components] for v in vectors] == [[int, float]] * 2
 
     def test_nan_row_is_value_error(self):
         with pytest.raises(ValueError, match="finite") as caught:

@@ -124,6 +124,21 @@ def test_escaping_fault_still_writes_the_report(tmp_path, kind, fault):
     assert (tmp_path / "report.json").is_file()
 
 
+def test_string_component_from_an_in_process_backend_ends_one_item(tmp_path):
+    items = [*ITEMS, BenchmarkItem("cedar", "Which colour is the cedar marker?", "", "none")]
+    config = make_config(layers=LAYERS, proposers=PROPOSERS, k=2)
+    # "x" as a component of the first row of the second item's first batch
+    plan = FaultPlan(make_mock_bundle(embed_dim=16), {("embedding", 1, 0, items[1].question): "string"})
+    report = run_benchmark(items, config, plan, out_dir=tmp_path, item_parallelism=2)
+    assert (tmp_path / "report.json").is_file()
+    assert [item.stop_reason for item in report.items] == ["max_layers", "backend_abort", "max_layers"]
+    transcripts = [json.loads((tmp_path / item.id / "transcript.json").read_bytes()) for item in items]
+    (abort,) = [event for event in transcripts[1]["events"] if event["kind"] == "aborted"]
+    assert abort["reason"].startswith("vector 0: ")
+    for transcript in transcripts[::2]:
+        assert check_transcript(transcript) == []
+
+
 def test_a_persona_shared_by_two_roles_is_refused():
     roles = load_prompt_set().roles
     with pytest.raises(ValueError, match="more than one agent"):

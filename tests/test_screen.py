@@ -89,6 +89,16 @@ def mirrored_layer(rng: random.Random, dim: int) -> list[EmbeddingVector]:
     return [near[0], x, near[1], y, near[2], near[3]]
 
 
+def int_layer(rng: random.Random, dim: int) -> list[EmbeddingVector]:
+    """Six rows of ints up to 2**54, kept as ints. Rows 0 and 1 differ only
+    in a first component of 2**53 + 1 against 2**53, which ``hypot`` and
+    ``dist`` round alike, so only ``cosine``'s exact products tell them apart."""
+    rows = [[rng.randint(-(2**54), 2**54) for _ in range(dim)] for _ in range(5)]
+    rows[0][0] = 2**53 + 1
+    rows.insert(1, [2**53, *rows[0][1:]])
+    return [EmbeddingVector(tuple(row)) for row in rows]
+
+
 def adversarial_layers(rng: random.Random) -> dict[str, list[EmbeddingVector]]:
     """Layers of six vectors on which screened decisions are close calls."""
     dim = rng.choice([2, 3, 16, 64])
@@ -108,6 +118,8 @@ def adversarial_layers(rng: random.Random) -> dict[str, list[EmbeddingVector]]:
             to_size(v[1], 1e139),
         ],
         "mirrored": mirrored_layer(rng, 2 * dim),
+        # seeded from a value already drawn, so the other layers draw as before
+        "ints": int_layer(random.Random(v[0].components[0]), dim),
     }
 
 
@@ -139,6 +151,10 @@ class TestDecisionsMatchExactPath:
         for _ in range(40):
             for name, vectors in adversarial_layers(rng).items():
                 rows = naive_entries(vectors)
+                screened = build_similarity_matrix(vectors)
+                for i, row in enumerate(rows):
+                    lows, highs = screened.bounds(i, range(len(row)))
+                    assert all(low <= x <= high for low, x, high in zip(lows, row, highs)), name
                 for k in range(1, len(vectors) + 1):
                     matrix = build_similarity_matrix(vectors)
                     chosen = greedy_diverse_select(matrix, k).selected_indices

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
+from operator import mul
 
 import pytest
 
-from rmoa.embedding import build_similarity_matrix
+from rmoa.embedding import EmbeddingVector, build_similarity_matrix
 from rmoa.selection import (
     SelectionResult,
     greedy_diverse_select,
@@ -144,6 +146,70 @@ class TestGreedyDiverseSelect:
             base = greedy_diverse_select(build_similarity_matrix(vectors), 3)
             scale = greedy_diverse_select(build_similarity_matrix(rescaled), 3)
             assert base.selected_indices == scale.selected_indices
+
+
+def angle(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """The angle between ``a`` and ``b``: ``atan2`` of the norm of their wedge
+    product (the cross product's magnitude, in any dimension) and their dot
+    product, so ``acos`` rounding near 0 cannot decide a case."""
+    x, y = a.components, b.components
+    wedge = math.fsum((x[i] * y[j] - x[j] * y[i]) ** 2 for i in range(len(x)) for j in range(i))
+    return math.atan2(math.sqrt(wedge), math.fsum(map(mul, x, y)))
+
+
+def least_angle(angles: list[list[float]], indices) -> float:
+    return min(angles[i][j] for i, j in combinations(indices, 2))
+
+
+class TestDispersionGuarantee:
+    """The greedy choice is farthest-first traversal under the angular metric:
+    each pick has the least worst-case cosine, so the largest least angle, to
+    the chosen set."""
+
+    # the chosen set's least angle may fall short of the bound by this much,
+    # since the choice is made on cosines and the bound checked on angles
+    TOLERANCE = 1e-9
+
+    def test_least_angle_is_at_least_half_the_best(self):
+        # from any start, a 2-approximation of max-min dispersion (Gonzalez,
+        # TCS 1985), checked against every k-subset
+        rng = random.Random(1985)
+        for _ in range(400):
+            n = rng.randint(3, 9)
+            vectors = random_vectors(rng, n, rng.choice([2, 3, 5, 8]))
+            angles = [[angle(a, b) for b in vectors] for a in vectors]
+            for k in range(2, n):
+                chosen = greedy_diverse_select(build_similarity_matrix(vectors), k)
+                best = max(least_angle(angles, s) for s in combinations(range(n), k))
+                got = least_angle(angles, chosen.selected_indices)
+                assert got >= best / 2 - self.TOLERANCE, (n, k, got, best)
+
+    def test_one_pick_from_each_separated_cluster(self):
+        # k clusters whose widest angle inside a cluster is below half the
+        # narrowest angle between two, so no pick is a close call: every pick
+        # after the first lies at least that narrowest angle from the chosen
+        # set, so it opens a new cluster
+        rng = random.Random(1994)
+        checked = 0
+        for _ in range(300):
+            k = rng.randint(2, 5)
+            centers = random_vectors(rng, k, rng.choice([2, 3, 8, 32]))
+            spread = rng.uniform(0.005, 0.05)
+            labels = [c for c in range(k) for _ in range(rng.randint(1, 3))]
+            rng.shuffle(labels)
+            vectors = [
+                EmbeddingVector(tuple(x + rng.gauss(0.0, spread) for x in centers[c].components))
+                for c in labels
+            ]
+            pairs = list(combinations(range(len(vectors)), 2))
+            inside = [angle(vectors[i], vectors[j]) for i, j in pairs if labels[i] == labels[j]]
+            across = [angle(vectors[i], vectors[j]) for i, j in pairs if labels[i] != labels[j]]
+            if max(inside, default=0.0) >= min(across) / 2:
+                continue
+            checked += 1
+            chosen = greedy_diverse_select(build_similarity_matrix(vectors), k)
+            assert sorted(labels[i] for i in chosen.selected_indices) == list(range(k))
+        assert checked >= 200
 
 
 class TestSelectionResult:
